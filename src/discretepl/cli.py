@@ -12,12 +12,13 @@ import argparse
 import csv
 import json
 import math
+import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
 from . import io as formats
-from .campaign import CHECKS, CampaignConfig, run_campaign
+from .campaign import CHECKS, CampaignConfig, _pmf_in_window, run_campaign
 from .displacement import chain_diagnostics, displacement_gap
 from .errors import DiscretePLError, ParseError
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
@@ -30,7 +31,15 @@ from .limits import (
     pl_limit_experiment,
     rescaled_displacement_experiment,
 )
-from .transport import curvature_cost, gaussian_weights, geometric_weights, ot_cost, transport_entropy_check
+from .measures import INEQ_SLACK
+from .transport import (
+    curvature_cost,
+    gaussian_weights,
+    geometric_weights,
+    ot_cost,
+    reference_window,
+    transport_entropy_check,
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -102,7 +111,7 @@ def _cmd_check_displacement(args) -> int:
     nu1 = formats.parse_pmf_file(args.nu1)
     report = displacement_gap(nu0, nu1)
     chains = chain_diagnostics(report.pair)
-    ok = report.ratio_sum <= 1 and report.gap >= -1e-12 and all(c.bound_holds for c in chains)
+    ok = report.ratio_sum <= 1 and report.gap >= -INEQ_SLACK and all(c.bound_holds for c in chains)
     if args.json:
         payload = {
             "P": str(report.ratio_sum),
@@ -129,7 +138,7 @@ def _cmd_check_displacement(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(f"P = {report.ratio_sum} (<= 1: {report.ratio_sum <= 1})")
-        print(f"entropy gap = {report.gap:.12g} (>= 0 up to 1e-12: {report.gap >= -1e-12})")
+        print(f"entropy gap = {report.gap:.12g} (>= 0 up to {INEQ_SLACK:g}: {report.gap >= -INEQ_SLACK})")
         for c in chains:
             kind = "isolated" if c.isolated else "chain"
             print(f"  {kind} levels={list(c.levels)} mass={c.mass} contribution={c.ratio_contribution} ok={c.bound_holds}")
@@ -209,20 +218,11 @@ def _cmd_transport_cost(args) -> int:
 
 
 def _cmd_check_te(args) -> int:
-    import random
-
     mu = _reference_measure(args)
-    if args.mu:
-        from .transport import positive_window
-
-        window = positive_window(mu)
-    else:
-        window = mu.window()
+    window = reference_window(mu)
     rng = random.Random(args.seed)
     failures = []
     worst = math.inf
-    from .campaign import _pmf_in_window
-
     for index in range(args.trials):
         nu0 = _pmf_in_window(rng, window, args.resolution, args.width)
         nu1 = _pmf_in_window(rng, window, args.resolution, args.width)
@@ -337,13 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DiscretePLError as exc:
+    except (DiscretePLError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,13 +62,17 @@ def coupling_from_atoms(atoms: Iterable[tuple[int, int, Fraction]]) -> Coupling:
     return Coupling(sorted_atoms, _axis_sum(sorted_atoms, 0), _axis_sum(sorted_atoms, 1))
 
 
-def _axis_sum(atoms: tuple[Atom, ...], axis: int) -> Pmf:
+def _image(points: Iterable[tuple[int, Fraction]]) -> Pmf:
+    """Pmf of the (point, mass) pairs, merging masses that land on the same point."""
     acc: dict[int, Fraction] = {}
-    for atom in atoms:
-        z = atom[axis]
-        acc[z] = acc.get(z, ZERO) + atom[2]
+    for z, p in points:
+        acc[z] = acc.get(z, ZERO) + p
     lo, hi = min(acc), max(acc)
     return pmf(lo, [acc.get(z, ZERO) for z in range(lo, hi + 1)])
+
+
+def _axis_sum(atoms: tuple[Atom, ...], axis: int) -> Pmf:
+    return _image((atom[axis], atom[2]) for atom in atoms)
 
 
 def check_marginals(c: Coupling) -> bool:
@@ -143,12 +147,7 @@ def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:
 
 def pushforward(c: Coupling, mapping: Callable[[int, int], int]) -> Pmf:
     """Image measure of the coupling under (x, y) -> z, exact."""
-    acc: dict[int, Fraction] = {}
-    for x, y, p in c.atoms:
-        z = mapping(x, y)
-        acc[z] = acc.get(z, ZERO) + p
-    lo, hi = min(acc), max(acc)
-    return pmf(lo, [acc.get(z, ZERO) for z in range(lo, hi + 1)])
+    return _image((mapping(x, y), p) for x, y, p in c.atoms)
 
 
 def meet_join_pushforward(c: Coupling) -> Coupling:

@@ -53,15 +53,20 @@ def midpoint_measures(nu0: Pmf, nu1: Pmf) -> MidpointPair:
     return MidpointPair(pushforward(pi, m_minus), pushforward(pi, m_plus), pi)
 
 
-def pair_ratio_sum(pair: MidpointPair) -> Fraction:
-    """Exact P for an already-built midpoint pair."""
+def _atom_ratios(pair: MidpointPair) -> list[tuple[Fraction, Fraction]]:
+    """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom, in atom order."""
     nu0 = pair.pi.marginal0
     nu1 = pair.pi.marginal1
-    total = ZERO
-    for x, y, p in pair.pi.atoms:
-        # denominators are positive on supp(pi) by the marginal contract
-        total += pair.nu_minus.mass(m_minus(x, y)) * pair.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y)) * p
-    return total
+    # denominators are positive on supp(pi) by the marginal contract
+    return [
+        (p, pair.nu_minus.mass(m_minus(x, y)) * pair.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y)))
+        for x, y, p in pair.pi.atoms
+    ]
+
+
+def pair_ratio_sum(pair: MidpointPair) -> Fraction:
+    """Exact P for an already-built midpoint pair."""
+    return sum((ratio * p for p, ratio in _atom_ratios(pair)), ZERO)
 
 
 def midpoint_ratio_sum(nu0: Pmf, nu1: Pmf) -> Fraction:
@@ -74,7 +79,7 @@ class DisplacementReport:
     """Entropy bookkeeping for one (nu0, nu1) pair.
 
     `gap` is H(nu0)+H(nu1) - H(nu-)-H(nu+) (counting-measure entropies,
-    floats) and is >= -1e-12.  `jensen_certificate` is the exact-ratio sum
+    floats) and is >= -INEQ_SLACK.  `jensen_certificate` is the exact-ratio sum
     sum pi log(ratio), which equals -gap up to float error and is bounded by
     log(ratio_sum) by concavity of log.
     """
@@ -97,10 +102,10 @@ def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:
     hm = counting_entropy(pair.nu_minus)
     hp = counting_entropy(pair.nu_plus)
     certificate = 0.0
-    for x, y, p in pair.pi.atoms:
-        ratio = pair.nu_minus.mass(m_minus(x, y)) * pair.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y))
+    p_sum = ZERO
+    for p, ratio in _atom_ratios(pair):
         certificate += float(p) * log_of_fraction(ratio)
-    p_sum = pair_ratio_sum(pair)
+        p_sum += ratio * p
     return DisplacementReport(
         pair=pair,
         entropy0=h0,

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, LengthMismatch, SupportNotBinary
-from .measures import RealFn
+from .errors import DimensionMismatch, LengthMismatch, NegativeMass, SupportNotBinary
+from .measures import APPROX_TOL, RealFn, logsumexp
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> Hypothes
     n = _same_dimension(f, g, h, k)
     for fn in (f, g, h, k):
         if any(v < 0 for v in fn.values):
-            raise ValueError("multiplicative form needs non-negative values")
+            raise NegativeMass("multiplicative form needs non-negative values")
     size = 2**n
     for x in range(size):
         fx = f.values[x]
@@ -111,18 +111,13 @@ class AdditiveCheck:
         return self.hypothesis_ok and self.conclusion_ok
 
 
-def _log_sum_exp(values) -> float:
-    top = max(float(v) for v in values)
-    return top + math.log(sum(math.exp(float(v) - top) for v in values))
-
-
-def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn, tol: float = 1e-9) -> AdditiveCheck:
+def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn) -> AdditiveCheck:
     """Additive form h1(x)+h2(y) <= h3(x^y)+h4(xvy) with log-sum conclusion.
 
     Route one compares value sums and log-sum-exps directly; route two
     shifts the exponents (preserving both sides), exponentiates into floats
     and defers to the multiplicative checker.  The two routes must agree to
-    `tol`, otherwise an AssertionError flags a numerics bug.
+    APPROX_TOL, otherwise an AssertionError flags a numerics bug.
     """
     n = _same_dimension(h1, h2, h3, h4)
     size = 2**n
@@ -138,9 +133,9 @@ def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn, tol: floa
                 break
         if not hyp_ok:
             break
-    lhs_log = _log_sum_exp(h1.values) + _log_sum_exp(h2.values)
-    rhs_log = _log_sum_exp(h3.values) + _log_sum_exp(h4.values)
-    conclusion_ok = lhs_log <= rhs_log + tol
+    lhs_log = logsumexp(h1.values) + logsumexp(h2.values)
+    rhs_log = logsumexp(h3.values) + logsumexp(h4.values)
+    conclusion_ok = lhs_log <= rhs_log + APPROX_TOL
 
     # second route: shift so exp() stays in range, then multiplicative check
     a = max(float(v) for v in h1.values)
@@ -154,10 +149,10 @@ def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn, tol: floa
     # tolerate float round-off at exact-equality pairs
     if mult_hyp.ok != hyp_ok:
         _, _, wl, wr = mult_hyp.witness if not mult_hyp.ok else witness
-        if abs(wl - wr) > tol * max(1.0, abs(wl)):
+        if abs(wl - wr) > APPROX_TOL * max(1.0, abs(wl)):
             raise AssertionError("additive and multiplicative routes disagree on the hypothesis")
     m_lhs, m_rhs, _ = check_4ft_conclusion(exp1, exp2, exp3, exp4)
-    mult_concl = math.log(m_lhs) - math.log(m_rhs) <= tol if m_lhs > 0 and m_rhs > 0 else m_lhs <= m_rhs
+    mult_concl = math.log(m_lhs) - math.log(m_rhs) <= APPROX_TOL if m_lhs > 0 and m_rhs > 0 else m_lhs <= m_rhs
     if mult_concl != conclusion_ok:
         raise AssertionError("additive and multiplicative routes disagree on the conclusion")
     return AdditiveCheck(hyp_ok, witness, lhs_log, rhs_log, conclusion_ok)
@@ -192,7 +187,7 @@ def functional_power(phi: Functional, h: CubeFn) -> float:
 
 def log_mean_exp(h: CubeFn) -> float:
     """Direct log int e^h dm_n (uniform m_n); the non-recursive route."""
-    return _log_sum_exp(h.values) - h.n * math.log(2)
+    return logsumexp(h.values) - h.n * math.log(2)
 
 
 def mean_value(h: CubeFn) -> float:
@@ -218,7 +213,7 @@ def variance_band_functional(f: CubeFn):
     return max(f0, f1) - 1
 
 
-PHI_ENTROPY = Functional("log-mean-exp", lambda u0, u1: _log_sum_exp((u0, u1)) - math.log(2))
+PHI_ENTROPY = Functional("log-mean-exp", lambda u0, u1: logsumexp((u0, u1)) - math.log(2))
 PHI_MEAN = Functional("mean", lambda u0, u1: (float(u0) + float(u1)) / 2)
 PHI_QUADRATIC = Functional(
     "variance-band", lambda u0, u1: variance_band_functional(CubeFn(1, (float(u0), float(u1))))
@@ -254,7 +249,7 @@ def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn, window: 
         for x in fn.window():
             v = fn.value(x)
             if v < 0:
-                raise ValueError("values must be non-negative")
+                raise NegativeMass("values must be non-negative")
             if v > 0 and x not in (0, 1):
                 raise SupportNotBinary(f"positive value at {x}")
     cubes = tuple(CubeFn(1, (fn.value_or(0), fn.value_or(1))) for fn in (f, g, h, k))

@@ -9,6 +9,7 @@ Parsing and emission round-trip exactly on canonical forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coupling import Coupling
@@ -68,9 +69,12 @@ def parse_cubefn_text(text: str, n: int) -> CubeFn:
             continue
         if "." in line or ("e" in line.lower() and "/" not in line):
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ParseError(line_no, f"bad value {line!r}") from None
+            if not math.isfinite(value):
+                raise ParseError(line_no, f"non-finite value {line!r}")
+            values.append(value)
         else:
             values.append(parse_rational(line, line_no))
     if len(values) != 2**n:
@@ -87,7 +91,7 @@ def emit_cubefn(fn: CubeFn) -> str:
     return "\n".join(str(v) for v in fn.values) + "\n"
 
 
-def parse_cost_table_text(text: str, symmetric: bool = False, name: str = "table") -> CostFn:
+def parse_cost_table_text(text: str, name: str = "table") -> CostFn:
     table: dict[tuple[int, int], Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,8 +105,6 @@ def parse_cost_table_text(text: str, symmetric: bool = False, name: str = "table
         except ValueError:
             raise ParseError(line_no, "bad integer coordinate") from None
         table[(x, y)] = parse_rational(parts[2], line_no)
-        if symmetric:
-            table.setdefault((y, x), table[(x, y)])
 
     def evaluate(x: int, y: int):
         try:
@@ -110,12 +112,12 @@ def parse_cost_table_text(text: str, symmetric: bool = False, name: str = "table
         except KeyError:
             raise ParseError(0, f"cost table has no entry for ({x},{y})") from None
 
-    return CostFn(name, symmetric, evaluate)
+    return CostFn(name, evaluate)
 
 
-def parse_cost_table_file(path: str, symmetric: bool = False) -> CostFn:
+def parse_cost_table_file(path: str) -> CostFn:
     with open(path, encoding="utf-8") as fh:
-        return parse_cost_table_text(fh.read(), symmetric=symmetric, name=path)
+        return parse_cost_table_text(fh.read(), name=path)
 
 
 def emit_coupling(c: Coupling) -> str:

@@ -18,7 +18,7 @@ CSV export:
   relative entropies against their continuous counterparts.
 
 Continuous targets come from an adaptive-quadrature oracle (scipy) at
-1e-10 accuracy, independent of the experiment code paths.
+EQ_TOL accuracy, independent of the experiment code paths.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     HypothesisFailedOnGrid,
     SupportExceedsWindow,
 )
-from .measures import ZERO, Pmf, RealFn, pmf
+from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, ZERO, Pmf, RealFn, pmf
 
 #: exhaustive grid-hypothesis checks up to this n; sampled above
 EXHAUSTIVE_LIMIT = 512
@@ -123,10 +123,10 @@ class PlRow:
 
 
 def interval_integral(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature at 1e-10 target accuracy (target oracle)."""
+    """Adaptive quadrature at EQ_TOL target accuracy (target oracle)."""
     from scipy.integrate import quad
 
-    value, _ = quad(fn, a, b, epsabs=1e-10, epsrel=1e-10, limit=500)
+    value, _ = quad(fn, a, b, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500)
     return value
 
 
@@ -186,8 +186,8 @@ def gaussian_exp_integral(fn: Callable[[float], float]) -> float:
         lambda x: math.exp(min(fn(x), 700.0) - x * x / 2),
         -math.inf,
         math.inf,
-        epsabs=1e-10,
-        epsrel=1e-10,
+        epsabs=EQ_TOL,
+        epsrel=EQ_TOL,
         limit=500,
     )
     return value / math.sqrt(2 * math.pi)
@@ -199,7 +199,7 @@ def _check_midpoint_convex(h: Callable[[float], float], window: tuple[float, flo
     for _ in range(samples):
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
-        if h((a + b) / 2) > (h(a) + h(b)) / 2 + 1e-9:
+        if h((a + b) / 2) > (h(a) + h(b)) / 2 + APPROX_TOL:
             raise ConvexityWitnessFailed(f"midpoint convexity of h fails at ({a}, {b})")
 
 
@@ -267,7 +267,7 @@ def clt_experiment(f: ContFn, g: ContFn, h: ContFn, n_list: Sequence[int], lam: 
                 value_h=eh,
                 lhs=lhs,
                 rhs=rhs,
-                holds=lhs <= rhs * (1 + 1e-12),
+                holds=lhs <= rhs * (1 + INEQ_SLACK),
                 target_f=tf,
                 target_g=tg,
                 target_h=th,
@@ -343,7 +343,7 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
     are counting entropies plus the explicit shift log(2nK), which cancels
     in the displacement gap.  When a continuous relative entropy is
     available, the row also records the rounding monotonicity
-    H(nu_i^n | mu^n) <= H(nu_i | mu) (+1e-9).
+    H(nu_i^n | mu^n) <= H(nu_i | mu) (+APPROX_TOL).
     """
     rows = []
     for n in n_list:
@@ -367,9 +367,9 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
                 reference_shift=shift,
                 cont0=cont0,
                 cont1=cont1,
-                jensen0_ok=None if cont0 is None else h0 <= cont0 + 1e-9,
-                jensen1_ok=None if cont1 is None else h1 <= cont1 + 1e-9,
-                holds=report.gap >= -1e-10,
+                jensen0_ok=None if cont0 is None else h0 <= cont0 + APPROX_TOL,
+                jensen1_ok=None if cont1 is None else h1 <= cont1 + APPROX_TOL,
+                holds=report.gap >= -SUM_SLACK,
             )
         )
     return rows

@@ -3,8 +3,8 @@
 Masses are exact `fractions.Fraction` values, so every mass-only identity
 (normalization, marginals, ratio sums) can be checked with rational
 equality.  Logarithmic quantities (entropies, log-Laplace transforms) are
-IEEE doubles in natural log; the package-wide tolerances are 1e-10 for
-two-sided identities and 1e-12 slack for one-sided inequalities.
+IEEE doubles in natural log.  Every float comparison in the package uses
+one of the tolerances named below.
 """
 
 from __future__ import annotations
@@ -19,10 +19,17 @@ from .errors import NegativeMass, NotNormalized
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: two-sided float identities are asserted to this tolerance
+#: two-sided float identities are asserted to this tolerance; also the
+#: accuracy target of the quadrature oracle in `limits`
 EQ_TOL = 1e-10
 #: one-sided float inequalities get this much slack
 INEQ_SLACK = 1e-12
+#: exception, one-sided: both sides are float sums over many atoms (Jensen
+#: certificates, rescaled-lattice gaps, transport cost against entropies)
+SUM_SLACK = 1e-10
+#: exception, either side: one side comes from quadrature, a continuous closed
+#: form, an exponentiated float route or a user float function
+APPROX_TOL = 1e-9
 
 
 def as_fraction(value) -> Fraction:
@@ -175,7 +182,9 @@ def relative_entropy(nu: Pmf, mu: Pmf) -> float:
     return acc
 
 
-def _logsumexp(exponents: list[float]) -> float:
+def logsumexp(values) -> float:
+    """log of sum e^v over the values, floated first; an infinite maximum is returned as is."""
+    exponents = [float(v) for v in values]
     top = max(exponents)
     if math.isinf(top):
         return top
@@ -190,11 +199,8 @@ def log_laplace(phi: RealFn, base: Pmf | None = None) -> float:
     :func:`counting_entropy` or :func:`relative_entropy` accordingly.
     """
     if base is None:
-        return _logsumexp([float(v) for v in phi.values])
-    exponents = []
-    for x, m in base.support():
-        exponents.append(float(phi.value(x)) + log_of_fraction(m))
-    return _logsumexp(exponents)
+        return logsumexp(phi.values)
+    return logsumexp(float(phi.value(x)) + log_of_fraction(m) for x, m in base.support())
 
 
 def expectation(phi: RealFn, nu: Pmf) -> float:
@@ -207,7 +213,7 @@ def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:
 
     Weights are exponentiated in float then normalized exactly, so the
     result is a valid Pmf with rational masses; the dual gap
-    log_laplace(phi) - (int phi dnu* - H(nu*|base)) vanishes to 1e-10.
+    log_laplace(phi) - (int phi dnu* - H(nu*|base)) vanishes to EQ_TOL.
     """
     if base is None:
         xs = list(phi.window())

@@ -29,11 +29,14 @@ from .coupling import Coupling
 from .displacement import m_minus, m_plus
 from .errors import InfeasibleCost, ConstraintViolated, OutsidePositiveWindow
 from .measures import (
+    INEQ_SLACK,
+    SUM_SLACK,
     ZERO,
     Pmf,
     RealFn,
     as_fraction,
     log_of_fraction,
+    logsumexp,
     relative_entropy,
 )
 
@@ -59,8 +62,7 @@ class LogWeights:
         return float(self.weight(x)) - self.log_normalizer()
 
     def log_normalizer(self) -> float:
-        top = max(float(w) for w in self.weights)
-        return top + math.log(sum(math.exp(float(w) - top) for w in self.weights))
+        return logsumexp(self.weights)
 
 
 def geometric_weights(half_width: int) -> LogWeights:
@@ -86,12 +88,16 @@ def positive_window(mu: Pmf) -> range:
     return range(lo, hi + 1)
 
 
+def reference_window(mu: Pmf | LogWeights) -> range:
+    """Window on which the curvature cost of mu is defined: the log-weight window or the positive window."""
+    return mu.window() if isinstance(mu, LogWeights) else positive_window(mu)
+
+
 @dataclass(frozen=True)
 class CostFn:
     """Evaluable cost on Z^2; `evaluate` may return Fractions (exact) or floats."""
 
     name: str
-    symmetric: bool
     evaluate: Callable[[int, int], object]
 
 
@@ -110,7 +116,7 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
 
 def curvature_cost(mu: Pmf | LogWeights) -> CostFn:
     name = "curvature(log-weights)" if isinstance(mu, LogWeights) else "curvature(pmf)"
-    return CostFn(name, True, lambda x, y: cost_mu(mu, x, y))
+    return CostFn(name, lambda x, y: cost_mu(mu, x, y))
 
 
 def closed_form_cost(kind: str, x: int, y: int) -> int:
@@ -172,20 +178,13 @@ def log_interpolant(mu: Pmf, t: float) -> float:
 
 def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
     """Exhaustive exact check of c_mu >= 0 over the positive window."""
+    window = reference_window(mu)
     if isinstance(mu, LogWeights):
-        window = list(mu.window())
-        for x in window:
-            for y in window:
-                if cost_mu(mu, x, y) < 0:
-                    return False
-        return True
-    window = list(positive_window(mu))
-    for x in window:
-        for y in window:
-            # exact rational form of the log-ratio sign
-            if mu.mass(m_minus(x, y)) * mu.mass(m_plus(x, y)) < mu.mass(x) * mu.mass(y):
-                return False
-    return True
+        return all(cost_mu(mu, x, y) >= 0 for x in window for y in window)
+    # exact rational form of the log-ratio sign
+    return all(
+        mu.mass(m_minus(x, y)) * mu.mass(m_plus(x, y)) >= mu.mass(x) * mu.mass(y) for x in window for y in window
+    )
 
 
 @dataclass(frozen=True)
@@ -329,27 +328,6 @@ def ot_cost(cost: CostFn, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Trans
     return TransportPlanResult(float(exact), exact, plan, dual_u, dual_v)
 
 
-def ot_cost_float(cost: CostFn, nu0: Pmf, nu1: Pmf) -> float:
-    """Float fast path through scipy's LP solver; must agree with `ot_cost` to 1e-9."""
-    import numpy as np
-    from scipy.optimize import linprog
-
-    xs = nu0.support_points()
-    ys = nu1.support_points()
-    m, n = len(xs), len(ys)
-    c = np.array([float(cost.evaluate(x, y)) for x in xs for y in ys])
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.array([float(nu0.mass(x)) for x in xs] + [float(nu1.mass(y)) for y in ys])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise InfeasibleCost(res.message)
-    return float(res.fun)
-
-
 @dataclass(frozen=True)
 class TransportEntropyCheck:
     lhs: float  # transport cost
@@ -357,12 +335,12 @@ class TransportEntropyCheck:
     holds: bool
 
 
-def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf, slack: float = 1e-10) -> TransportEntropyCheck:
-    """T_{c_mu}(nu0, nu1) <= H(nu0|mu) + H(nu1|mu), with float slack.
+def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> TransportEntropyCheck:
+    """T_{c_mu}(nu0, nu1) <= H(nu0|mu) + H(nu1|mu), with SUM_SLACK.
 
     Both supports must live inside the positive window of mu.
     """
-    window = mu.window() if isinstance(mu, LogWeights) else positive_window(mu)
+    window = reference_window(mu)
     for nu in (nu0, nu1):
         for x in nu.support_points():
             if x not in window:
@@ -372,7 +350,7 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf, slack: flo
         rhs = _relative_entropy_logweights(nu0, mu) + _relative_entropy_logweights(nu1, mu)
     else:
         rhs = relative_entropy(nu0, mu) + relative_entropy(nu1, mu)
-    return TransportEntropyCheck(lhs, rhs, lhs <= rhs + slack)
+    return TransportEntropyCheck(lhs, rhs, lhs <= rhs + SUM_SLACK)
 
 
 def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
@@ -380,14 +358,14 @@ def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
     return sum(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
 
 
-def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn, slack: float = 1e-12) -> float:
+def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn, slack: float = INEQ_SLACK) -> float:
     """Product (sum e^u dmu)(sum e^v dmu) under the constraint u + v <= c_mu.
 
     Verifies the constraint pointwise on the positive window first (raising
     ConstraintViolated with a witness), then returns the product, which is
-    <= 1 + 1e-10 for any feasible pair.
+    <= 1 + SUM_SLACK for any feasible pair.
     """
-    window = list(mu.window() if isinstance(mu, LogWeights) else positive_window(mu))
+    window = reference_window(mu)
     for x in window:
         for y in window:
             excess = float(u.value(x)) + float(v.value(y)) - float(cost_mu(mu, x, y))

@@ -2,8 +2,9 @@
 
 Everything here stays deliberately separate from the library's own
 algorithms: transport optima come from enumerating the vertices of the
-transportation polytope (spanning-tree basic solutions), and feasibility of
-linear systems is decided by an exact phase-1 simplex over rationals.
+transportation polytope (spanning-tree basic solutions) or from scipy's float
+LP solver, and feasibility of linear systems is decided by an exact phase-1
+simplex over rationals.
 """
 
 from __future__ import annotations
@@ -114,6 +115,27 @@ def min_cost_over_vertices(a, b, cost_matrix) -> Fraction:
             best = value
     assert best is not None
     return best
+
+
+def ot_cost_float(cost, nu0, nu1) -> float:
+    """Float transport optimum from scipy's HiGHS LP solver, independent of the exact solver."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    xs = nu0.support_points()
+    ys = nu1.support_points()
+    m, n = len(xs), len(ys)
+    c = np.array([float(cost.evaluate(x, y)) for x in xs for y in ys])
+    a_eq = np.zeros((m + n, m * n))
+    for i in range(m):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[m + j, j::n] = 1.0
+    b_eq = np.array([float(nu0.mass(x)) for x in xs] + [float(nu1.mass(y)) for y in ys])
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"LP oracle failed: {res.message}")
+    return float(res.fun)
 
 
 def lp_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:

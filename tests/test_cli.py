@@ -141,6 +141,22 @@ def test_cli_4ft_failing_hypothesis_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_4ft_negative_value_exits_two(tmp_path, capsys):
+    negative = _write(tmp_path, "neg.txt", "-1\n1\n")
+    one = _write(tmp_path, "one.txt", "1\n1\n")
+    code = main(["check-4ft", "--dim", "1", "--f", negative, "--g", one, "--h", one, "--k", one])
+    assert code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_cli_4ft_additive_non_finite_value_exits_two(tmp_path, capsys):
+    huge = _write(tmp_path, "huge.txt", "1e400\n0\n")
+    zero = _write(tmp_path, "zero.txt", "0\n0\n")
+    code = main(["check-4ft", "--dim", "1", "--additive", "--f", huge, "--g", zero, "--h", zero, "--k", zero])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_transport_cost_json(tmp_path, capsys):
     nu0 = _write(tmp_path, "nu0.txt", "0; 1/2 0 1/2\n")
     nu1 = _write(tmp_path, "nu1.txt", "1; 1\n")

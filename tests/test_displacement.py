@@ -73,6 +73,7 @@ def test_ratio_sum_against_brute_force(rng):
         nu1 = random_pmf(rng, 15, 24)
         p = midpoint_ratio_sum(nu0, nu1)
         assert p == brute_force_ratio_sum(nu0, nu1)
+        assert displacement_gap(nu0, nu1).ratio_sum == p
         assert p <= 1
 
 

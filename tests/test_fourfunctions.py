@@ -23,7 +23,7 @@ from discretepl.fourfunctions import (
     restrict_to_binary_cube,
     variance_band_functional,
 )
-from discretepl.measures import RealFn
+from discretepl.measures import RealFn, logsumexp
 
 F = Fraction
 
@@ -139,6 +139,11 @@ def test_functional_power_mean_indicator():
     ind = CubeFn(2, (0.0, 0.0, 0.0, 1.0))
     assert functional_power(PHI_MEAN, ind) == pytest.approx(0.25, abs=1e-15)
     assert mean_value(ind) == 0.25
+
+
+def test_log_sum_exp_of_an_infinite_value_is_infinite():
+    assert logsumexp([1.0, math.inf, 0.0]) == math.inf
+    assert log_mean_exp(CubeFn(1, (math.inf, 0.0))) == math.inf
 
 
 def test_functional_power_matches_direct_log_mean_exp(rng):

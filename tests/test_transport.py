@@ -24,7 +24,6 @@ from discretepl.transport import (
     log_concavity_witness,
     log_interpolant,
     ot_cost,
-    ot_cost_float,
     positive_window,
     transport_entropy_check,
     weights_concavity_witness,
@@ -191,7 +190,7 @@ def test_ot_float_path_agrees(rng):
         nu0 = _pmf_in_window(rng, range(-7, 8), 12, 6)
         nu1 = _pmf_in_window(rng, range(-7, 8), 12, 6)
         exact = ot_cost(cost, nu0, nu1).cost
-        assert ot_cost_float(cost, nu0, nu1) == pytest.approx(exact, abs=1e-9)
+        assert oracles.ot_cost_float(cost, nu0, nu1) == pytest.approx(exact, abs=1e-9)
 
 
 def test_transport_entropy_identical_measures():
