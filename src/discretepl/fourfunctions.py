@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionMismatch, LengthMismatch, NegativeMass, SupportNotBinary
+from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from .measures import APPROX_TOL, RealFn, logsumexp
 
 
@@ -117,9 +117,13 @@ def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn) -> Additi
     Route one compares value sums and log-sum-exps directly; route two
     shifts the exponents (preserving both sides), exponentiates into floats
     and defers to the multiplicative checker.  The two routes must agree to
-    APPROX_TOL, otherwise an AssertionError flags a numerics bug.
+    APPROX_TOL, otherwise an AssertionError flags a numerics bug.  Values
+    must be finite: PreconditionViolated otherwise.
     """
     n = _same_dimension(h1, h2, h3, h4)
+    for h in (h1, h2, h3, h4):
+        if not all(math.isfinite(float(v)) for v in h.values):
+            raise PreconditionViolated("additive 4FT values must be finite")
     size = 2**n
     hyp_ok = True
     witness = None

@@ -14,6 +14,12 @@ The transport cost T_c(nu0, nu1) = inf over couplings of the integral of c
 is a finite linear program, solved exactly by successive shortest paths
 with potentials over rational arithmetic.  Returned dual potentials satisfy
 u(x) + v(y) <= c(x, y) with equality on the support of the optimal plan.
+
+With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
+s(k) = w(floor(k/2)) + w(ceil(k/2)); the increments of s are those of w,
+each repeated twice.  So for log-concave mu, s is concave, c_mu is a Monge
+cost and the monotone (north-west corner) coupling is an optimal plan
+(Hoffman 1963); the transport-entropy check then reads its cost off that plan.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .coupling import Coupling
+from .coupling import Coupling, monotone_coupling
 from .displacement import m_minus, m_plus
 from .errors import InfeasibleCost, ConstraintViolated, OutsidePositiveWindow
 from .measures import (
@@ -57,10 +63,6 @@ class LogWeights:
             raise OutsidePositiveWindow(f"{x} outside window {self.window()}")
         return self.weights[i]
 
-    def log_mass(self, x: int) -> float:
-        """log mu(x) including the normalization constant (float)."""
-        return float(self.weight(x)) - self.log_normalizer()
-
     def log_normalizer(self) -> float:
         return logsumexp(self.weights)
 
@@ -78,14 +80,13 @@ def gaussian_weights(half_width: int) -> LogWeights:
 def positive_window(mu: Pmf) -> range:
     """Maximal contiguous window on which mu is strictly positive.
 
+    A canonical Pmf has positive end masses, so this is its whole window.
     Raises OutsidePositiveWindow when the positive support is not contiguous
     (curvature costs are only defined relative to a positive window).
     """
-    pts = mu.support_points()
-    lo, hi = pts[0], pts[-1]
-    if any(mu.mass(x) == 0 for x in range(lo, hi + 1)):
+    if not all(mu.masses):
         raise OutsidePositiveWindow("positive support is not contiguous")
-    return range(lo, hi + 1)
+    return mu.window()
 
 
 def reference_window(mu: Pmf | LogWeights) -> range:
@@ -338,14 +339,21 @@ class TransportEntropyCheck:
 def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> TransportEntropyCheck:
     """T_{c_mu}(nu0, nu1) <= H(nu0|mu) + H(nu1|mu), with SUM_SLACK.
 
-    Both supports must live inside the positive window of mu.
+    Both supports must live inside the positive window of mu.  For log-concave
+    mu the transport cost is the exact cost of the monotone coupling, which
+    is optimal there; otherwise it is solved by `ot_cost`.
     """
     window = reference_window(mu)
     for nu in (nu0, nu1):
         for x in nu.support_points():
             if x not in window:
                 raise OutsidePositiveWindow(f"support point {x} outside positive window")
-    lhs = ot_cost(curvature_cost(mu), nu0, nu1).cost
+    witness = weights_concavity_witness(mu) if isinstance(mu, LogWeights) else log_concavity_witness(mu)
+    if witness is None:
+        atoms = monotone_coupling(nu0, nu1).atoms
+        lhs = float(sum((as_fraction(cost_mu(mu, x, y)) * p for x, y, p in atoms), ZERO))
+    else:
+        lhs = ot_cost(curvature_cost(mu), nu0, nu1).cost
     if isinstance(mu, LogWeights):
         rhs = _relative_entropy_logweights(nu0, mu) + _relative_entropy_logweights(nu1, mu)
     else:
@@ -372,7 +380,8 @@ def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn, slack: float 
             if excess > slack:
                 raise ConstraintViolated(x, y, excess)
     if isinstance(mu, LogWeights):
-        log_mass = {x: mu.log_mass(x) for x in window}
+        log_z = mu.log_normalizer()
+        log_mass = {x: float(mu.weight(x)) - log_z for x in window}
     else:
         log_mass = {x: log_of_fraction(mu.mass(x)) for x in window}
     int_u = sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -155,6 +156,14 @@ def test_cli_4ft_additive_non_finite_value_exits_two(tmp_path, capsys):
     code = main(["check-4ft", "--dim", "1", "--additive", "--f", huge, "--g", zero, "--h", zero, "--k", zero])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_check_te_json_is_byte_stable(capsys):
+    # the check-te report is a user-facing contract: pinned from the exact SSP solver
+    code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "21f346abb75686a91165473c1489ff3e4352bed400ea86cc3367acbb3b652946"
 
 
 def test_cli_transport_cost_json(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from discretepl.errors import DimensionMismatch, LengthMismatch, SupportNotBinary
+from discretepl.errors import DimensionMismatch, LengthMismatch, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
     PHI_MEAN,
@@ -127,6 +127,15 @@ def test_additive_failing_witness():
     out = check_4ft_additive(h1, rest, rest, rest)
     assert not out.hypothesis_ok
     assert out.hyp_witness[0] == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_additive_rejects_non_finite_values(bad):
+    rest = CubeFn(1, (0.0, 0.0))
+    with pytest.raises(PreconditionViolated):
+        check_4ft_additive(CubeFn(1, (bad, 0.0)), rest, rest, rest)
+    with pytest.raises(PreconditionViolated):
+        check_4ft_additive(rest, rest, rest, CubeFn(1, (0.0, bad)))
 
 
 def test_functional_power_zero():

@@ -77,8 +77,10 @@ def test_cost_outside_window():
     with pytest.raises(OutsidePositiveWindow):
         cost_mu(geometric_weights(3), 0, 4)
     with pytest.raises(OutsidePositiveWindow):
-        cost_mu(uniform_on([0, 1]), 0, 1)  # midpoints fine but window helper trips on gaps
+        cost_mu(uniform_on([0, 2]), 0, 0)  # both points positive, but the support has a gap
+    with pytest.raises(OutsidePositiveWindow):
         cost_mu(pmf(0, [F(1, 2), F(0), F(1, 2)]), 0, 2)
+    assert cost_mu(uniform_on([0, 1]), 0, 1) == 0.0
 
 
 def test_log_concavity_examples():
@@ -218,6 +220,39 @@ def test_transport_entropy_random_campaign(rng):
             nu0 = _pmf_in_window(rng, range(-10, 11), 24, 8)
             nu1 = _pmf_in_window(rng, range(-10, 11), 24, 8)
             assert transport_entropy_check(mu, nu0, nu1).holds
+
+
+def _pmf_with_gaps_in(rng, window, max_width=8):
+    """Random pmf inside window, on at most max_width points, whose support may have interior zeros."""
+    width = rng.randint(1, min(max_width, len(window)))
+    weights = [rng.randint(0, 6) for _ in range(width)]
+    weights[rng.randrange(width)] += 1
+    return from_weights(rng.randint(window.start, window.stop - width), weights)
+
+
+def test_transport_entropy_monotone_cost_is_the_exact_optimum_for_log_weights(rng):
+    # both plans are exact optima of the rational costs, so the floats agree exactly
+    for _ in range(200):
+        mu = random_concave_weights(rng, 10)
+        nu0, nu1 = _pmf_with_gaps_in(rng, mu.window()), _pmf_with_gaps_in(rng, mu.window())
+        expected = float(ot_cost(curvature_cost(mu), nu0, nu1).cost_exact)
+        assert transport_entropy_check(mu, nu0, nu1).lhs == expected
+
+
+def test_transport_entropy_monotone_cost_matches_ssp_for_log_concave_pmfs(rng):
+    for family in LOG_CONCAVE_FAMILIES:
+        mu = rational_log_concave_family(family, 8)
+        for _ in range(20):
+            nu0, nu1 = _pmf_with_gaps_in(rng, positive_window(mu)), _pmf_with_gaps_in(rng, positive_window(mu))
+            expected = ot_cost(curvature_cost(mu), nu0, nu1).cost
+            assert transport_entropy_check(mu, nu0, nu1).lhs == pytest.approx(expected, abs=1e-12)
+
+
+def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
+    # the optimal plan crosses to (0, 2), (2, 0); the monotone plan would cost 0
+    mu = from_weights(0, [4, 1, 4])
+    nu = uniform_on([0, 2])
+    assert transport_entropy_check(mu, nu, nu).lhs == -math.log(16)
 
 
 def test_transport_entropy_window_violation():
