@@ -178,12 +178,5 @@ def binary_lattice_couplings(nu1: Pmf, nu2: Pmf) -> tuple[Coupling, Coupling]:
     """
     _require_binary(nu1)
     _require_binary(nu2)
-    a0, a1 = nu1.mass(0), nu1.mass(1)
-    b0, b1 = nu2.mass(0), nu2.mass(1)
-    if b0 <= a0:
-        atoms = [(0, 0, b0), (0, 1, a0 - b0), (1, 1, a1)]
-        pi = coupling_from_atoms(atoms)
-        return pi, meet_join_pushforward(pi)
-    atoms = [(0, 0, a0), (1, 0, b0 - a0), (1, 1, b1)]
-    pi = coupling_from_atoms(atoms)
+    pi = monotone_coupling(nu1, nu2)
     return pi, meet_join_pushforward(pi)

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
 from .errors import NotMonotone, PreconditionViolated
-from .measures import ZERO, Pmf, counting_entropy, log_of_fraction
+from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, counting_entropy, log_of_fraction
 
 
 def m_minus(x: int, y: int) -> int:
@@ -93,6 +93,15 @@ class DisplacementReport:
     jensen_certificate: float
     ratio_sum: Fraction
     log_ratio_sum: float
+
+    @property
+    def holds(self) -> bool:
+        """gap >= -INEQ_SLACK, P <= 1 and jensen_certificate <= log P + SUM_SLACK."""
+        return (
+            self.gap >= -INEQ_SLACK
+            and self.ratio_sum <= 1
+            and self.jensen_certificate <= self.log_ratio_sum + SUM_SLACK
+        )
 
 
 def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
+from .limits import grid_hypothesis_witness
 from .measures import APPROX_TOL, RealFn, logsumexp
 
 
@@ -243,11 +244,11 @@ class CubeReduction:
     conclusion_ok: bool
 
 
-def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn, window: int = 3) -> CubeReduction:
+def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn) -> CubeReduction:
     """Check the line/cube equivalence for non-negative functions supported in {0,1}.
 
-    The line hypothesis is verified exhaustively on [-window, window+1]^2;
-    outside {0,1} a zero factor makes it vacuous.
+    The line hypothesis is the Z midpoint sweep over {0,1}^2; every other
+    pair has a zero factor on the left, so the hypothesis is vacuous there.
     """
     for fn in (f, g, h, k):
         for x in fn.window():
@@ -258,18 +259,7 @@ def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn, window: 
                 raise SupportNotBinary(f"positive value at {x}")
     cubes = tuple(CubeFn(1, (fn.value_or(0), fn.value_or(1))) for fn in (f, g, h, k))
     cube_check = check_4ft_hypothesis(*cubes)
-    line_ok = True
-    from .displacement import m_minus, m_plus
-
-    for x in range(-window, window + 2):
-        for y in range(-window, window + 2):
-            lhs = f.value_or(x) * g.value_or(y)
-            rhs = h.value_or(m_minus(x, y)) * k.value_or(m_plus(x, y))
-            if lhs > rhs:
-                line_ok = False
-                break
-        if not line_ok:
-            break
+    line_ok = grid_hypothesis_witness(*(RealFn(0, cube.values) for cube in cubes)) is None
     lhs, rhs, concl = check_4ft_conclusion(*cubes)
     return CubeReduction(
         cube_fns=cubes,

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .coupling import Coupling
-from .errors import NotNormalized, ParseError
+from .errors import NegativeMass, NotNormalized, ParseError
 from .fourfunctions import CubeFn
 from .measures import Pmf, pmf
 from .transport import CostFn
@@ -47,7 +47,7 @@ def parse_pmf_text(text: str) -> Pmf:
             return pmf(offset, masses)
         except NotNormalized as exc:
             raise ParseError(line_no, f"masses do not sum to 1 (deficit {exc.deficit})") from None
-        except ValueError as exc:
+        except NegativeMass as exc:
             raise ParseError(line_no, str(exc)) from None
     raise ParseError(0, "empty pmf file")
 

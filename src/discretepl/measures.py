@@ -115,9 +115,7 @@ def uniform_on(points: Sequence[int]) -> Pmf:
     """Equal mass on the given (not necessarily contiguous) points."""
     pts = set(points)
     lo, hi = min(pts), max(pts)
-    share = Fraction(1, len(pts))
-    masses = [share if x in pts else ZERO for x in range(lo, hi + 1)]
-    return pmf(lo, masses)
+    return from_weights(lo, [int(x in pts) for x in range(lo, hi + 1)])
 
 
 def from_weights(offset: int, weights: Sequence) -> Pmf:
@@ -222,11 +220,9 @@ def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:
         xs = [x for x, _ in base.support()]
         log_base = {x: log_of_fraction(base.mass(x)) for x in xs}
     shift = max(float(phi.value(x)) + log_base[x] for x in xs)
-    weights = {x: Fraction(math.exp(float(phi.value(x)) + log_base[x] - shift)) for x in xs}
-    total = sum(weights.values(), ZERO)
     lo, hi = min(xs), max(xs)
-    masses = [weights.get(x, ZERO) / total for x in range(lo, hi + 1)]
-    return pmf(lo, masses)
+    weights = [math.exp(float(phi.value(x)) + log_base[x] - shift) if x in log_base else 0.0 for x in range(lo, hi + 1)]
+    return from_weights(lo, weights)
 
 
 def dual_gap(phi: RealFn, base: Pmf | None = None) -> float:

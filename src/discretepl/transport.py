@@ -144,10 +144,11 @@ def log_concavity_witness(mu: Pmf) -> int | None:
     An interior zero between positive masses is a violation at that point; a
     zero outside the contiguous positive window is not.
     """
-    pts = mu.support_points()
-    for x in range(pts[0] + 1, pts[-1]):
-        if mu.mass(x - 1) * mu.mass(x + 1) > mu.mass(x) ** 2:
-            return x
+    ms = mu.masses
+    for i in range(1, len(ms) - 1):
+        a, b, c = ms[i - 1], ms[i], ms[i + 1]
+        if a.numerator * c.numerator * b.denominator**2 > b.numerator**2 * a.denominator * c.denominator:
+            return mu.offset + i
     return None
 
 
@@ -366,7 +367,7 @@ def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
     return sum(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
 
 
-def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn, slack: float = INEQ_SLACK) -> float:
+def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn) -> float:
     """Product (sum e^u dmu)(sum e^v dmu) under the constraint u + v <= c_mu.
 
     Verifies the constraint pointwise on the positive window first (raising
@@ -377,7 +378,7 @@ def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn, slack: float 
     for x in window:
         for y in window:
             excess = float(u.value(x)) + float(v.value(y)) - float(cost_mu(mu, x, y))
-            if excess > slack:
+            if excess > INEQ_SLACK:
                 raise ConstraintViolated(x, y, excess)
     if isinstance(mu, LogWeights):
         log_z = mu.log_normalizer()

@@ -37,6 +37,13 @@ def test_parse_pmf_syntax_error():
         parse_pmf_text("0; 1//2 1/2")
 
 
+def test_parse_pmf_negative_mass_carries_line_number():
+    with pytest.raises(ParseError) as err:
+        parse_pmf_text("# header\n0; -1/2 3/2\n")
+    assert err.value.line == 2
+    assert "negative mass" in str(err.value)
+
+
 def test_parse_pmf_missing_separator():
     with pytest.raises(ParseError):
         parse_pmf_text("1/2 1/2")
@@ -158,6 +165,31 @@ def test_cli_4ft_additive_non_finite_value_exits_two(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_cli_4ft_dimension_is_bounded_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code = main(["check-4ft", "--dim", "13", "--f", missing, "--g", missing, "--h", missing, "--k", missing])
+    assert code == 2
+    assert "--dim must be in 1..12" in capsys.readouterr().err
+
+
+def test_cli_check_displacement_json_is_byte_stable(tmp_path, capsys):
+    nu0 = _write(tmp_path, "nu0.txt", "0; 1/6 1/3 1/2\n")
+    nu1 = _write(tmp_path, "nu1.txt", "2; 1/4 1/8 3/8 1/4\n")
+    code = main(["check-displacement", "--nu0", nu0, "--nu1", nu1, "--json", "--dump-coupling"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "dd3aa2befd82e228bc06b9534bbc4cc031bab3302e7a554315df5eb63bfecb4e"
+
+
+def test_cli_transport_cost_duals_json_is_byte_stable(tmp_path, capsys):
+    nu0 = _write(tmp_path, "nu0.txt", "0; 1/6 1/3 1/2\n")
+    nu1 = _write(tmp_path, "nu1.txt", "2; 1/4 1/8 3/8 1/4\n")
+    code = main(["transport-cost", "--mu-kind", "gaussian", "--nu0", nu0, "--nu1", nu1, "--duals", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "7d4468c4a0ef29b65b95c74087f3d00c178b129320966e522b80d5e25d306d33"
+
+
 def test_cli_check_te_json_is_byte_stable(capsys):
     # the check-te report is a user-facing contract: pinned from the exact SSP solver
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
@@ -201,6 +233,25 @@ def test_cli_limit_exp_spec_file(tmp_path, capsys):
     code = main(["limit-exp", "--kind", "pl", "--spec", str(spec), "--n", "16"])
     assert code == 0
     assert "ratio=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("().__class__.__base__.__subclasses__().__len__() * 0 + x", "unsupported term"),
+        ("x.__class__.__name__", "unsupported term"),
+        # constants are floats, so a power overflows instead of growing as an int
+        ("10**400 / 10**399 + x", "fails at x"),
+        ("-" * 5000 + "x", "too deeply nested"),
+    ],
+    ids=["python-internals", "attribute", "huge-power", "deep-nesting"],
+)
+def test_cli_limit_exp_bad_spec_exits_two(tmp_path, capsys, expr, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"F": expr, "G": "exp(-x*x)", "H": "exp(-x*x)", "K": "exp(-x*x)", "N": 4.0}))
+    code = main(["limit-exp", "--kind", "pl", "--spec", str(spec), "--n", "16"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_unknown_demo(capsys):

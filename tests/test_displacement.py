@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,14 @@ def test_gap_worked_instance_is_log2():
     report = displacement_gap(uniform_on([0, 2]), delta(1))
     assert report.gap == pytest.approx(math.log(2), abs=1e-10)
     assert report.ratio_sum == F(1, 2)
+
+
+def test_report_holds_needs_all_three_bounds():
+    report = displacement_gap(uniform_on([0, 2]), delta(1))
+    assert report.holds
+    assert not replace(report, gap=-1e-9).holds
+    assert not replace(report, ratio_sum=F(3, 2)).holds
+    assert not replace(report, jensen_certificate=report.log_ratio_sum + 1e-9).holds
 
 
 def test_gap_zero_on_diagonal():

@@ -249,6 +249,25 @@ def test_restrict_violation_fails_both_ways():
     assert not red.cube_hypothesis_ok and not red.line_hypothesis_ok and red.equivalent
 
 
+def test_restrict_zero_extended_windows_match_the_two_point_restriction(rng):
+    verdicts = set()
+    for _ in range(200):
+        f0, f1, g0, g1, h0, h1, k0, k1 = (F(rng.randint(0, 3)) for _ in range(8))
+        narrow = restrict_to_binary_cube(
+            RealFn(0, (f0, f1)), RealFn(0, (g0, g1)), RealFn(0, (h0, h1)), RealFn(0, (k0, k1))
+        )
+        wide = restrict_to_binary_cube(
+            RealFn(-2, (F(0), F(0), f0, f1, F(0))),
+            RealFn(0, (g0, g1, F(0), F(0))),
+            RealFn(-1, (F(0), h0, h1)),
+            RealFn(0, (k0, k1)),
+        )
+        assert wide == narrow
+        assert wide.equivalent
+        verdicts.add(wide.line_hypothesis_ok)
+    assert verdicts == {True, False}
+
+
 def test_restrict_rejects_wide_support():
     wide = RealFn(0, (F(1, 2), F(1, 4), F(1, 4)))
     one = RealFn(0, (F(1), F(1)))

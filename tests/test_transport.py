@@ -291,7 +291,7 @@ def test_dual_product_from_ot_duals(rng):
             except KeyError:
                 v_vals.append(min(float(cost.evaluate(x, y)) - u.value(x) for x in window))
         v = RealFn(window.start, tuple(v_vals))
-        assert dual_product_check(mu, u, v, slack=1e-9) <= 1 + 1e-10
+        assert dual_product_check(mu, u, v) <= 1 + 1e-10
 
 
 def test_dual_product_infeasible_pair():
