@@ -91,7 +91,7 @@ def emit_cubefn(fn: CubeFn) -> str:
     return "\n".join(str(v) for v in fn.values) + "\n"
 
 
-def parse_cost_table_text(text: str, name: str = "table") -> CostFn:
+def parse_cost_table_text(text: str) -> CostFn:
     table: dict[tuple[int, int], Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,12 +112,12 @@ def parse_cost_table_text(text: str, name: str = "table") -> CostFn:
         except KeyError:
             raise ParseError(0, f"cost table has no entry for ({x},{y})") from None
 
-    return CostFn(name, evaluate)
+    return CostFn(evaluate)
 
 
 def parse_cost_table_file(path: str) -> CostFn:
     with open(path, encoding="utf-8") as fh:
-        return parse_cost_table_text(fh.read(), name=path)
+        return parse_cost_table_text(fh.read())
 
 
 def emit_coupling(c: Coupling) -> str:

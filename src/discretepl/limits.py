@@ -92,22 +92,26 @@ def discretize_quadruple(F: ContFn, G: ContFn, H: ContFn, K: ContFn, grid: GridS
 
 
 def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn, sample: int | None = None, seed: int = 0):
-    """First (i, j) with f(i)g(j) > h(floor)k(ceil), or None.
+    """First (x, y) with f(x)g(y) > h(floor)k(ceil) of the midpoint, or None.
 
-    Checks all pairs when `sample` is None, otherwise the diagonal band plus
-    a seeded random sample of that size.
+    x runs over the window of f and y over the window of g; h and k are zero
+    outside their windows.  Checks all pairs when `sample` is None, otherwise
+    the diagonal band of index pairs plus a seeded random sample of that size.
     """
-    n = len(f.values) - 1
     if sample is None:
-        pairs = ((i, j) for i in range(n + 1) for j in range(n + 1))
-    else:
-        rng = random.Random(seed)
-        band = [(i, min(n, i + d)) for i in range(n + 1) for d in (0, 1, 2)]
-        rand = [(rng.randint(0, n), rng.randint(0, n)) for _ in range(sample)]
-        pairs = band + rand
-    for i, j in pairs:
-        if f.values[i] * g.values[j] > h.value_or(m_minus(i, j)) * k.value_or(m_plus(i, j)):
-            return i, j
+        for x, fx in zip(f.window(), f.values):
+            for y, gy in zip(g.window(), g.values):
+                if fx * gy > h.value_or(m_minus(x, y)) * k.value_or(m_plus(x, y)):
+                    return x, y
+        return None
+    last_f, last_g = len(f.values) - 1, len(g.values) - 1
+    rng = random.Random(seed)
+    band = [(i, min(last_g, i + d)) for i in range(last_f + 1) for d in (0, 1, 2)]
+    rand = [(rng.randint(0, last_f), rng.randint(0, last_g)) for _ in range(sample)]
+    for i, j in band + rand:
+        x, y = f.offset + i, g.offset + j
+        if f.values[i] * g.values[j] > h.value_or(m_minus(x, y)) * k.value_or(m_plus(x, y)):
+            return x, y
     return None
 
 
@@ -193,10 +197,10 @@ def gaussian_exp_integral(fn: Callable[[float], float]) -> float:
     return value / math.sqrt(2 * math.pi)
 
 
-def _check_midpoint_convex(h: Callable[[float], float], window: tuple[float, float], samples: int = 400) -> None:
+def _check_midpoint_convex(h: Callable[[float], float], window: tuple[float, float]) -> None:
     rng = random.Random(7)
     lo, hi = window
-    for _ in range(samples):
+    for _ in range(400):
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
         if h((a + b) / 2) > (h(a) + h(b)) / 2 + APPROX_TOL:

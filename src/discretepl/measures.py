@@ -28,7 +28,7 @@ INEQ_SLACK = 1e-12
 #: certificates, rescaled-lattice gaps, transport cost against entropies)
 SUM_SLACK = 1e-10
 #: exception, either side: one side comes from quadrature, a continuous closed
-#: form, an exponentiated float route or a user float function
+#: form, a log-sum-exp of user exponents or a user float function
 APPROX_TOL = 1e-9
 
 
@@ -151,11 +151,12 @@ class RealFn:
             raise KeyError(f"{x} outside window {self.window()}")
         return self.values[i]
 
-    def value_or(self, x: int, default=0):
+    def value_or(self, x: int):
+        """The value at x, or 0 outside the window."""
         i = x - self.offset
         if 0 <= i < len(self.values):
             return self.values[i]
-        return default
+        return 0
 
 
 def counting_entropy(nu: Pmf) -> float:

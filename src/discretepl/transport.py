@@ -98,7 +98,6 @@ def reference_window(mu: Pmf | LogWeights) -> range:
 class CostFn:
     """Evaluable cost on Z^2; `evaluate` may return Fractions (exact) or floats."""
 
-    name: str
     evaluate: Callable[[int, int], object]
 
 
@@ -116,8 +115,7 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
 
 
 def curvature_cost(mu: Pmf | LogWeights) -> CostFn:
-    name = "curvature(log-weights)" if isinstance(mu, LogWeights) else "curvature(pmf)"
-    return CostFn(name, lambda x, y: cost_mu(mu, x, y))
+    return CostFn(lambda x, y: cost_mu(mu, x, y))
 
 
 def closed_form_cost(kind: str, x: int, y: int) -> int:

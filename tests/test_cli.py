@@ -165,6 +165,16 @@ def test_cli_4ft_additive_non_finite_value_exits_two(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_cli_4ft_additive_extreme_exponents_exit_zero(tmp_path, capsys):
+    zero = _write(tmp_path, "zero.txt", "0\n0\n")
+    low = _write(tmp_path, "low.txt", "-2000\n-2000\n")
+    high = _write(tmp_path, "high.txt", "2000\n2000\n")
+    code = main(["check-4ft", "--dim", "1", "--additive", "--f", zero, "--g", zero, "--h", low, "--k", high, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["hypothesis_ok"] is True and out["conclusion_ok"] is True
+
+
 def test_cli_4ft_dimension_is_bounded_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code = main(["check-4ft", "--dim", "13", "--f", missing, "--g", missing, "--h", missing, "--k", missing])

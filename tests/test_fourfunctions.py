@@ -23,7 +23,7 @@ from discretepl.fourfunctions import (
     restrict_to_binary_cube,
     variance_band_functional,
 )
-from discretepl.measures import RealFn, logsumexp
+from discretepl.measures import APPROX_TOL, RealFn, logsumexp
 
 F = Fraction
 
@@ -127,6 +127,37 @@ def test_additive_failing_witness():
     out = check_4ft_additive(h1, rest, rest, rest)
     assert not out.hypothesis_ok
     assert out.hyp_witness[0] == (0,)
+
+
+def test_additive_tiny_exponent_fails_the_hypothesis_without_an_internal_error():
+    zero = CubeFn(1, (0.0, 0.0))
+    out = check_4ft_additive(CubeFn(1, (1e-9, 1e-9)), zero, zero, zero)
+    assert not out.hypothesis_ok
+    assert out.hyp_witness == ((0,), (0,), 1e-9, 0.0)
+    assert out.conclusion_ok  # log-sum excess 1e-9 is within APPROX_TOL
+
+
+def test_additive_verdicts_match_the_exponentiated_multiplicative_checkers(rng):
+    # the multiplicative checkers on e^h are the oracle for the additive sweep;
+    # near-ties are skipped, where float sums and float products may round apart
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        h1, h2 = (tuple(rng.uniform(-3, 8) for _ in range(2**n)) for _ in range(2))
+        if rng.random() < 0.5:
+            top = (max(h1) + max(h2)) / 2
+            h3, h4 = (tuple(top + rng.uniform(-0.3, 0.7) for _ in range(2**n)) for _ in range(2))
+        else:
+            h3, h4 = (tuple(rng.uniform(-3, 8) for _ in range(2**n)) for _ in range(2))
+        margin = min(h3[x & y] + h4[x | y] - h1[x] - h2[y] for x in range(2**n) for y in range(2**n))
+        additive = check_4ft_additive(*(CubeFn(n, h) for h in (h1, h2, h3, h4)))
+        if abs(margin) <= APPROX_TOL or abs(additive.lhs - additive.rhs) <= APPROX_TOL:
+            continue
+        exps = [CubeFn(n, tuple(math.exp(v) for v in h)) for h in (h1, h2, h3, h4)]
+        assert additive.hypothesis_ok == check_4ft_hypothesis(*exps).ok
+        assert additive.conclusion_ok == check_4ft_conclusion(*exps)[2]
+        verdicts.add((additive.hypothesis_ok, additive.conclusion_ok))
+    assert {(True, True), (False, True), (False, False)} <= verdicts
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -20,6 +20,7 @@ from discretepl.limits import (
     pl_limit_experiment,
     rescaled_displacement_experiment,
 )
+from discretepl.measures import RealFn
 
 F = Fraction
 
@@ -56,6 +57,24 @@ def test_discretized_gaussian_quadruple_satisfies_grid_hypothesis():
     for n in (8, 33, 64):
         f, g, h, k = discretize_quadruple(F_, G_, H_, K_, GridSpec(N, n))
         assert grid_hypothesis_witness(f, g, h, k) is None
+
+
+def test_grid_witness_reads_f_and_g_at_their_offsets():
+    # only f(0) = 1 is positive, and f(0)f(0) = 1 <= h(0)k(0) = 1
+    f = RealFn(-1, (0, 1))
+    hk = RealFn(0, (1, 0))
+    assert grid_hypothesis_witness(f, f, hk, hk) is None
+    # a witness is reported in true coordinates
+    assert grid_hypothesis_witness(RealFn(-1, (0, 2)), f, hk, hk) == (0, 0)
+
+
+def test_grid_witness_takes_each_window_from_its_own_function():
+    f = RealFn(0, (1, 1, 1))
+    g = RealFn(0, (1,))
+    assert grid_hypothesis_witness(f, g, f, f) is None
+    assert grid_hypothesis_witness(f, g, f, f, sample=50) is None
+    assert grid_hypothesis_witness(g, f, f, f) is None
+    assert grid_hypothesis_witness(f, g, f, RealFn(0, (1, 0))) == (1, 0)
 
 
 def test_pl_rows_hold_and_converge():

@@ -11,7 +11,8 @@ from discretepl.campaign import (
     rational_log_concave_family,
 )
 from discretepl.errors import ConstraintViolated, OutsidePositiveWindow
-from discretepl.measures import RealFn, delta, from_weights, log_of_fraction, pmf, uniform_on
+from discretepl.displacement import displacement_gap
+from discretepl.measures import SUM_SLACK, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
     closed_form_cost,
     cost_mu,
@@ -253,6 +254,27 @@ def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
     mu = from_weights(0, [4, 1, 4])
     nu = uniform_on([0, 2])
     assert transport_entropy_check(mu, nu, nu).lhs == -math.log(16)
+
+
+def test_refined_transport_entropy_slack_is_the_displacement_gap(rng):
+    # along the monotone coupling pi, int c_mu dpi = int log mu d(nu- + nu+ - nu0 - nu1), so
+    # H(nu0|mu) + H(nu1|mu) - H(nu-|mu) - H(nu+|mu) - int c_mu dpi is the counting-measure gap
+    refs = [rational_log_concave_family(family, 8) for family in LOG_CONCAVE_FAMILIES]
+    refs += [from_weights(rng.randint(-6, 0), [rng.randint(1, 64) for _ in range(rng.randint(3, 16))]) for _ in range(200)]
+    assert sum(not is_log_concave(mu) for mu in refs) >= 150
+    for mu in refs:
+        nu0, nu1 = _pmf_with_gaps_in(rng, mu.window()), _pmf_with_gaps_in(rng, mu.window())
+        report = displacement_gap(nu0, nu1)
+        pair = report.pair
+        cost = sum(float(p) * cost_mu(mu, x, y) for x, y, p in pair.pi.atoms)
+        refined = (
+            relative_entropy(nu0, mu)
+            + relative_entropy(nu1, mu)
+            - relative_entropy(pair.nu_minus, mu)
+            - relative_entropy(pair.nu_plus, mu)
+            - cost
+        )
+        assert refined == pytest.approx(report.gap, abs=SUM_SLACK)
 
 
 def test_transport_entropy_window_violation():
