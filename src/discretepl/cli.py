@@ -3,7 +3,9 @@
 Subcommands: check-displacement, check-4ft, transport-cost, check-te,
 limit-exp, campaign.  Exit codes: 0 all checks pass, 1 an inequality check
 failed (an implementation-bug signal, since the inequalities are theorems),
-2 usage or parse errors.  `--json` switches to machine output everywhere.
+2 usage or parse errors, including a numeric option below its lower bound
+(--K >= 0; --trials, --width, --resolution and every --n >= 1; --lambda > 0),
+3 an internal error.  `--json` switches to machine output everywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from . import io as formats
 from .campaign import CHECKS, CampaignConfig, _pmf_in_window, run_campaign
 from .displacement import chain_diagnostics, displacement_gap
-from .errors import DiscretePLError, ParseError
+from .errors import ConfigError, DiscretePLError, ParseError
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
 from .limits import (
     CLT_DEMOS,
@@ -45,6 +47,13 @@ from .transport import (
 
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
+
+
+def _at_least(args, **bounds) -> None:
+    """Reject any named option below its lower bound, before any work."""
+    for name, low in bounds.items():
+        if getattr(args, name) < low:
+            raise ConfigError(f"--{name} must be >= {low}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,6 +201,7 @@ def _reference_measure(args):
 
 
 def _cmd_transport_cost(args) -> int:
+    _at_least(args, K=0)
     nu0 = formats.parse_pmf_file(args.nu0)
     nu1 = formats.parse_pmf_file(args.nu1)
     if args.cost_table:
@@ -219,6 +229,7 @@ def _cmd_transport_cost(args) -> int:
 
 
 def _cmd_check_te(args) -> int:
+    _at_least(args, K=0, trials=1, width=1, resolution=1)
     mu = _reference_measure(args)
     window = reference_window(mu)
     rng = random.Random(args.seed)
@@ -284,7 +295,10 @@ def _load_expr(expr: str):
 def _limit_inputs(args):
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(exc.lineno, f"spec is not JSON: {exc.msg}") from None
         window = tuple(spec.get("window", (-8.0, 8.0)))
         if args.kind == "pl":
             fns = [ContFn(_load_expr(spec[key]), window, spec[key]) for key in ("F", "G", "H", "K")]
@@ -320,6 +334,10 @@ def _rows_out(rows, args) -> None:
 
 
 def _cmd_limit_exp(args) -> int:
+    if not args.n or min(args.n) < 1:
+        raise ConfigError("--n must list integers >= 1")
+    if not args.lam > 0:
+        raise ConfigError("--lambda must be > 0")
     inputs = _limit_inputs(args)
     if args.kind == "pl":
         rows = pl_limit_experiment(*inputs, args.n)
@@ -373,6 +391,9 @@ def main(argv=None) -> int:
     except (DiscretePLError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a failed inequality
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable, Iterable
 
 from .errors import SupportNotBinary
@@ -81,20 +82,12 @@ def check_marginals(c: Coupling) -> bool:
 
 
 def is_staircase(c: Coupling) -> bool:
-    """Monotone-support test: x1 < x2 implies y1 <= y2 over all atom pairs."""
-    max_prev = None  # max y among atoms with strictly smaller x
-    group_x = None
-    group_max = None
-    for x, y, _ in c.atoms:  # atoms are lex sorted
-        if x != group_x:
-            if group_max is not None:
-                max_prev = group_max if max_prev is None else max(max_prev, group_max)
-            group_x, group_max = x, y
-        else:
-            group_max = max(group_max, y)
-        if max_prev is not None and y < max_prev:
-            return False
-    return True
+    """Monotone-support test: x1 < x2 implies y1 <= y2 over all atom pairs.
+
+    The atoms are lex sorted, so this holds exactly when y never decreases
+    from one atom to the next.
+    """
+    return all(a[1] <= b[1] for a, b in pairwise(c.atoms))
 
 
 def quantile(nu: Pmf, t: Fraction) -> int:
@@ -123,26 +116,18 @@ def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:
     i = j = 0
     r0 = s0[0][1]
     r1 = s1[0][1]
-    while True:
+    while i < len(s0) and j < len(s1):
         take = min(r0, r1)
         atoms.append((s0[i][0], s1[j][0], take))
         r0 -= take
         r1 -= take
-        done = False
         if r0 == 0:
             i += 1
-            if i == len(s0):
-                done = True
-            else:
-                r0 = s0[i][1]
+            r0 = s0[i][1] if i < len(s0) else ZERO
         if r1 == 0:
             j += 1
-            if j == len(s1):
-                done = True
-            else:
-                r1 = s1[j][1]
-        if done:
-            return Coupling(tuple(atoms), nu0, nu1)
+            r1 = s1[j][1] if j < len(s1) else ZERO
+    return Coupling(tuple(atoms), nu0, nu1)
 
 
 def pushforward(c: Coupling, mapping: Callable[[int, int], int]) -> Pmf:

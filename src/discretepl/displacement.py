@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
 from .errors import NotMonotone, PreconditionViolated
@@ -146,10 +147,9 @@ def level_sets(pi: Coupling) -> list[LevelSet]:
     """
     if not is_staircase(pi):
         raise NotMonotone("level sets are only defined for staircase couplings")
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for x, y, _ in pi.atoms:
-        groups.setdefault(m_minus(x, y), []).append((x, y))
-    sets = [LevelSet(a, tuple(sorted(ps))) for a, ps in sorted(groups.items())]
+    # along a staircase x + y never decreases, so each level is a run of atoms
+    runs = groupby(pi.atoms, key=lambda atom: m_minus(atom[0], atom[1]))
+    sets = [LevelSet(a, tuple((x, y) for x, y, _ in atoms)) for a, atoms in runs]
     for ls in sets:
         if len(ls.pairs) > 2:
             raise AssertionError(f"level {ls.a} has {len(ls.pairs)} atoms; staircase invariant broken")

@@ -3,8 +3,9 @@
 The multiplicative four-functions hypothesis f(x)g(y) <= h(x^y)k(xvy) and
 its conclusion (sum f)(sum g) <= (sum h)(sum k) are checked exactly when the
 values are rational.  The additive form works on exponents: its hypothesis
-is one float sweep over the same pairs and its conclusion compares
-log-sum-exps, so no value is ever exponentiated out of range.
+runs the same pair sweep on sums, exact when every value is rational, and
+its conclusion compares log-sum-exps, so no value is ever exponentiated out
+of range.
 
 Cube functions are stored as length-2^n vectors; bit i of the index is
 coordinate i, so meet/join of index vectors are bitwise AND/OR and slicing
@@ -14,6 +15,7 @@ on the last coordinate is a contiguous split.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -71,24 +73,30 @@ class HypothesisCheck:
     witness: tuple | None  # (x_bits, y_bits, lhs, rhs) of the first failing pair
 
 
+def _first_violation(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn, combine) -> tuple | None:
+    """(x_bits, y_bits, lhs, rhs) of the first pair with combine(f(x), g(y)) > combine(h(x^y), k(xvy))."""
+    n = f.n
+    size = 2**n
+    for x in range(size):
+        for y in range(size):
+            lhs = combine(f.values[x], g.values[y])
+            rhs = combine(h.values[x & y], k.values[x | y])
+            if lhs > rhs:
+                return bits_of(x, n), bits_of(y, n), lhs, rhs
+    return None
+
+
 def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> HypothesisCheck:
     """Exhaustive check of f(x)g(y) <= h(x^y)k(xvy) over all 4^n pairs.
 
     Exact for rational values.  Values must be non-negative.
     """
-    n = _same_dimension(f, g, h, k)
+    _same_dimension(f, g, h, k)
     for fn in (f, g, h, k):
         if any(v < 0 for v in fn.values):
             raise NegativeMass("multiplicative form needs non-negative values")
-    size = 2**n
-    for x in range(size):
-        fx = f.values[x]
-        for y in range(size):
-            lhs = fx * g.values[y]
-            rhs = h.values[x & y] * k.values[x | y]
-            if lhs > rhs:
-                return HypothesisCheck(False, (bits_of(x, n), bits_of(y, n), lhs, rhs))
-    return HypothesisCheck(True, None)
+    witness = _first_violation(f, g, h, k, operator.mul)
+    return HypothesisCheck(witness is None, witness)
 
 
 def check_4ft_conclusion(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn):
@@ -115,32 +123,29 @@ class AdditiveCheck:
 def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn) -> AdditiveCheck:
     """Additive form h1(x)+h2(y) <= h3(x^y)+h4(xvy) with log-sum conclusion.
 
-    The hypothesis compares float sums h1(x)+h2(y) against h3(x^y)+h4(xvy)
-    over all 4^n pairs; the conclusion compares log-sum-exps with APPROX_TOL,
-    so it is exact up to round-off for any finite exponents.  Values must be
-    finite: PreconditionViolated otherwise.
+    The hypothesis sweep sums exactly when every value is rational, and in
+    floats once any value is a float; witness sums are reported as floats.
+    The conclusion compares log-sum-exps with APPROX_TOL, so it is exact up
+    to round-off for any finite exponents.  Values must be finite:
+    PreconditionViolated otherwise.
     """
     n = _same_dimension(h1, h2, h3, h4)
-    for h in (h1, h2, h3, h4):
-        if not all(math.isfinite(float(v)) for v in h.values):
-            raise PreconditionViolated("additive 4FT values must be finite")
-    size = 2**n
-    hyp_ok = True
-    witness = None
-    for x in range(size):
-        for y in range(size):
-            lhs = float(h1.values[x]) + float(h2.values[y])
-            rhs = float(h3.values[x & y]) + float(h4.values[x | y])
-            if lhs > rhs:
-                hyp_ok = False
-                witness = (bits_of(x, n), bits_of(y, n), lhs, rhs)
-                break
-        if not hyp_ok:
-            break
+    fns = (h1, h2, h3, h4)
+    try:
+        finite = all(math.isfinite(v) for h in fns for v in h.values)
+    except OverflowError:  # a rational beyond the float range
+        finite = False
+    if not finite:
+        raise PreconditionViolated("additive 4FT values must be finite")
+    if any(isinstance(v, float) for h in fns for v in h.values):
+        fns = tuple(CubeFn(n, tuple(map(float, h.values))) for h in fns)
+    witness = _first_violation(*fns, operator.add)
+    if witness is not None:
+        witness = (*witness[:2], float(witness[2]), float(witness[3]))
     lhs_log = logsumexp(h1.values) + logsumexp(h2.values)
     rhs_log = logsumexp(h3.values) + logsumexp(h4.values)
     conclusion_ok = lhs_log <= rhs_log + APPROX_TOL
-    return AdditiveCheck(hyp_ok, witness, lhs_log, rhs_log, conclusion_ok)
+    return AdditiveCheck(witness is None, witness, lhs_log, rhs_log, conclusion_ok)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap, m_minus, m_plus
@@ -97,21 +98,20 @@ def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn, sample: 
     x runs over the window of f and y over the window of g; h and k are zero
     outside their windows.  Checks all pairs when `sample` is None, otherwise
     the diagonal band of index pairs plus a seeded random sample of that size.
+    The right side depends on x + y only, so it is tabulated once per sum.
     """
-    if sample is None:
-        for x, fx in zip(f.window(), f.values):
-            for y, gy in zip(g.window(), g.values):
-                if fx * gy > h.value_or(m_minus(x, y)) * k.value_or(m_plus(x, y)):
-                    return x, y
-        return None
     last_f, last_g = len(f.values) - 1, len(g.values) - 1
-    rng = random.Random(seed)
-    band = [(i, min(last_g, i + d)) for i in range(last_f + 1) for d in (0, 1, 2)]
-    rand = [(rng.randint(0, last_f), rng.randint(0, last_g)) for _ in range(sample)]
-    for i, j in band + rand:
-        x, y = f.offset + i, g.offset + j
-        if f.values[i] * g.values[j] > h.value_or(m_minus(x, y)) * k.value_or(m_plus(x, y)):
-            return x, y
+    low = f.offset + g.offset
+    envelope = [h.value_or(m_minus(z, 0)) * k.value_or(m_plus(z, 0)) for z in range(low, low + last_f + last_g + 1)]
+    if sample is None:
+        pairs = product(range(last_f + 1), range(last_g + 1))
+    else:
+        rng = random.Random(seed)
+        band = [(i, min(last_g, i + d)) for i in range(last_f + 1) for d in (0, 1, 2)]
+        pairs = band + [(rng.randint(0, last_f), rng.randint(0, last_g)) for _ in range(sample)]
+    for i, j in pairs:
+        if f.values[i] * g.values[j] > envelope[i + j]:
+            return f.offset + i, g.offset + j
     return None
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from discretepl import cli
 from discretepl.campaign import CampaignConfig, run_campaign
 from discretepl.cli import main
 from discretepl.errors import ConfigError, ParseError
@@ -175,6 +176,17 @@ def test_cli_4ft_additive_extreme_exponents_exit_zero(tmp_path, capsys):
     assert out["hypothesis_ok"] is True and out["conclusion_ok"] is True
 
 
+def test_cli_4ft_additive_exact_rational_tie_exits_zero(tmp_path, capsys):
+    # 1/10 + 1/5 = 3/10 + 0 exactly, although the float sums are 0.30000000000000004 and 0.3
+    args = []
+    for name, value in zip("fghk", ("1/10", "1/5", "3/10", "0")):
+        args += [f"--{name}", _write(tmp_path, f"{name}.txt", f"{value}\n{value}\n")]
+    code = main(["check-4ft", "--dim", "1", "--additive", "--json", *args])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["hypothesis_ok"] is True and out["witness"] is None
+
+
 def test_cli_4ft_dimension_is_bounded_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code = main(["check-4ft", "--dim", "13", "--f", missing, "--g", missing, "--h", missing, "--k", missing])
@@ -264,5 +276,39 @@ def test_cli_limit_exp_bad_spec_exits_two(tmp_path, capsys, expr, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_limit_exp_spec_that_is_not_json_exits_two(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"F": ')
+    assert main(["limit-exp", "--kind", "pl", "--spec", str(spec), "--n", "16"]) == 2
+    assert "spec is not JSON" in capsys.readouterr().err
+
+
 def test_cli_unknown_demo(capsys):
     assert main(["limit-exp", "--kind", "pl", "--demo", "nope", "--n", "8"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limit-exp", "--kind", "pl", "--demo", "gaussian", "--n", "0"], "--n must list integers >= 1"),
+        (["limit-exp", "--kind", "clt", "--demo", "linear", "--n", "0"], "--n must list integers >= 1"),
+        (["check-te", "--mu-kind", "geometric", "--K", "-1"], "--K must be >= 0"),
+        (["check-te", "--mu-kind", "geometric", "--width", "0"], "--width must be >= 1"),
+        (["check-te", "--mu-kind", "geometric", "--resolution", "0"], "--resolution must be >= 1"),
+        (["check-te", "--mu-kind", "geometric", "--trials", "-1", "--json"], "--trials must be >= 1"),
+    ],
+    ids=["pl-n", "clt-n", "te-K", "te-width", "te-resolution", "te-trials"],
+)
+def test_cli_numeric_option_below_its_bound_exits_two(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_cli_internal_error_exits_three(monkeypatch, capsys):
+    def planted(cfg):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli, "run_campaign", planted)
+    assert main(["campaign", "--check", "leq1", "--trials", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError('planted fault')\n"

@@ -166,6 +166,18 @@ def test_monotone_coupling_contracts(nu0, nu1):
     assert all(p > 0 for _, _, p in pi.atoms)
 
 
+def test_is_staircase_matches_the_pairwise_definition(rng):
+    verdicts = set()
+    for _ in range(400):
+        cells = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))}
+        atoms = tuple(sorted((x, y, F(1, len(cells))) for x, y in cells))
+        c = Coupling(atoms, pmf(0, [F(1)]), pmf(0, [F(1)]))  # marginals are not read
+        expected = all(y1 <= y2 for x1, y1, _ in atoms for x2, y2, _ in atoms if x1 < x2)
+        assert is_staircase(c) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_uniqueness_of_staircase_vertex_small_supports(rng):
     for _ in range(60):
         nu0 = from_weights(rng.randint(-3, 3), [rng.randint(1, 9) for _ in range(rng.randint(1, 3))])

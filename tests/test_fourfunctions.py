@@ -137,6 +137,27 @@ def test_additive_tiny_exponent_fails_the_hypothesis_without_an_internal_error()
     assert out.conclusion_ok  # log-sum excess 1e-9 is within APPROX_TOL
 
 
+def test_additive_sums_of_rationals_are_exact():
+    # 1/10 + 1/5 = 3/10 + 0 exactly, while the float sums are 0.30000000000000004 and 0.3
+    f, g, h, k = (CubeFn(1, (v, v)) for v in (F(1, 10), F(1, 5), F(3, 10), F(0)))
+    assert check_4ft_additive(f, g, h, k).hypothesis_ok
+    # a failing rational witness is reported as floats
+    witness = check_4ft_additive(f, g, f, f).hyp_witness
+    assert witness == ((0,), (0,), 0.3, 0.2) and all(type(v) is float for v in witness[2:])
+
+
+def test_additive_sums_with_a_float_value_stay_in_floats():
+    # one float value puts the whole sweep in floats: 0.1 against float(1/10) is a tie
+    zero = CubeFn(1, (F(0), F(0)))
+    assert check_4ft_additive(CubeFn(1, (0.1, 0.1)), zero, CubeFn(1, (F(1, 10), F(1, 10))), zero).hypothesis_ok
+
+
+def test_additive_rejects_rationals_beyond_the_float_range():
+    zero = CubeFn(1, (F(0), F(0)))
+    with pytest.raises(PreconditionViolated):
+        check_4ft_additive(CubeFn(1, (F(10**400), F(0))), zero, zero, zero)
+
+
 def test_additive_verdicts_match_the_exponentiated_multiplicative_checkers(rng):
     # the multiplicative checkers on e^h are the oracle for the additive sweep;
     # near-ties are skipped, where float sums and float products may round apart

@@ -77,6 +77,30 @@ def test_grid_witness_takes_each_window_from_its_own_function():
     assert grid_hypothesis_witness(f, g, f, RealFn(0, (1, 0))) == (1, 0)
 
 
+def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng):
+    def value(fn, z):
+        return dict(zip(fn.window(), fn.values)).get(z, 0)
+
+    found = 0
+    for _ in range(300):
+        f, g, h, k = (
+            RealFn(rng.randint(-5, 5), tuple(F(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 7))))
+            for _ in range(4)
+        )
+        expected = next(
+            (
+                (x, y)
+                for x in f.window()
+                for y in g.window()
+                if value(f, x) * value(g, y) > value(h, math.floor((x + y) / 2)) * value(k, math.ceil((x + y) / 2))
+            ),
+            None,
+        )
+        assert grid_hypothesis_witness(f, g, h, k) == expected
+        found += expected is not None
+    assert 0 < found < 300
+
+
 def test_pl_rows_hold_and_converge():
     rows = pl_limit_experiment(*PL_DEMOS["gaussian"], [32, 128, 512])
     assert all(row.holds for row in rows)
