@@ -196,8 +196,9 @@ def _card_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRec
     nu0 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     nu1 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     pi = monotone_coupling(nu0, nu1)
-    sizes = [len(ls.pairs) for ls in level_sets(pi)]
-    passed = max(sizes) <= 2 and check_marginals(pi)
+    sets = level_sets(pi)
+    sizes = [len(ls.pairs) for ls in sets]
+    passed = all(ls.card_holds for ls in sets) and check_marginals(pi)
     return TrialRecord(
         index=index,
         digest=_digest(str(nu0), str(nu1)),

@@ -5,7 +5,8 @@ limit-exp, campaign.  Exit codes: 0 all checks pass, 1 an inequality check
 failed (an implementation-bug signal, since the inequalities are theorems),
 2 usage or parse errors, including a numeric option below its lower bound
 (--K >= 0; --trials, --width, --resolution and every --n >= 1; --lambda > 0),
-3 an internal error.  `--json` switches to machine output everywhere.
+3 an internal error, 141 (128 + SIGPIPE) when standard output was closed
+early by its reader.  `--json` switches to machine output everywhere.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import ast
 import csv
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import io as formats
 from .campaign import CHECKS, CampaignConfig, _pmf_in_window, run_campaign
-from .displacement import chain_diagnostics, displacement_gap
+from .displacement import chain_diagnostics, displacement_gap, level_sets
 from .errors import ConfigError, DiscretePLError, ParseError
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
 from .limits import (
@@ -121,7 +123,8 @@ def _cmd_check_displacement(args) -> int:
     nu1 = formats.parse_pmf_file(args.nu1)
     report = displacement_gap(nu0, nu1)
     chains = chain_diagnostics(report.pair)
-    ok = report.holds and all(c.bound_holds for c in chains)
+    cards = all(ls.card_holds for ls in level_sets(report.pair.pi))
+    ok = report.holds and cards and all(c.bound_holds for c in chains)
     if args.json:
         payload = {
             "P": str(report.ratio_sum),
@@ -159,7 +162,7 @@ def _cmd_check_displacement(args) -> int:
 
 def _cmd_check_4ft(args) -> int:
     if args.dim < 1 or args.dim > 12:  # the sweep visits 4^dim pairs: about 100 s at dim 12
-        raise ParseError(0, "--dim must be in 1..12")
+        raise ConfigError("--dim must be in 1..12")
     fns = tuple(formats.parse_cubefn_file(path, args.dim) for path in (args.f, args.g, args.h, args.k))
     if args.additive:
         outcome = check_4ft_additive(*fns)
@@ -197,7 +200,7 @@ def _reference_measure(args):
         return geometric_weights(args.K)
     if args.mu_kind == "gaussian":
         return gaussian_weights(args.K)
-    raise ParseError(0, "need --mu or --mu-kind")
+    raise ConfigError("need --mu or --mu-kind")
 
 
 def _cmd_transport_cost(args) -> int:
@@ -275,41 +278,51 @@ def _load_expr(expr: str):
                 or isinstance(node, ast.Name) and node.id != "x" and node.id not in _SPEC_NAMES
                 or isinstance(node, ast.Call) and (node.keywords or not isinstance(node.func, ast.Name))
             ):
-                raise ParseError(0, f"unsupported term {ast.unparse(node)!r} in expression {expr!r}")
+                raise ConfigError(f"unsupported term {ast.unparse(node)!r} in expression {expr!r}")
             if isinstance(node, ast.Constant):
                 node.value = float(node.value)  # float powers overflow where int powers grow without bound
         code = compile(tree, "<spec>", "eval")
     except (SyntaxError, RecursionError, MemoryError):
-        raise ParseError(0, f"bad or too deeply nested expression {expr[:80]!r}") from None
+        raise ConfigError(f"bad or too deeply nested expression {expr[:80]!r}") from None
     names = {"__builtins__": {}, **_SPEC_NAMES}
 
     def fn(x: float) -> float:
         try:
             return float(eval(code, names, {"x": x}))  # noqa: S307 - nodes and names are whitelisted above
         except (ArithmeticError, TypeError, ValueError) as exc:
-            raise ParseError(0, f"expression {expr!r} fails at x = {x}: {exc}") from None
+            raise ConfigError(f"expression {expr!r} fails at x = {x}: {exc}") from None
 
     return fn
 
 
+_SPEC_KEYS = {"pl": ("F", "G", "H", "K"), "clt": ("f", "g", "h")}
+
+
 def _limit_inputs(args):
     if args.spec:
+        if args.kind not in _SPEC_KEYS:
+            raise ConfigError("--spec for disp experiments is not supported; use --demo")
         with open(args.spec, encoding="utf-8") as fh:
             try:
                 spec = json.load(fh)
             except ValueError as exc:
                 raise ParseError(exc.lineno, f"spec is not JSON: {exc.msg}") from None
-        window = tuple(spec.get("window", (-8.0, 8.0)))
-        if args.kind == "pl":
-            fns = [ContFn(_load_expr(spec[key]), window, spec[key]) for key in ("F", "G", "H", "K")]
-            return (*fns, float(spec.get("N", 6.0)))
-        if args.kind == "clt":
-            return tuple(ContFn(_load_expr(spec[key]), window, spec[key]) for key in ("f", "g", "h"))
-        raise ParseError(0, "--spec for disp experiments is not supported; use --demo")
+        if not isinstance(spec, dict):
+            raise ConfigError("spec must be a JSON object")
+        for key in _SPEC_KEYS[args.kind]:
+            if not isinstance(spec.get(key), str):
+                raise ConfigError(f"spec needs an expression string under key {key!r}")
+        try:  # unpacking a window of the wrong length raises ValueError too
+            lo, hi = (float(t) for t in spec.get("window", (-8.0, 8.0)))
+            half_width = float(spec.get("N", 6.0))
+        except (TypeError, ValueError):
+            raise ConfigError("spec window must be two numbers and N a number") from None
+        fns = tuple(ContFn(_load_expr(spec[key]), (lo, hi), spec[key]) for key in _SPEC_KEYS[args.kind])
+        return (*fns, half_width) if args.kind == "pl" else fns
     demos = {"pl": PL_DEMOS, "clt": CLT_DEMOS, "disp": DISP_DEMOS}[args.kind]
     name = args.demo or next(iter(demos))
     if name not in demos:
-        raise ParseError(0, f"unknown demo {name!r}; choose from {list(demos)}")
+        raise ConfigError(f"unknown demo {name!r}; choose from {list(demos)}")
     return demos[name]
 
 
@@ -387,7 +400,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DiscretePLError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

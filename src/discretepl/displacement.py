@@ -136,28 +136,28 @@ class LevelSet:
     a: int
     pairs: tuple[tuple[int, int], ...]
 
+    @property
+    def card_holds(self) -> bool:
+        """The card lemma: at most two atoms, and two are neighbours with even lower coordinate sum."""
+        if len(self.pairs) != 2:
+            return len(self.pairs) < 2
+        (x0, y0), (x1, y1) = self.pairs
+        return abs(x1 - x0) + abs(y1 - y0) == 1 and (x0 + y0) % 2 == 0
+
 
 def level_sets(pi: Coupling) -> list[LevelSet]:
     """Partition of supp(pi) by m_minus value, sorted by level.
 
-    Requires a staircase-monotone coupling; under monotonicity each level
-    holds one or two atoms, and a two-atom level consists of neighbours
-    differing by one unit in exactly one coordinate, the lower of which has
-    an even coordinate sum.
+    Requires a staircase-monotone coupling.  Along a staircase the atom sums
+    x + y rise strictly, so each level holds one or two atoms and a two-atom
+    level is a pair of neighbours with even lower sum: `LevelSet.card_holds`
+    reports that as a verdict.
     """
     if not is_staircase(pi):
         raise NotMonotone("level sets are only defined for staircase couplings")
     # along a staircase x + y never decreases, so each level is a run of atoms
     runs = groupby(pi.atoms, key=lambda atom: m_minus(atom[0], atom[1]))
-    sets = [LevelSet(a, tuple((x, y) for x, y, _ in atoms)) for a, atoms in runs]
-    for ls in sets:
-        if len(ls.pairs) > 2:
-            raise AssertionError(f"level {ls.a} has {len(ls.pairs)} atoms; staircase invariant broken")
-        if len(ls.pairs) == 2:
-            (x0, y0), (x1, y1) = ls.pairs
-            if (x1 - x0) + (y1 - y0) != 1 or (x0 + y0) % 2 != 0:
-                raise AssertionError(f"level {ls.a} pair structure violated: {ls.pairs}")
-    return sets
+    return [LevelSet(a, tuple((x, y) for x, y, _ in atoms)) for a, atoms in runs]
 
 
 @dataclass(frozen=True)

@@ -212,85 +212,63 @@ def _rational_cost_matrix(cost: CostFn, xs: Sequence[int], ys: Sequence[int]) ->
 def _successive_shortest_paths(a: list[Fraction], b: list[Fraction], cost: list[list[Fraction]]):
     """Exact min-cost transportation by shortest augmenting paths with potentials.
 
-    Nodes 0..m-1 are sources, m..m+n-1 sinks.  All forward arcs (i -> j)
-    have infinite capacity; backward arcs exist where flow is positive.
-    Potentials keep reduced costs non-negative so Dijkstra applies after the
-    first (arc-length-one) initialization.
+    Nodes 0..m-1 are sources, m..m+n-1 sinks.  Forward arcs i -> m+j have
+    infinite capacity; the backward arc m+j -> i exists while into[j][i], the
+    flow on i -> j kept per sink in first-use order, is positive.  The exact
+    potentials keep every residual reduced cost non-negative, so a popped node
+    never improves: Dijkstra, keyed (dist, counter, node), skips stale entries
+    (d > dist[node]) and relaxes only on strict improvement.
     """
     m, n = len(a), len(b)
-    supply = list(a)
-    demand = list(b)
-    flow: dict[tuple[int, int], Fraction] = {}
+    supply, demand = list(a), list(b)
+    into: list[dict[int, Fraction]] = [{} for _ in range(n)]
     # initial potentials: shortest one-arc distances from the active sources
     pot = [ZERO] * m + [min(cost[i][j] for i in range(m)) for j in range(n)]
     counter = itertools.count()
-    remaining = sum(supply, ZERO)
-    while remaining > 0:
-        dist: dict[int, Fraction] = {}
-        prev: dict[int, tuple[int, int, int]] = {}  # node -> (from, j_or_i, direction)
-        heap = []
-        for i in range(m):
-            if supply[i] > 0:
-                dist[i] = ZERO
-                heapq.heappush(heap, (ZERO, next(counter), i))
-        settled: set[int] = set()
+    while any(supply):
+        dist = {i: ZERO for i in range(m) if supply[i] > 0}
+        heap = [(ZERO, next(counter), i) for i in dist]  # sorted, hence a heap
+        prev: dict[int, tuple[int, int]] = {}  # node -> the arc (i, j) that reached it
         while heap:
             d, _, node = heapq.heappop(heap)
-            if node in settled:
+            if d > dist[node]:
                 continue
-            settled.add(node)
+            base = d + pot[node]
             if node < m:
-                i = node
                 for j in range(n):
-                    rc = cost[i][j] + pot[i] - pot[m + j]
-                    nd = d + rc
-                    if m + j not in settled and (m + j not in dist or nd < dist[m + j]):
-                        dist[m + j] = nd
-                        prev[m + j] = (i, j, +1)
+                    nd = base + cost[node][j] - pot[m + j]
+                    if m + j not in dist or nd < dist[m + j]:
+                        dist[m + j], prev[m + j] = nd, (node, j)
                         heapq.heappush(heap, (nd, next(counter), m + j))
             else:
                 j = node - m
-                for (i, jj), f in flow.items():
-                    if jj != j or f <= 0:
-                        continue
-                    rc = -cost[i][j] + pot[m + j] - pot[i]
-                    nd = d + rc
-                    if i not in settled and (i not in dist or nd < dist[i]):
-                        dist[i] = nd
-                        prev[i] = (i, j, -1)
-                        heapq.heappush(heap, (nd, next(counter), i))
-        target = None
-        for j in range(n):
-            if demand[j] > 0 and (m + j) in dist:
-                if target is None or dist[m + j] < dist[m + target]:
-                    target = j
-        if target is None:
+                for i, f in into[j].items():
+                    if f > 0:
+                        nd = base - cost[i][j] - pot[i]
+                        if i not in dist or nd < dist[i]:
+                            dist[i], prev[i] = nd, (i, j)
+                            heapq.heappush(heap, (nd, next(counter), i))
+        sinks = [j for j in range(n) if demand[j] > 0 and m + j in dist]
+        if not sinks:
             raise InfeasibleCost("no augmenting path to a sink with remaining demand")
+        target = min(sinks, key=lambda j: dist[m + j])
         d_target = dist[m + target]
-        # walk the path backwards, collecting arcs and the bottleneck
-        path = []
-        node = m + target
+        # walk back to the source: the arcs alternate forward (into a sink) and backward
+        arcs, node = [], m + target
         while node in prev:
-            i, j, direction = prev[node]
-            path.append((i, j, direction))
-            node = i if direction == +1 else m + j
-        path.reverse()
-        source = path[0][0]
-        amount = min(supply[source], demand[target])
-        for i, j, direction in path:
-            if direction == -1:
-                amount = min(amount, flow[(i, j)])
-        for i, j, direction in path:
-            if direction == +1:
-                flow[(i, j)] = flow.get((i, j), ZERO) + amount
-            else:
-                flow[(i, j)] -= amount
-        supply[source] -= amount
+            i, j = prev[node]
+            arcs.append((i, j))
+            node = i if node >= m else m + j
+        amount = min([supply[node], demand[target]] + [into[j][i] for i, j in arcs[1::2]])
+        for i, j in arcs[0::2]:
+            into[j][i] = into[j].get(i, ZERO) + amount
+        for i, j in arcs[1::2]:
+            into[j][i] -= amount
+        supply[node] -= amount
         demand[target] -= amount
-        remaining -= amount
-        for node in range(m + n):
-            pot[node] += min(dist.get(node, d_target), d_target)
-    return flow, pot
+        for v in range(m + n):
+            pot[v] += min(dist.get(v, d_target), d_target)
+    return into, pot
 
 
 def ot_cost(cost: CostFn, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
@@ -305,10 +283,10 @@ def ot_cost(cost: CostFn, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Trans
     a = [nu0.mass(x) for x in xs]
     b = [nu1.mass(y) for y in ys]
     rc = _rational_cost_matrix(cost, xs, ys)
-    flow, pot = _successive_shortest_paths(a, b, rc)
-    atoms = sorted((xs[i], ys[j], f) for (i, j), f in flow.items() if f > 0)
-    plan = Coupling(tuple(atoms), nu0, nu1)
-    exact = sum((rc[i][j] * f for (i, j), f in flow.items() if f > 0), ZERO)
+    into, pot = _successive_shortest_paths(a, b, rc)
+    flow = [(i, j, f) for j, row in enumerate(into) for i, f in row.items() if f > 0]
+    plan = Coupling(tuple(sorted((xs[i], ys[j], f) for i, j, f in flow)), nu0, nu1)
+    exact = sum((rc[i][j] * f for i, j, f in flow), ZERO)
     dual_u = dual_v = None
     if want_duals:
         u = {x: -pot[i] for i, x in enumerate(xs)}

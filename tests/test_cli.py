@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from discretepl import cli
+import discretepl
+from discretepl import campaign, cli, displacement
 from discretepl.campaign import CampaignConfig, run_campaign
 from discretepl.cli import main
 from discretepl.errors import ConfigError, ParseError
@@ -17,7 +22,7 @@ from discretepl.io import (
     parse_cubefn_text,
     parse_pmf_text,
 )
-from discretepl.coupling import monotone_coupling
+from discretepl.coupling import coupling_from_atoms, monotone_coupling
 from discretepl.measures import pmf, uniform_on
 
 F = Fraction
@@ -212,6 +217,20 @@ def test_cli_transport_cost_duals_json_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "7d4468c4a0ef29b65b95c74087f3d00c178b129320966e522b80d5e25d306d33"
 
 
+def test_cli_transport_cost_table_with_ties_is_byte_stable(tmp_path, capsys):
+    # a cost with many ties, whose optimal plan holds the non-monotone atom (0, 4, 1/12):
+    # the pin fixes the solver's tie-breaking, not only its optimal value
+    nu0 = _write(tmp_path, "nu0.txt", "0; 1/4 1/4 1/4 1/4\n")
+    nu1 = _write(tmp_path, "nu1.txt", "1; 1/6 1/3 1/6 1/3\n")
+    table = "".join(f"{x} {y} {abs(x - y) // 2}\n" for x in range(4) for y in range(1, 5))
+    cost = _write(tmp_path, "cost.txt", table)
+    code = main(["transport-cost", "--cost-table", cost, "--nu0", nu0, "--nu1", nu1, "--duals", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [0, 4, "1/12"] in json.loads(out)["plan"]
+    assert hashlib.sha256(out.encode()).hexdigest() == "95c1c9a2c74d59951f1b72ce727337e03f39b97abc0d1e39d62a1df7caab191e"
+
+
 def test_cli_check_te_json_is_byte_stable(capsys):
     # the check-te report is a user-facing contract: pinned from the exact SSP solver
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
@@ -312,3 +331,61 @@ def test_cli_internal_error_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_campaign", planted)
     assert main(["campaign", "--check", "leq1", "--trials", "1"]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError('planted fault')\n"
+
+
+_PL_SPEC = {"F": "exp(-x*x)", "G": "exp(-x*x)", "H": "exp(-x*x)", "K": "exp(-x*x)", "N": 4.0}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({key: value for key, value in _PL_SPEC.items() if key != "K"}, "under key 'K'"),
+        ([1], "spec must be a JSON object"),
+        ({**_PL_SPEC, "window": 5}, "spec window must be two numbers"),
+        ({**_PL_SPEC, "window": [-8, 0, 8]}, "spec window must be two numbers"),
+        ({**_PL_SPEC, "N": [1]}, "N a number"),
+    ],
+    ids=["missing-key", "not-an-object", "window-not-a-list", "window-of-three", "N-not-a-number"],
+)
+def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, spec, message):
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "internal error" not in captured.err
+
+
+def test_cli_missing_reference_is_an_option_error_without_a_line(capsys):
+    assert main(["check-te"]) == 2
+    err = capsys.readouterr().err
+    assert "need --mu or --mu-kind" in err and "line 0" not in err
+
+
+def test_cli_closed_stdout_exits_141_quietly():
+    # 128 + SIGPIPE, as a shell reports for `yes | head -1`; the read end is closed before the run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(discretepl.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "discretepl.cli", "campaign", "--check", "leq1", "--trials", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_cli_broken_card_lemma_is_a_failed_trial(monkeypatch, capsys):
+    # a planted coupling whose atoms (0,0), (0,1) and (1,0) all fall in level 0
+    planted = coupling_from_atoms([(0, 0, F(1, 3)), (0, 1, F(1, 3)), (1, 0, F(1, 3))])
+    monkeypatch.setattr(campaign, "monotone_coupling", lambda nu0, nu1: planted)
+    monkeypatch.setattr(displacement, "is_staircase", lambda pi: True)
+    assert main(["campaign", "--check", "card", "--trials", "2", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["failures"] == 2
+    assert doc["records"][0]["values"]["max_card"] == 3
+    assert doc["records"][0]["witness"].startswith("level-set invariant failed")

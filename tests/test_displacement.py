@@ -9,6 +9,7 @@ from conftest import pmf_strategy
 from discretepl.campaign import random_pmf
 from discretepl.coupling import coupling_from_atoms, monotone_coupling
 from discretepl.displacement import (
+    LevelSet,
     chain_diagnostics,
     displacement_gap,
     floor_ceil_iffs,
@@ -137,6 +138,22 @@ def test_level_sets_singletons():
     pi = coupling_from_atoms([(0, 0, F(1, 2)), (2, 2, F(1, 2))])
     assert [ls.a for ls in level_sets(pi)] == [0, 2]
     assert all(len(ls.pairs) == 1 for ls in level_sets(pi))
+
+
+@pytest.mark.parametrize(
+    "pairs, holds",
+    [
+        (((0, 1),), True),
+        (((0, 0), (0, 1)), True),
+        (((2, 0), (3, 0)), True),
+        (((1, 0), (1, 1)), False),  # odd lower sum: the two atoms have different floors
+        (((0, 0), (1, 1)), False),  # not neighbours
+        (((0, 0), (2, -1)), False),  # same floor, but not neighbours
+        (((0, 0), (0, 1), (1, 0)), False),
+    ],
+)
+def test_level_set_card_lemma_predicate(pairs, holds):
+    assert LevelSet(0, pairs).card_holds is holds
 
 
 def test_level_sets_reject_non_monotone():

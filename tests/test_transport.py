@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from discretepl.errors import ConstraintViolated, OutsidePositiveWindow
 from discretepl.displacement import displacement_gap
 from discretepl.measures import SUM_SLACK, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
+    CostFn,
     closed_form_cost,
     cost_mu,
     cost_nonnegativity_check,
@@ -174,6 +177,22 @@ def test_ot_strong_duality_and_slackness(rng):
                 assert u.value(x) + v.value(y) <= float(cost.evaluate(x, y)) + 1e-9
         for x, y, _ in result.plan.atoms:
             assert u.value(x) + v.value(y) == pytest.approx(float(cost.evaluate(x, y)), abs=1e-9)
+
+
+def test_ot_plans_and_duals_under_tied_costs_are_pinned():
+    # integer costs 0..3 leave many optimal plans and duals: the pin fixes which ones
+    # the solver returns, so a change to its heap order or arc order shows here
+    rng = random.Random(20261018)
+    lines = []
+    for _ in range(150):
+        nu0 = from_weights(rng.randint(-3, 3), [rng.randint(1, 12) for _ in range(rng.randint(1, 8))])
+        nu1 = from_weights(rng.randint(-3, 3), [rng.randint(1, 12) for _ in range(rng.randint(1, 8))])
+        table = {(x, y): F(rng.randint(0, 3)) for x in nu0.window() for y in nu1.window()}
+        result = ot_cost(CostFn(lambda x, y, table=table: table[(x, y)]), nu0, nu1, want_duals=True)
+        plan = [(x, y, str(p)) for x, y, p in result.plan.atoms]
+        lines.append(repr((plan, result.dual_u.values, result.dual_v.values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "588f26b23ab2d74e7332251aeb85514fda1bd8cf6f5709c0776d3834d3795a48"
 
 
 def test_ot_symmetry_and_zero_self_cost(rng):
