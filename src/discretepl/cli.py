@@ -3,8 +3,9 @@
 Subcommands: check-displacement, check-4ft, transport-cost, check-te,
 limit-exp, campaign.  Exit codes: 0 all checks pass, 1 an inequality check
 failed (an implementation-bug signal, since the inequalities are theorems),
-2 usage or parse errors, including a numeric option below its lower bound
-(--K >= 0; --trials, --width, --resolution and every --n >= 1; --lambda > 0),
+2 usage or parse errors, including a numeric option outside its bounds
+(--K >= 0; --trials, --width, --resolution and every --n >= 1; every
+--n <= 16384; --lambda > 0),
 3 an internal error, 141 (128 + SIGPIPE) when standard output was closed
 early by its reader.  `--json` switches to machine output everywhere.
 """
@@ -317,6 +318,10 @@ def _limit_inputs(args):
             half_width = float(spec.get("N", 6.0))
         except (TypeError, ValueError):
             raise ConfigError("spec window must be two numbers and N a number") from None
+        if not -math.inf < lo < hi < math.inf:  # false for NaN too
+            raise ConfigError(f"spec window must be finite with lo < hi, not [{lo}, {hi}]")
+        if args.kind == "pl" and not 0 < half_width < math.inf:
+            raise ConfigError(f"spec N must be finite and > 0, not {half_width}")
         fns = tuple(ContFn(_load_expr(spec[key]), (lo, hi), spec[key]) for key in _SPEC_KEYS[args.kind])
         return (*fns, half_width) if args.kind == "pl" else fns
     demos = {"pl": PL_DEMOS, "clt": CLT_DEMOS, "disp": DISP_DEMOS}[args.kind]
@@ -347,8 +352,8 @@ def _rows_out(rows, args) -> None:
 
 
 def _cmd_limit_exp(args) -> int:
-    if not args.n or min(args.n) < 1:
-        raise ConfigError("--n must list integers >= 1")
+    if not args.n or min(args.n) < 1 or max(args.n) > 16384:  # a pl row checks all (n+1)^2 pairs: 1-2 s at 16384
+        raise ConfigError("--n must list integers >= 1 and <= 16384")
     if not args.lam > 0:
         raise ConfigError("--lambda must be > 0")
     inputs = _limit_inputs(args)

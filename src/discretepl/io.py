@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .coupling import Coupling
-from .errors import NegativeMass, NotNormalized, ParseError
+from .errors import ConfigError, NegativeMass, NotNormalized, ParseError
 from .fourfunctions import CubeFn
 from .measures import Pmf, pmf
 from .transport import CostFn
@@ -110,7 +110,7 @@ def parse_cost_table_text(text: str) -> CostFn:
         try:
             return table[(x, y)]
         except KeyError:
-            raise ParseError(0, f"cost table has no entry for ({x},{y})") from None
+            raise ConfigError(f"cost table has no entry for ({x},{y})") from None
 
     return CostFn(evaluate)
 

@@ -27,7 +27,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap, m_minus, m_plus
@@ -37,10 +36,6 @@ from .errors import (
     SupportExceedsWindow,
 )
 from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, ZERO, Pmf, RealFn, pmf
-
-#: exhaustive grid-hypothesis checks up to this n; sampled above
-EXHAUSTIVE_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -92,25 +87,28 @@ def discretize_quadruple(F: ContFn, G: ContFn, H: ContFn, K: ContFn, grid: GridS
     return f, g, h, k
 
 
-def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn, sample: int | None = None, seed: int = 0):
-    """First (x, y) with f(x)g(y) > h(floor)k(ceil) of the midpoint, or None.
+def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn):
+    """First (x, y) in lexicographic order with f(x)g(y) > h(floor)k(ceil) of the midpoint, or None.
 
     x runs over the window of f and y over the window of g; h and k are zero
-    outside their windows.  Checks all pairs when `sample` is None, otherwise
-    the diagonal band of index pairs plus a seeded random sample of that size.
-    The right side depends on x + y only, so it is tabulated once per sum.
+    outside their windows.  Every pair is checked.  The right side depends on
+    x + y only, so it is tabulated once per sum, and each x is one array
+    comparison of f(x)g against its slice of that table.  The arrays are
+    float64 when every value is a float (the same IEEE products as in
+    Python), and Python objects otherwise, so Fraction and int products stay
+    exact; int64 would overflow silently.
     """
-    last_f, last_g = len(f.values) - 1, len(g.values) - 1
+    import numpy as np  # not at module level: cli imports this module, and most commands never sweep a grid
+
+    width = len(g.values)
     low = f.offset + g.offset
-    envelope = [h.value_or(m_minus(z, 0)) * k.value_or(m_plus(z, 0)) for z in range(low, low + last_f + last_g + 1)]
-    if sample is None:
-        pairs = product(range(last_f + 1), range(last_g + 1))
-    else:
-        rng = random.Random(seed)
-        band = [(i, min(last_g, i + d)) for i in range(last_f + 1) for d in (0, 1, 2)]
-        pairs = band + [(rng.randint(0, last_f), rng.randint(0, last_g)) for _ in range(sample)]
-    for i, j in pairs:
-        if f.values[i] * g.values[j] > envelope[i + j]:
+    envelope = [h.value_or(m_minus(z, 0)) * k.value_or(m_plus(z, 0)) for z in range(low, low + len(f.values) + width - 1)]
+    dtype = float if all(type(v) is float for fn in (f, g, h, k) for v in fn.values) else object
+    row, envelope = np.array(g.values, dtype=dtype), np.array(envelope, dtype=dtype)
+    for i, fx in enumerate(f.values):
+        over = fx * row > envelope[i : i + width]
+        j = int(over.argmax())
+        if over[j]:
             return f.offset + i, g.offset + j
     return None
 
@@ -138,8 +136,8 @@ def pl_limit_experiment(F: ContFn, G: ContFn, H: ContFn, K: ContFn, half_width: 
     """Riemann-scaled product inequality along a refining grid.
 
     For each n, the discretized quadruple must satisfy the line hypothesis
-    on the grid (exhaustively for n <= 512, sampled above; failures raise
-    HypothesisFailedOnGrid), and the row records
+    at every pair of grid points (a failure raises HypothesisFailedOnGrid),
+    and the row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 
@@ -153,7 +151,7 @@ def pl_limit_experiment(F: ContFn, G: ContFn, H: ContFn, K: ContFn, half_width: 
     for n in n_list:
         grid = GridSpec(half_width, n)
         f, g, h, k = discretize_quadruple(F, G, H, K, grid)
-        witness = grid_hypothesis_witness(f, g, h, k, sample=None if n <= EXHAUSTIVE_LIMIT else 20000, seed=n)
+        witness = grid_hypothesis_witness(f, g, h, k)
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         scale = grid.step() ** 2

@@ -81,7 +81,7 @@ def test_cubefn_wrong_count():
 def test_cost_table_parse():
     cost = parse_cost_table_text("0 0 0\n0 1 1/2\n1 0 1/2\n1 1 0\n")
     assert cost.evaluate(0, 1) == F(1, 2)
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         cost.evaluate(2, 2)
 
 
@@ -231,6 +231,28 @@ def test_cli_transport_cost_table_with_ties_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "95c1c9a2c74d59951f1b72ce727337e03f39b97abc0d1e39d62a1df7caab191e"
 
 
+def test_cli_transport_cost_table_without_a_cell_exits_two_without_a_line(tmp_path, capsys):
+    nu0 = _write(tmp_path, "nu0.txt", "0; 1/4 1/4 1/4 1/4\n")
+    nu1 = _write(tmp_path, "nu1.txt", "1; 1/6 1/3 1/6 1/3\n")
+    cost = _write(tmp_path, "cost.txt", "0 1 0\n0 2 0\n0 3 1\n")
+    assert main(["transport-cost", "--cost-table", cost, "--nu0", nu0, "--nu1", nu1]) == 2
+    err = capsys.readouterr().err
+    assert "cost table has no entry for (0,4)" in err and "line 0" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--demo", "gaussian"], "16172396477d12fe19053f408058682dfcc3be5780b9a188c18ea5c101f0939e"),
+        (["--demo", "shifted-gaussian", "--n", "1024"], "bf2c854d902fffd9d480f4de15ac14600e8fdd7a274cee1080da331666900957"),
+    ],
+    ids=["gaussian", "shifted-gaussian-1024"],
+)
+def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
+    assert main(["limit-exp", "--kind", "pl", *argv, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_check_te_json_is_byte_stable(capsys):
     # the check-te report is a user-facing contract: pinned from the exact SSP solver
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
@@ -324,6 +346,12 @@ def test_cli_numeric_option_below_its_bound_exits_two(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+def test_cli_limit_exp_n_is_bounded_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["limit-exp", "--kind", "pl", "--n", "16385", "--spec", missing]) == 2
+    assert "--n must list integers >= 1 and <= 16384" in capsys.readouterr().err
+
+
 def test_cli_internal_error_exits_three(monkeypatch, capsys):
     def planted(cfg):
         raise RuntimeError("planted fault")
@@ -334,22 +362,38 @@ def test_cli_internal_error_exits_three(monkeypatch, capsys):
 
 
 _PL_SPEC = {"F": "exp(-x*x)", "G": "exp(-x*x)", "H": "exp(-x*x)", "K": "exp(-x*x)", "N": 4.0}
+_CLT_SPEC = {"f": "x", "g": "x", "h": "-x*x"}
 
 
 @pytest.mark.parametrize(
-    "spec, message",
+    "kind, spec, message",
     [
-        ({key: value for key, value in _PL_SPEC.items() if key != "K"}, "under key 'K'"),
-        ([1], "spec must be a JSON object"),
-        ({**_PL_SPEC, "window": 5}, "spec window must be two numbers"),
-        ({**_PL_SPEC, "window": [-8, 0, 8]}, "spec window must be two numbers"),
-        ({**_PL_SPEC, "N": [1]}, "N a number"),
+        ("pl", {key: value for key, value in _PL_SPEC.items() if key != "K"}, "under key 'K'"),
+        ("pl", [1], "spec must be a JSON object"),
+        ("pl", {**_PL_SPEC, "window": 5}, "spec window must be two numbers"),
+        ("pl", {**_PL_SPEC, "window": [-8, 0, 8]}, "spec window must be two numbers"),
+        ("pl", {**_PL_SPEC, "N": [1]}, "N a number"),
+        ("pl", {**_PL_SPEC, "N": 0}, "spec N must be finite and > 0"),
+        ("pl", {**_PL_SPEC, "N": -3}, "spec N must be finite and > 0"),
+        ("pl", {**_PL_SPEC, "N": 1e400}, "spec N must be finite and > 0"),
+        # NaN samples would make the convexity check of h pass without testing anything
+        ("clt", {**_CLT_SPEC, "window": ["nan", 1]}, "spec window must be finite with lo < hi"),
     ],
-    ids=["missing-key", "not-an-object", "window-not-a-list", "window-of-three", "N-not-a-number"],
+    ids=[
+        "missing-key",
+        "not-an-object",
+        "window-not-a-list",
+        "window-of-three",
+        "N-not-a-number",
+        "N-zero",
+        "N-negative",
+        "N-infinite",
+        "clt-window-nan",
+    ],
 )
-def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, spec, message):
+def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, kind, spec, message):
     path = _write(tmp_path, "spec.json", json.dumps(spec))
-    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "16"]) == 2
+    assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "16"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "internal error" not in captured.err
 
