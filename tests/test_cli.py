@@ -253,6 +253,19 @@ def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--demo", "linear"], "db35ce4f43692515958d9f8414a0cde33e1a1888d3061772d608acaf1587a9af"),
+        (["--demo", "quadratic", "--lambda", "4.0"], "65e4171fbf19eb2496a36dd431e917b74dca02ac244503f64771040a01d99ba4"),
+    ],
+    ids=["linear", "quadratic-lambda-4"],
+)
+def test_cli_limit_exp_clt_json_is_byte_stable(argv, digest, capsys):
+    assert main(["limit-exp", "--kind", "clt", *argv, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_check_te_json_is_byte_stable(capsys):
     # the check-te report is a user-facing contract: pinned from the exact SSP solver
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
@@ -346,6 +359,26 @@ def test_cli_numeric_option_below_its_bound_exits_two(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-te", "--mu-kind", "geometric", "--K", "100001"], "--K must be >= 0 and <= 100000"),
+        (
+            ["transport-cost", "--mu-kind", "geometric", "--K", "100001", "--nu0", "missing", "--nu1", "missing"],
+            "--K must be >= 0 and <= 100000",
+        ),
+        (["check-te", "--mu-kind", "geometric", "--trials", "1000001"], "--trials must be >= 1 and <= 1000000"),
+        (["campaign", "--trials", "1000001"], "trials must be >= 1 and <= 1000000"),
+        (["campaign", "--support-width", "20001"], "support width must be >= 1 and <= 20000"),
+    ],
+    ids=["te-K", "transport-K", "te-trials", "campaign-trials", "campaign-support-width"],
+)
+def test_cli_numeric_option_above_its_bound_exits_two(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_cli_limit_exp_n_is_bounded_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["limit-exp", "--kind", "pl", "--n", "16385", "--spec", missing]) == 2
@@ -370,25 +403,18 @@ _CLT_SPEC = {"f": "x", "g": "x", "h": "-x*x"}
     [
         ("pl", {key: value for key, value in _PL_SPEC.items() if key != "K"}, "under key 'K'"),
         ("pl", [1], "spec must be a JSON object"),
-        ("pl", {**_PL_SPEC, "window": 5}, "spec window must be two numbers"),
-        ("pl", {**_PL_SPEC, "window": [-8, 0, 8]}, "spec window must be two numbers"),
-        ("pl", {**_PL_SPEC, "N": [1]}, "N a number"),
+        ("pl", {**_PL_SPEC, "N": [1]}, "N must be a number"),
         ("pl", {**_PL_SPEC, "N": 0}, "spec N must be finite and > 0"),
         ("pl", {**_PL_SPEC, "N": -3}, "spec N must be finite and > 0"),
         ("pl", {**_PL_SPEC, "N": 1e400}, "spec N must be finite and > 0"),
-        # NaN samples would make the convexity check of h pass without testing anything
-        ("clt", {**_CLT_SPEC, "window": ["nan", 1]}, "spec window must be finite with lo < hi"),
     ],
     ids=[
         "missing-key",
         "not-an-object",
-        "window-not-a-list",
-        "window-of-three",
         "N-not-a-number",
         "N-zero",
         "N-negative",
         "N-infinite",
-        "clt-window-nan",
     ],
 )
 def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, kind, spec, message):
@@ -396,6 +422,23 @@ def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, kind, spec, me
     assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "16"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and "internal error" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, spec, message",
+    [
+        ("pl", {"F": "1", "G": "1", "H": "0.5", "K": "0.5"}, "grid hypothesis fails at (i,j)=(0, 0) for n=8"),
+        ("clt", _CLT_SPEC, "h is not convex on the grid at k=1"),
+        # inf - inf: every value of f is NaN, and a NaN fails the check instead of passing it
+        ("clt", {**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}, "cube hypothesis"),
+    ],
+    ids=["pl", "clt-concave-h", "clt-nan"],
+)
+def test_cli_limit_exp_failed_hypothesis_exits_one(tmp_path, capsys, kind, spec, message):
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
 
 
 def test_cli_missing_reference_is_an_option_error_without_a_line(capsys):

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from discretepl.errors import ConvexityWitnessFailed, HypothesisFailedOnGrid, SupportExceedsWindow
+from discretepl.fourfunctions import CubeFn, check_4ft_additive
 from discretepl.limits import (
     CLT_DEMOS,
     DISP_DEMOS,
     PL_DEMOS,
-    ContFn,
     GridSpec,
     PointMass,
     UniformInterval,
+    _check_cube_hypothesis,
     clt_experiment,
     discretize_quadruple,
     gaussian_exp_integral,
@@ -37,7 +38,7 @@ def test_grid_rejects_bad_spec():
 
 
 def test_discretize_constants():
-    one = ContFn(lambda x: 1.0, (-1.0, 1.0))
+    one = lambda x: 1.0
     f, g, h, k = discretize_quadruple(one, one, one, one, GridSpec(1.0, 2))
     assert f.values == (1.0, 1.0, 1.0)
     assert h.values == (1.0, 1.0, 1.0)
@@ -45,7 +46,7 @@ def test_discretize_constants():
 
 
 def test_discretize_monotone_takes_shifted_value():
-    inc = ContFn(lambda x: x, (-1.0, 1.0))
+    inc = lambda x: x
     grid = GridSpec(1.0, 4)
     _, _, h, _ = discretize_quadruple(inc, inc, inc, inc, grid)
     half_step = grid.half_width / grid.n
@@ -102,9 +103,9 @@ def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng):
 def test_pl_finds_a_single_violating_pair_far_from_the_diagonal():
     # only f(900)g(100) = 4 > h(500)k(500) = 2 breaks the hypothesis, on a grid of 1025^2 pairs
     grid = GridSpec(1.0, 1024)
-    F_ = ContFn(lambda x: 2.0 if x == grid.point(900) else 1.0, (-1.0, 1.0))
-    G_ = ContFn(lambda x: 2.0 if x == grid.point(100) else 1.0, (-1.0, 1.0))
-    HK = ContFn(lambda x: math.sqrt(2), (-1.0, 1.0))
+    F_ = lambda x: 2.0 if x == grid.point(900) else 1.0
+    G_ = lambda x: 2.0 if x == grid.point(100) else 1.0
+    HK = lambda x: math.sqrt(2)
     with pytest.raises(HypothesisFailedOnGrid, match=r"\(900, 100\)"):
         pl_limit_experiment(F_, G_, HK, HK, 1.0, [1024])
 
@@ -128,14 +129,14 @@ def test_pl_zero_demo():
 
 
 def test_pl_rejects_violating_quadruple():
-    one = ContFn(lambda x: 1.0, (-1.0, 1.0))
-    tiny = ContFn(lambda x: 0.1, (-1.0, 1.0))
+    one = lambda x: 1.0
+    tiny = lambda x: 0.1
     with pytest.raises(HypothesisFailedOnGrid):
         pl_limit_experiment(one, one, tiny, tiny, 1.0, [8])
 
 
 def test_clt_zero_triple_is_constant_one():
-    zero = ContFn(lambda x: 0.0, (-4.0, 4.0))
+    zero = lambda x: 0.0
     rows = clt_experiment(zero, zero, zero, [8, 64])
     for row in rows:
         assert row.value_f == pytest.approx(1.0, abs=1e-12)
@@ -145,9 +146,54 @@ def test_clt_zero_triple_is_constant_one():
 
 
 def test_clt_rejects_concave_h():
-    cap = ContFn(lambda x: -x * x, (-4.0, 4.0))
+    cap = lambda x: -x * x
     with pytest.raises(ConvexityWitnessFailed):
         clt_experiment(cap, cap, cap, [8])
+
+
+def test_clt_rejects_a_bump_at_one_grid_point():
+    # x^2 plus a height-1 bump at the grid point t_5 of n = 8 has a negative second difference there
+    t5 = (5 - 8 / 2) / (math.sqrt(8) / 2)
+    zero = lambda x: 0.0
+    bumped = lambda x: x * x + (1.0 if x == t5 else 0.0)
+    with pytest.raises(ConvexityWitnessFailed, match=r"k=5, t_k=0\.7071.* n=8"):
+        clt_experiment(zero, zero, bumped, [8])
+
+
+def test_clt_rejects_a_triple_whose_cube_hypothesis_fails():
+    # f(t_a) + g(t_b) exceeds h(t_a) + h(t_b) by 2 at every pair, though h is linear
+    shifted = lambda x: x + 1
+    with pytest.raises(HypothesisFailedOnGrid, match=r"\(a,b\)=\(0, 0\) for n=8"):
+        clt_experiment(shifted, shifted, lambda x: x, [8])
+
+
+def test_clt_hypothesis_fails_on_a_single_nan_value():
+    # one NaN among the values of g, which a maximum taken by comparisons would skip
+    gv = [0.0] * 9
+    gv[4] = math.nan
+    with pytest.raises(HypothesisFailedOnGrid, match=r"\(a,b\)=\(0, 4\)"):
+        _check_cube_hypothesis(range(9), [0.0] * 9, gv, [0.0] * 9)
+
+
+def test_clt_hypothesis_check_matches_the_exhaustive_additive_4ft(rng):
+    # functions of |x| on {0,1}^n with h convex: the O(n) check against the sweep over all pairs
+    verdicts = []
+    for n in range(1, 6):
+        for _ in range(60):
+            hv = [rng.randint(-3, 3)]
+            for slope in sorted(rng.randint(-3, 3) for _ in range(n)):
+                hv.append(hv[-1] + slope)
+            fv, gv = ([v + rng.randint(-3, 1) for v in hv] for _ in range(2))
+            f, g, h = (CubeFn(n, tuple(v[bin(i).count("1")] for i in range(2**n))) for v in (fv, gv, hv))
+            holds = check_4ft_additive(f, g, h, h).hypothesis_ok
+            try:
+                _check_cube_hypothesis(range(n + 1), fv, gv, hv)
+                passed = True
+            except HypothesisFailedOnGrid:
+                passed = False
+            assert passed == holds, (fv, gv, hv)
+            verdicts.append(holds)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_clt_linear_demo_converges_to_mgf():
