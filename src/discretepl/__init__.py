@@ -47,7 +47,6 @@ from .measures import (
     uniform_on,
 )
 from .transport import (
-    CostFn,
     LogWeights,
     closed_form_cost,
     cost_mu,

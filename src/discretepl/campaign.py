@@ -136,25 +136,24 @@ def random_concave_weights(rng: random.Random, max_width: int) -> LogWeights:
     return LogWeights(offset, tuple(Fraction(v) for v in values))
 
 
+#: log-concave reference families, in the order te trials draw them by index:
+#: name -> rational weight of x on [-half_width, half_width]
+_FAMILY_WEIGHTS = {
+    "geometric-half": lambda x, half_width: Fraction(1, 2) ** abs(x),
+    "geometric-two-thirds": lambda x, half_width: Fraction(2, 3) ** abs(x),
+    "binomial": lambda x, half_width: Fraction(math.comb(2 * half_width, x + half_width)),
+    "gaussian-half": lambda x, half_width: Fraction(1, 2) ** (x * x),
+    "uniform": lambda x, half_width: Fraction(1),
+}
+LOG_CONCAVE_FAMILIES = tuple(_FAMILY_WEIGHTS)
+
+
 def rational_log_concave_family(name: str, half_width: int) -> Pmf:
     """Truncated log-concave reference families with exact rational masses."""
-    span = range(-half_width, half_width + 1)
-    if name == "geometric-half":
-        weights = [Fraction(1, 2) ** abs(x) for x in span]
-    elif name == "geometric-two-thirds":
-        weights = [Fraction(2, 3) ** abs(x) for x in span]
-    elif name == "binomial":
-        weights = [Fraction(math.comb(2 * half_width, x + half_width)) for x in span]
-    elif name == "gaussian-half":
-        weights = [Fraction(1, 2) ** (x * x) for x in span]
-    elif name == "uniform":
-        weights = [Fraction(1) for _ in span]
-    else:
+    if name not in _FAMILY_WEIGHTS:
         raise ConfigError(f"unknown family {name!r}")
-    return from_weights(-half_width, weights)
-
-
-LOG_CONCAVE_FAMILIES = ("geometric-half", "geometric-two-thirds", "binomial", "gaussian-half", "uniform")
+    weight = _FAMILY_WEIGHTS[name]
+    return from_weights(-half_width, [weight(x, half_width) for x in range(-half_width, half_width + 1)])
 
 
 def _digest(*parts: str) -> str:

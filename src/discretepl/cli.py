@@ -6,8 +6,9 @@ failed (an implementation-bug signal, since the inequalities are theorems)
 or a user-supplied instance violates a hypothesis, 2 usage or parse errors,
 including a numeric option outside its bounds (0 <= --K <= 100000;
 1 <= --trials <= 1000000; --width, --resolution >= 1; 1 <= --n <= 16384;
---lambda > 0; 1 <= --support-width <= 20000), 3 an internal error,
-141 (128 + SIGPIPE) when standard output was closed early by its reader.
+--lambda > 0; 1 <= --support-width <= 20000) and a clt target whose
+quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when standard
+output was closed early by its reader.
 `--json` switches to machine output everywhere.
 """
 
@@ -54,6 +55,8 @@ def _int_list(text: str) -> list[int]:
 
 #: one check-te trial takes 1.2-1.3 s at --K 100000 (Python 3.11, 2 cores): mu has 2K+1 points
 MAX_K = 100_000
+#: --mu-kind: name -> log-weights on [-K, K]
+_MU_KINDS = {"geometric": geometric_weights, "gaussian": gaussian_weights}
 
 
 def _in_range(args, **bounds) -> None:
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport-cost", help="exact optimal transport cost under a curvature cost")
     p.add_argument("--mu")
-    p.add_argument("--mu-kind", choices=("geometric", "gaussian"))
+    p.add_argument("--mu-kind", choices=_MU_KINDS)
     p.add_argument("--K", type=int, default=50, help="truncation half-width for --mu-kind")
     p.add_argument("--cost-table", help="explicit cost table file instead of a curvature cost")
     p.add_argument("--nu0", required=True)
@@ -94,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-te", help="random transport-entropy checks under a reference measure")
     p.add_argument("--mu")
-    p.add_argument("--mu-kind", choices=("geometric", "gaussian"))
+    p.add_argument("--mu-kind", choices=_MU_KINDS)
     p.add_argument("--K", type=int, default=12)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -201,10 +204,8 @@ def _cmd_check_4ft(args) -> int:
 def _reference_measure(args):
     if args.mu:
         return formats.parse_pmf_file(args.mu)
-    if args.mu_kind == "geometric":
-        return geometric_weights(args.K)
-    if args.mu_kind == "gaussian":
-        return gaussian_weights(args.K)
+    if args.mu_kind:
+        return _MU_KINDS[args.mu_kind](args.K)
     raise ConfigError("need --mu or --mu-kind")
 
 

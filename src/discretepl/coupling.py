@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Callable, Iterable
 
-from .errors import SupportNotBinary
+from .errors import PreconditionViolated, SupportNotBinary
 from .measures import ZERO, Pmf, pmf
 
 Atom = tuple[int, int, Fraction]
@@ -94,7 +94,7 @@ def quantile(nu: Pmf, t: Fraction) -> int:
     """Generalized inverse CDF: the smallest x with F(x) >= t, exact in rationals."""
     t = Fraction(t)
     if not 0 < t < 1:
-        raise ValueError("quantile level must lie in (0,1)")
+        raise PreconditionViolated("quantile level must lie in (0,1)")
     acc = ZERO
     for x, m in nu.support():
         acc += m

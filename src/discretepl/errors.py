@@ -66,6 +66,10 @@ class SupportExceedsWindow(DiscretePLError):
     pass
 
 
+class QuadratureFailed(DiscretePLError):
+    """A continuous target's quadrature warned, overflowed or left (0, inf)."""
+
+
 class ParseError(DiscretePLError):
     def __init__(self, line, reason):
         super().__init__(f"line {line}: {reason}")

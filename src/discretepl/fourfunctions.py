@@ -34,7 +34,7 @@ class CubeFn:
 
     def __post_init__(self):
         if self.n < 1 or len(self.values) != 2**self.n:
-            raise ValueError(f"need 2^{self.n} values, got {len(self.values)}")
+            raise LengthMismatch(f"need 2^{self.n} values, got {len(self.values)}")
 
     def slice_last(self, a: int) -> "CubeFn":
         """Restriction h^a fixing the last coordinate to a."""
@@ -148,27 +148,16 @@ def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn) -> Additi
     return AdditiveCheck(witness is None, witness, lhs_log, rhs_log, conclusion_ok)
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Functional on two-point functions, monotone in each of the two values.
+def functional_power(phi: Callable[[float, float], float], h: CubeFn) -> float:
+    """Tensorized value: apply the two-point functional phi(u0, u1) recursively over the last coordinate.
 
-    Monotonicity is what lets the recursive tensorization propagate the
-    lattice hypothesis, and holds for every built-in (each is a sup of
-    affine maps with non-negative coefficients).
-    """
-
-    name: str
-    pair_fn: Callable[[float, float], float]
-
-    def __call__(self, u0, u1) -> float:
-        return self.pair_fn(u0, u1)
-
-
-def functional_power(phi: Functional, h: CubeFn) -> float:
-    """Tensorized value: apply phi recursively over the last coordinate.
-
-    For the log-mean-exp functional this equals log int e^h dm_n over the
-    uniform measure m_n, and for the mean functional it is the plain mean.
+    phi must be monotone in each of its two values: that is what lets the
+    recursive tensorization propagate the lattice hypothesis.  The built-ins
+    are log-mean-exp (`PHI_ENTROPY`), the mean (`PHI_MEAN`) and the
+    variance-band functional (`PHI_QUADRATIC`); each is a sup of affine maps
+    with non-negative coefficients, hence monotone.  For PHI_ENTROPY the value
+    is log int e^h dm_n over the uniform measure m_n, and for PHI_MEAN it is
+    the plain mean.
     """
     if h.n == 1:
         return phi(h.values[0], h.values[1])
@@ -203,11 +192,16 @@ def variance_band_functional(f: CubeFn):
     return max(f0, f1) - 1
 
 
-PHI_ENTROPY = Functional("log-mean-exp", lambda u0, u1: logsumexp((u0, u1)) - math.log(2))
-PHI_MEAN = Functional("mean", lambda u0, u1: (float(u0) + float(u1)) / 2)
-PHI_QUADRATIC = Functional(
-    "variance-band", lambda u0, u1: variance_band_functional(CubeFn(1, (float(u0), float(u1))))
-)
+def PHI_ENTROPY(u0, u1) -> float:
+    return logsumexp((u0, u1)) - math.log(2)
+
+
+def PHI_MEAN(u0, u1) -> float:
+    return (float(u0) + float(u1)) / 2
+
+
+def PHI_QUADRATIC(u0, u1) -> float:
+    return variance_band_functional(CubeFn(1, (float(u0), float(u1))))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .coupling import Coupling
 from .errors import ConfigError, NegativeMass, NotNormalized, ParseError
 from .fourfunctions import CubeFn
 from .measures import Pmf, pmf
-from .transport import CostFn
+from .transport import Cost
 
 
 def parse_rational(token: str, line: int) -> Fraction:
@@ -26,12 +27,17 @@ def parse_rational(token: str, line: int) -> Fraction:
         raise ParseError(line, f"bad rational {token!r}") from None
 
 
-def parse_pmf_text(text: str) -> Pmf:
-    """First non-empty, non-comment line as a Pmf; errors carry line numbers."""
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped line) for each line that is neither blank nor a # comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def parse_pmf_text(text: str) -> Pmf:
+    """First non-empty, non-comment line as a Pmf; errors carry line numbers."""
+    for line_no, line in _data_lines(text):
         if ";" not in line:
             raise ParseError(line_no, "expected 'offset; m0 m1 ...'")
         head, _, tail = line.partition(";")
@@ -63,10 +69,7 @@ def emit_pmf(nu: Pmf) -> str:
 
 def parse_cubefn_text(text: str, n: int) -> CubeFn:
     values = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _data_lines(text):
         if "." in line or ("e" in line.lower() and "/" not in line):
             try:
                 value = float(line)
@@ -91,12 +94,10 @@ def emit_cubefn(fn: CubeFn) -> str:
     return "\n".join(str(v) for v in fn.values) + "\n"
 
 
-def parse_cost_table_text(text: str) -> CostFn:
+def parse_cost_table_text(text: str) -> Cost:
+    """The table as a cost callable; a pair it does not list raises ConfigError."""
     table: dict[tuple[int, int], Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _data_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(line_no, "expected 'x y value'")
@@ -106,16 +107,16 @@ def parse_cost_table_text(text: str) -> CostFn:
             raise ParseError(line_no, "bad integer coordinate") from None
         table[(x, y)] = parse_rational(parts[2], line_no)
 
-    def evaluate(x: int, y: int):
+    def evaluate(x: int, y: int) -> Fraction:
         try:
             return table[(x, y)]
         except KeyError:
             raise ConfigError(f"cost table has no entry for ({x},{y})") from None
 
-    return CostFn(evaluate)
+    return evaluate
 
 
-def parse_cost_table_file(path: str) -> CostFn:
+def parse_cost_table_file(path: str) -> Cost:
     with open(path, encoding="utf-8") as fh:
         return parse_cost_table_text(fh.read())
 

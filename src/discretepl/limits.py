@@ -25,17 +25,15 @@ EQ_TOL accuracy, independent of the experiment code paths.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap, m_minus, m_plus
-from .errors import (
-    ConvexityWitnessFailed,
-    HypothesisFailedOnGrid,
-    SupportExceedsWindow,
-)
+from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
 from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, ZERO, Pmf, RealFn, pmf
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -46,7 +44,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.half_width <= 0:
-            raise ValueError("need n >= 1 and a positive half-width")
+            raise ConfigError("need n >= 1 and a positive half-width")
 
     def point(self, i: int) -> float:
         return -self.half_width + 2 * i * self.half_width / self.n
@@ -127,18 +125,15 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     """Riemann-scaled product inequality along a refining grid.
 
     For each n, the discretized quadruple must satisfy the line hypothesis
-    at every pair of grid points (a failure raises HypothesisFailedOnGrid),
-    and the row records
+    at every pair of grid points (a failure raises HypothesisFailedOnGrid);
+    every grid is checked before any quadrature runs.  The row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 
     together with the ratio lhs/rhs and its continuous target
     (int F int G) / (int H int K) over [-N, N].
     """
-    num = interval_integral(F, -half_width, half_width) * interval_integral(G, -half_width, half_width)
-    den = interval_integral(H, -half_width, half_width) * interval_integral(K, -half_width, half_width)
-    target = num / den if den > 0 else math.nan
-    rows = []
+    sums = []
     for n in n_list:
         grid = GridSpec(half_width, n)
         f, g, h, k = discretize_quadruple(F, G, H, K, grid)
@@ -146,8 +141,12 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         scale = grid.step() ** 2
-        lhs = scale * sum(f.values) * sum(g.values)
-        rhs = scale * sum(h.values) * sum(k.values)
+        sums.append((n, scale * sum(f.values) * sum(g.values), scale * sum(h.values) * sum(k.values)))
+    num = interval_integral(F, -half_width, half_width) * interval_integral(G, -half_width, half_width)
+    den = interval_integral(H, -half_width, half_width) * interval_integral(K, -half_width, half_width)
+    target = num / den if den > 0 else math.nan
+    rows = []
+    for n, lhs, rhs in sums:
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         rel = abs(ratio - target) / abs(target) if target and not math.isnan(target) else abs(ratio)
         rows.append(PlRow(n, lhs, rhs, ratio, target, rel, lhs <= rhs))
@@ -172,18 +171,26 @@ class CltRow:
 
 
 def gaussian_exp_integral(fn: FloatFn) -> float:
-    """int e^{fn(x)} dgamma(x) for the standard Gaussian, by quadrature."""
-    from scipy.integrate import quad
+    """int e^{fn(x)} dgamma(x) for the standard Gaussian, by quadrature.
 
-    value, _ = quad(
-        lambda x: math.exp(min(fn(x), 700.0) - x * x / 2),
-        -math.inf,
-        math.inf,
-        epsabs=EQ_TOL,
-        epsrel=EQ_TOL,
-        limit=500,
-    )
-    return value / math.sqrt(2 * math.pi)
+    Raises QuadratureFailed when the quadrature warns (a divergent or slowly
+    converging integral, round-off), when the integrand overflows, or when
+    the value is not in (0, inf), as when it underflows to 0.0.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            value, _ = quad(
+                lambda x: math.exp(fn(x) - x * x / 2), -math.inf, math.inf, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500
+            )
+        except (IntegrationWarning, OverflowError) as exc:
+            raise QuadratureFailed(f"quadrature failed ({type(exc).__name__}: {exc})") from None
+    value /= math.sqrt(2 * math.pi)
+    if not 0 < value < math.inf:  # false for NaN too
+        raise QuadratureFailed(f"quadrature gave {value}, outside (0, inf)")
+    return value
 
 
 def binomial_weights(n: int) -> list[float]:
@@ -241,8 +248,10 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
     expectation is a binomial average over the standardized points
     t_k = (k - n/2)/(sqrt(n)/2), with exact big-integer binomial weights.
     For each n the grid values must pass `_check_cube_hypothesis`, the four
-    functions hypothesis of the pushed triple, and the row records the
-    product inequality
+    functions hypothesis of the pushed triple; every grid is checked before
+    any quadrature runs, and a failed target quadrature raises
+    QuadratureFailed naming f, g or h.  The row records the product
+    inequality
 
         E[e^{F_n}] E[e^{G_n}] <= E[e^{H_n}]^2
 
@@ -253,42 +262,27 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
     reweighting step).
     """
     root = math.sqrt(lam)
-    fe = (lambda x: f(root * x)) if lam != 1.0 else f
-    ge = (lambda x: g(root * x)) if lam != 1.0 else g
-    he = (lambda x: h(root * x)) if lam != 1.0 else h
-    tf = gaussian_exp_integral(fe)
-    tg = gaussian_exp_integral(ge)
-    th = gaussian_exp_integral(he)
-    rows = []
+    fns = [fn if lam == 1.0 else (lambda x, fn=fn: fn(root * x)) for fn in (f, g, h)]
+    grids = []
     for n in n_list:
         half_sqrt = math.sqrt(n) / 2
         points = [(k - n / 2) / half_sqrt for k in range(n + 1)]
+        values = [[fn(t) for t in points] for fn in fns]
+        _check_cube_hypothesis(points, *values)
+        grids.append((n, values))
+    targets = []
+    for name, fn in zip("fgh", fns):
+        try:
+            targets.append(gaussian_exp_integral(fn))
+        except QuadratureFailed as exc:
+            raise QuadratureFailed(f"target_{name}: {exc}") from None
+    rows = []
+    for n, values in grids:
         weights = binomial_weights(n)
-        fv = [fe(t) for t in points]
-        gv = [ge(t) for t in points]
-        hv = [he(t) for t in points]
-        _check_cube_hypothesis(points, fv, gv, hv)
-        ef = sum(w * math.exp(v) for w, v in zip(weights, fv))
-        eg = sum(w * math.exp(v) for w, v in zip(weights, gv))
-        eh = sum(w * math.exp(v) for w, v in zip(weights, hv))
+        ef, eg, eh = (sum(w * math.exp(v) for w, v in zip(weights, vs)) for vs in values)
         lhs, rhs = ef * eg, eh * eh
-        rows.append(
-            CltRow(
-                n=n,
-                value_f=ef,
-                value_g=eg,
-                value_h=eh,
-                lhs=lhs,
-                rhs=rhs,
-                holds=lhs <= rhs * (1 + INEQ_SLACK),
-                target_f=tf,
-                target_g=tg,
-                target_h=th,
-                rel_err_f=abs(ef - tf) / tf,
-                rel_err_g=abs(eg - tg) / tg,
-                rel_err_h=abs(eh - th) / th,
-            )
-        )
+        rel_errs = (abs(e - t) / t for e, t in zip((ef, eg, eh), targets))
+        rows.append(CltRow(n, ef, eg, eh, lhs, rhs, lhs <= rhs * (1 + INEQ_SLACK), *targets, *rel_errs))
     return rows
 
 

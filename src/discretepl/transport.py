@@ -94,11 +94,8 @@ def reference_window(mu: Pmf | LogWeights) -> range:
     return mu.window() if isinstance(mu, LogWeights) else positive_window(mu)
 
 
-@dataclass(frozen=True)
-class CostFn:
-    """Evaluable cost on Z^2; `evaluate` may return Fractions (exact) or floats."""
-
-    evaluate: Callable[[int, int], object]
+#: a cost on Z^2: any callable (x, y) -> exact Fraction or float
+Cost = Callable[[int, int], "Fraction | float"]
 
 
 def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
@@ -114,8 +111,9 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
     return log_of_fraction(ratio)
 
 
-def curvature_cost(mu: Pmf | LogWeights) -> CostFn:
-    return CostFn(lambda x, y: cost_mu(mu, x, y))
+def curvature_cost(mu: Pmf | LogWeights) -> Cost:
+    """c_mu as a cost callable; cost_mu is looked up at each call, so a rebinding of it is seen."""
+    return lambda x, y: cost_mu(mu, x, y)
 
 
 def closed_form_cost(kind: str, x: int, y: int) -> int:
@@ -196,12 +194,12 @@ class TransportPlanResult:
     dual_v: RealFn | None
 
 
-def _rational_cost_matrix(cost: CostFn, xs: Sequence[int], ys: Sequence[int]) -> list[list[Fraction]]:
+def _rational_cost_matrix(cost: Cost, xs: Sequence[int], ys: Sequence[int]) -> list[list[Fraction]]:
     rows = []
     for x in xs:
         row = []
         for y in ys:
-            value = cost.evaluate(x, y)
+            value = cost(x, y)
             if isinstance(value, float) and math.isinf(value):
                 raise InfeasibleCost(f"cost infinite at ({x},{y})")
             row.append(as_fraction(value))
@@ -271,12 +269,17 @@ def _successive_shortest_paths(a: list[Fraction], b: list[Fraction], cost: list[
     return into, pot
 
 
-def ot_cost(cost: CostFn, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
+def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
     """Exact optimal transport cost between two finitely supported measures.
+
+    `cost` is any callable (x, y) -> Fraction | float, such as
+    `curvature_cost(mu)` or a parsed cost table.  It is called once per pair
+    of support points, and, when duals are wanted, again at the pairs that
+    extend them to the window points off the supports.
 
     Float costs are rationalized to their exact binary values, so the
     returned plan and value are the exact optimum of the rationalized
-    program; `cost` is the float image of that exact value.
+    program; the result's `cost` is the float image of that exact value.
     """
     xs = nu0.support_points()
     ys = nu1.support_points()
@@ -297,10 +300,10 @@ def ot_cost(cost: CostFn, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Trans
         # u(x)+v(y) <= c(x,y) holds on the whole window product.
         for x in nu0.window():
             if x not in u:
-                u[x] = min(as_fraction(cost.evaluate(x, y)) - v[y] for y in ys)
+                u[x] = min(as_fraction(cost(x, y)) - v[y] for y in ys)
         for y in nu1.window():
             if y not in v:
-                v[y] = min(as_fraction(cost.evaluate(x, y)) - u[x] for x in nu0.window())
+                v[y] = min(as_fraction(cost(x, y)) - u[x] for x in nu0.window())
         dual_u = RealFn(nu0.offset, tuple(float(u[x]) for x in nu0.window()))
         dual_v = RealFn(nu1.offset, tuple(float(v[y]) for y in nu1.window()))
     return TransportPlanResult(float(exact), exact, plan, dual_u, dual_v)

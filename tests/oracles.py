@@ -125,7 +125,7 @@ def ot_cost_float(cost, nu0, nu1) -> float:
     xs = nu0.support_points()
     ys = nu1.support_points()
     m, n = len(xs), len(ys)
-    c = np.array([float(cost.evaluate(x, y)) for x in xs for y in ys])
+    c = np.array([float(cost(x, y)) for x in xs for y in ys])
     a_eq = np.zeros((m + n, m * n))
     for i in range(m):
         a_eq[i, i * n : (i + 1) * n] = 1.0

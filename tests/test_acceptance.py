@@ -164,7 +164,7 @@ def test_criterion_7_transport_entropy_and_exact_solver():
         nu0 = _pmf_in_window(rng, range(-8, 9), 16, 4)
         nu1 = _pmf_in_window(rng, range(-8, 9), 16, 4)
         xs, ys = nu0.support_points(), nu1.support_points()
-        matrix = [[F(float(cost.evaluate(x, y))) for y in ys] for x in xs]
+        matrix = [[F(float(cost(x, y))) for y in ys] for x in xs]
         expected = oracles.min_cost_over_vertices([nu0.mass(x) for x in xs], [nu1.mass(y) for y in ys], matrix)
         assert ot_cost(cost, nu0, nu1).cost_exact == expected
         vertex_matches += 1

@@ -80,9 +80,9 @@ def test_cubefn_wrong_count():
 
 def test_cost_table_parse():
     cost = parse_cost_table_text("0 0 0\n0 1 1/2\n1 0 1/2\n1 1 0\n")
-    assert cost.evaluate(0, 1) == F(1, 2)
+    assert cost(0, 1) == F(1, 2)
     with pytest.raises(ConfigError):
-        cost.evaluate(2, 2)
+        cost(2, 2)
 
 
 def test_emit_coupling_sorted():
@@ -476,3 +476,38 @@ def test_cli_broken_card_lemma_is_a_failed_trial(monkeypatch, capsys):
     assert doc["summary"]["failures"] == 2
     assert doc["records"][0]["values"]["max_card"] == 3
     assert doc["records"][0]["witness"].startswith("level-set invariant failed")
+
+
+_BUMP = "x*x + 25*(0.001 - fabs(x - 0.3) + fabs(0.001 - fabs(x - 0.3)))"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # E[e^{X^2/2}] is infinite
+        ({"f": "x*x/2", "g": "x*x/2", "h": "x*x/2"}, "target_f: quadrature failed (IntegrationWarning: "),
+        ({"f": "0", "g": "0", "h": _BUMP}, "target_h: quadrature failed (OverflowError: "),
+        ({"f": "-1000", "g": "-1000", "h": "0"}, "target_f: quadrature gave 0.0, outside (0, inf)"),
+    ],
+    ids=["divergent", "overflow", "underflow"],
+)
+def test_cli_limit_exp_clt_target_that_fails_exits_two(tmp_path, capsys, spec, message):
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["limit-exp", "--kind", "clt", "--spec", path, "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
+def test_cli_limit_exp_clt_nan_prints_only_its_error_line(tmp_path):
+    # every grid is checked before the quadrature, so scipy never sees the NaN and warns about nothing
+    path = _write(tmp_path, "spec.json", json.dumps({**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}))
+    env = {**os.environ, "PYTHONPATH": str(Path(discretepl.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "discretepl.cli", "limit-exp", "--kind", "clt", "--spec", path, "--n", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cube hypothesis") and proc.stderr.count("\n") == 1

@@ -17,7 +17,7 @@ from discretepl.coupling import (
     quantile,
 )
 from discretepl.displacement import m_minus, m_plus
-from discretepl.errors import SupportNotBinary
+from discretepl.errors import PreconditionViolated, SupportNotBinary
 from discretepl.measures import delta, from_weights, pmf, uniform_on
 
 F = Fraction
@@ -34,7 +34,7 @@ def test_quantile_exact_crossing():
 
 
 def test_quantile_rejects_bad_level():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated):
         quantile(delta(0), F(0))
 
 

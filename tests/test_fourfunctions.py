@@ -45,6 +45,11 @@ def test_meet_join_length_mismatch():
         meet((0, 1), (0, 1, 1))
 
 
+def test_cube_function_needs_two_to_the_n_values():
+    with pytest.raises(LengthMismatch, match="need 2\\^2 values, got 3"):
+        CubeFn(2, (F(1), F(1), F(1)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_laws_exhaustive(n):
     points = list(itertools.product((0, 1), repeat=n))
@@ -274,7 +279,7 @@ def test_monotone_functionals_propagate_the_inequality(rng):
             for phi in (PHI_ENTROPY, PHI_MEAN, PHI_QUADRATIC):
                 lhs = functional_power(phi, logs[0]) + functional_power(phi, logs[1])
                 rhs = functional_power(phi, logs[2]) + functional_power(phi, logs[3])
-                assert lhs <= rhs + 1e-9, (phi.name, lhs, rhs)
+                assert lhs <= rhs + 1e-9, (phi.__name__, lhs, rhs)
 
 
 def test_restrict_all_ones():

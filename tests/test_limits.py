@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from discretepl.errors import ConvexityWitnessFailed, HypothesisFailedOnGrid, SupportExceedsWindow
+from discretepl import limits
+from discretepl.errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
 from discretepl.fourfunctions import CubeFn, check_4ft_additive
 from discretepl.limits import (
     CLT_DEMOS,
@@ -33,7 +34,7 @@ def test_grid_points():
 
 
 def test_grid_rejects_bad_spec():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GridSpec(1.0, 0)
 
 
@@ -221,6 +222,52 @@ def test_clt_lambda_rescaling_changes_targets():
 def test_gauss_integral_oracle():
     assert gaussian_exp_integral(lambda x: x) == pytest.approx(math.exp(0.5), abs=1e-9)
     assert gaussian_exp_integral(lambda x: 0.0) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (lambda x: x * x / 2, r"IntegrationWarning: The integral is probably divergent"),
+        (lambda x: x * x, r"OverflowError"),
+        (lambda x: -1000.0, r"gave 0\.0, outside \(0, inf\)"),
+    ],
+    ids=["divergent", "overflow", "underflow"],
+)
+def test_gauss_integral_fails_instead_of_returning_a_meaningless_value(fn, message):
+    with pytest.raises(QuadratureFailed, match=message):
+        gaussian_exp_integral(fn)
+
+
+def test_clt_names_the_target_whose_quadrature_fails():
+    zero, low = (lambda x: 0.0), (lambda x: -1000.0)
+    with pytest.raises(QuadratureFailed, match=r"^target_g: quadrature gave 0\.0"):
+        clt_experiment(zero, low, zero, [8])
+
+
+def _count_quadratures(monkeypatch):
+    calls = []
+    for name in ("interval_integral", "gaussian_exp_integral"):
+        monkeypatch.setattr(limits, name, lambda *args: calls.append(args) or 1.0)
+    return calls
+
+
+def test_pl_checks_every_grid_before_any_quadrature(monkeypatch):
+    # f(0.5) = 2 is a grid point at n = 4 only, so the grid at n = 2 passes and the one at n = 4 fails
+    calls = _count_quadratures(monkeypatch)
+    one = lambda x: 1.0
+    with pytest.raises(HypothesisFailedOnGrid, match="for n=4"):
+        pl_limit_experiment(lambda x: 2.0 if x == 0.5 else 1.0, one, one, one, 1.0, [2, 4])
+    assert calls == []
+
+
+def test_clt_checks_every_grid_before_any_quadrature(monkeypatch):
+    # the bump sits on a grid point at n = 8 only, so the grid at n = 2 passes and the one at n = 8 fails
+    calls = _count_quadratures(monkeypatch)
+    t5 = (5 - 8 / 2) / (math.sqrt(8) / 2)
+    zero = lambda x: 0.0
+    with pytest.raises(ConvexityWitnessFailed, match="for n=8"):
+        clt_experiment(zero, zero, lambda x: x * x + (1.0 if x == t5 else 0.0), [2, 8])
+    assert calls == []
 
 
 def test_interval_integral_oracle():

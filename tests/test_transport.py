@@ -12,11 +12,10 @@ from discretepl.campaign import (
     random_concave_weights,
     rational_log_concave_family,
 )
-from discretepl.errors import ConstraintViolated, OutsidePositiveWindow
+from discretepl.errors import ConfigError, ConstraintViolated, OutsidePositiveWindow
 from discretepl.displacement import displacement_gap
 from discretepl.measures import SUM_SLACK, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
-    CostFn,
     closed_form_cost,
     cost_mu,
     cost_nonnegativity_check,
@@ -155,7 +154,7 @@ def test_ot_matches_vertex_enumeration(rng):
         nu0 = _pmf_in_window(rng, range(-8, 9), 16, 4)
         nu1 = _pmf_in_window(rng, range(-8, 9), 16, 4)
         xs, ys = nu0.support_points(), nu1.support_points()
-        matrix = [[F(float(cost.evaluate(x, y))) for y in ys] for x in xs]
+        matrix = [[F(float(cost(x, y))) for y in ys] for x in xs]
         expected = oracles.min_cost_over_vertices([nu0.mass(x) for x in xs], [nu1.mass(y) for y in ys], matrix)
         assert ot_cost(cost, nu0, nu1).cost_exact == expected
 
@@ -174,9 +173,9 @@ def test_ot_strong_duality_and_slackness(rng):
         assert dual_value == pytest.approx(result.cost, abs=1e-10)
         for x in nu0.window():
             for y in nu1.window():
-                assert u.value(x) + v.value(y) <= float(cost.evaluate(x, y)) + 1e-9
+                assert u.value(x) + v.value(y) <= float(cost(x, y)) + 1e-9
         for x, y, _ in result.plan.atoms:
-            assert u.value(x) + v.value(y) == pytest.approx(float(cost.evaluate(x, y)), abs=1e-9)
+            assert u.value(x) + v.value(y) == pytest.approx(float(cost(x, y)), abs=1e-9)
 
 
 def test_ot_plans_and_duals_under_tied_costs_are_pinned():
@@ -188,7 +187,7 @@ def test_ot_plans_and_duals_under_tied_costs_are_pinned():
         nu0 = from_weights(rng.randint(-3, 3), [rng.randint(1, 12) for _ in range(rng.randint(1, 8))])
         nu1 = from_weights(rng.randint(-3, 3), [rng.randint(1, 12) for _ in range(rng.randint(1, 8))])
         table = {(x, y): F(rng.randint(0, 3)) for x in nu0.window() for y in nu1.window()}
-        result = ot_cost(CostFn(lambda x, y, table=table: table[(x, y)]), nu0, nu1, want_duals=True)
+        result = ot_cost(lambda x, y, table=table: table[(x, y)], nu0, nu1, want_duals=True)
         plan = [(x, y, str(p)) for x, y, p in result.plan.atoms]
         lines.append(repr((plan, result.dual_u.values, result.dual_v.values)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -231,6 +230,14 @@ def test_transport_entropy_dirac_pair_closed_form():
     assert check.lhs == pytest.approx(closed_form_cost("geometric", a, b) * math.log(2), abs=1e-9)
     assert check.rhs == pytest.approx(-log_of_fraction(mu.mass(a)) - log_of_fraction(mu.mass(b)), abs=1e-9)
     assert check.holds
+
+
+def test_reference_families_in_campaign_order_and_unknown_name():
+    # _te_trial draws a family by index, so this order is part of every te campaign report
+    assert LOG_CONCAVE_FAMILIES == ("geometric-half", "geometric-two-thirds", "binomial", "gaussian-half", "uniform")
+    assert rational_log_concave_family("binomial", 2).masses == tuple(F(c, 16) for c in (1, 4, 6, 4, 1))
+    with pytest.raises(ConfigError, match="unknown family 'poisson'"):
+        rational_log_concave_family("poisson", 2)
 
 
 def test_transport_entropy_random_campaign(rng):
@@ -324,13 +331,13 @@ def test_dual_product_from_ot_duals(rng):
             try:
                 u_vals.append(result.dual_u.value(x))
             except KeyError:
-                u_vals.append(min(float(cost.evaluate(x, y)) - result.dual_v.value(y) for y in result.dual_v.window()))
+                u_vals.append(min(float(cost(x, y)) - result.dual_v.value(y) for y in result.dual_v.window()))
         u = RealFn(window.start, tuple(u_vals))
         for y in window:
             try:
                 v_vals.append(result.dual_v.value(y))
             except KeyError:
-                v_vals.append(min(float(cost.evaluate(x, y)) - u.value(x) for x in window))
+                v_vals.append(min(float(cost(x, y)) - u.value(x) for x in window))
         v = RealFn(window.start, tuple(v_vals))
         assert dual_product_check(mu, u, v) <= 1 + 1e-10
 
