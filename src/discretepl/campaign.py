@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .coupling import binary_lattice_couplings, check_marginals, monotone_coupling
 from .displacement import displacement_gap, level_sets, midpoint_measures, pair_ratio_sum
@@ -72,25 +73,11 @@ class CampaignReport:
         return len(self.records) - self.passes
 
     def to_json(self) -> str:
+        # the dataclass field names are the JSON keys; sort_keys fixes their order
         payload = {
-            "config": {
-                "seed": self.config.seed,
-                "trials": self.config.trials,
-                "support_width": self.config.support_width,
-                "mass_resolution": self.config.mass_resolution,
-                "check": self.config.check,
-            },
+            "config": vars(self.config),
             "summary": {"passes": self.passes, "failures": self.failures, "extremes": self.extremes},
-            "records": [
-                {
-                    "index": r.index,
-                    "digest": r.digest,
-                    "passed": r.passed,
-                    "values": r.values,
-                    "witness": r.witness,
-                }
-                for r in self.records
-            ],
+            "records": [vars(r) for r in self.records],
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -130,10 +117,7 @@ def random_concave_weights(rng: random.Random, max_width: int) -> LogWeights:
     width = rng.randint(2, max_width)
     offset = rng.randint(-max_width, max_width // 2)
     slopes = sorted((rng.randint(-4, 4) for _ in range(width - 1)), reverse=True)
-    values = [0]
-    for s in slopes:
-        values.append(values[-1] + s)
-    return LogWeights(offset, tuple(Fraction(v) for v in values))
+    return LogWeights(offset, tuple(map(Fraction, accumulate(slopes, initial=0))))
 
 
 #: log-concave reference families, in the order te trials draw them by index:
@@ -156,113 +140,74 @@ def rational_log_concave_family(name: str, half_width: int) -> Pmf:
     return from_weights(-half_width, [weight(x, half_width) for x in range(-half_width, half_width + 1)])
 
 
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]
-
-
 def _pmf_in_window(rng: random.Random, window: range, resolution: int, max_width: int) -> Pmf:
     width = rng.randint(1, min(max_width, len(window)))
     start = rng.randint(window.start, window.stop - width)
     return from_weights(start, [rng.randint(1, resolution) for _ in range(width)])
 
 
-def _leq1_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _leq1_trial(rng: random.Random, cfg: CampaignConfig):
     nu0 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     nu1 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     pair = midpoint_measures(nu0, nu1)
     total = pair_ratio_sum(pair)
     passed = total <= 1
-    return TrialRecord(
-        index=index,
-        digest=_digest(str(nu0), str(nu1)),
-        passed=passed,
-        values={"P": str(total), "atoms": len(pair.pi.atoms)},
-        witness=None if passed else f"P={total}>1 for nu0={nu0} nu1={nu1}",
-    )
+    witness = None if passed else f"P={total}>1 for nu0={nu0} nu1={nu1}"
+    return (nu0, nu1), passed, {"P": str(total), "atoms": len(pair.pi.atoms)}, witness
 
 
-def _displacement_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _displacement_trial(rng: random.Random, cfg: CampaignConfig):
     nu0 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     nu1 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     report = displacement_gap(nu0, nu1)
-    passed = report.holds
-    return TrialRecord(
-        index=index,
-        digest=_digest(str(nu0), str(nu1)),
-        passed=passed,
-        values={"gap": report.gap, "P": str(report.ratio_sum)},
-        witness=None if passed else f"gap={report.gap} P={report.ratio_sum} for nu0={nu0} nu1={nu1}",
-    )
+    witness = None if report.holds else f"gap={report.gap} P={report.ratio_sum} for nu0={nu0} nu1={nu1}"
+    return (nu0, nu1), report.holds, {"gap": report.gap, "P": str(report.ratio_sum)}, witness
 
 
-def _card_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _card_trial(rng: random.Random, cfg: CampaignConfig):
     nu0 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     nu1 = random_pmf(rng, cfg.support_width, cfg.mass_resolution)
     pi = monotone_coupling(nu0, nu1)
     sets = level_sets(pi)
-    sizes = [len(ls.pairs) for ls in sets]
     passed = all(ls.card_holds for ls in sets) and check_marginals(pi)
-    return TrialRecord(
-        index=index,
-        digest=_digest(str(nu0), str(nu1)),
-        passed=passed,
-        values={"max_card": max(sizes), "levels": len(sizes)},
-        witness=None if passed else f"level-set invariant failed for nu0={nu0} nu1={nu1}",
-    )
+    witness = None if passed else f"level-set invariant failed for nu0={nu0} nu1={nu1}"
+    return (nu0, nu1), passed, {"max_card": max(len(ls.pairs) for ls in sets), "levels": len(sets)}, witness
 
 
-def _fourfn_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _fourfn_trial(rng: random.Random, cfg: CampaignConfig):
     n = rng.randint(1, 4)
     quad = random_hypothesis_quadruple(rng, n, cfg.mass_resolution)
     hyp = check_4ft_hypothesis(*quad)
     lhs, rhs, holds = check_4ft_conclusion(*quad)
     passed = hyp.ok and holds
-    return TrialRecord(
-        index=index,
-        digest=_digest(*(str(q.values) for q in quad)),
-        passed=passed,
-        values={"n": n, "lhs": str(lhs), "rhs": str(rhs)},
-        witness=None if passed else f"conclusion {lhs} > {rhs}",
-    )
+    witness = None if passed else f"conclusion {lhs} > {rhs}"
+    return tuple(q.values for q in quad), passed, {"n": n, "lhs": str(lhs), "rhs": str(rhs)}, witness
 
 
-def _transport_lemma_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _positive(*atoms):
+    return tuple(atom for atom in atoms if atom[2])
+
+
+def _transport_lemma_trial(rng: random.Random, cfg: CampaignConfig):
     nu1 = random_binary_pmf(rng, cfg.mass_resolution)
     nu2 = random_binary_pmf(rng, cfg.mass_resolution)
     pi, pi_tilde = binary_lattice_couplings(nu1, nu2)
-    a0, b0 = nu1.mass(0), nu2.mass(0)
-    if b0 <= a0:
-        formulas_ok = (
-            pi.mass(0, 0) == b0
-            and pi.mass(1, 0) == 0
-            and pi.mass(0, 1) == a0 - b0
-            and pi.mass(1, 1) == nu1.mass(1)
-            and pi_tilde.atoms == pi.atoms
-            and pi_tilde.marginal0 == nu1
-            and pi_tilde.marginal1 == nu2
-        )
-    else:
-        formulas_ok = (
-            pi.mass(0, 0) == a0
-            and pi.mass(1, 1) == nu2.mass(1)
-            and pi.mass(0, 1) == 0
-            and pi.mass(1, 0) == b0 - a0
-            and pi_tilde.mass(0, 1) == b0 - a0
-            and pi_tilde.mass(1, 0) == 0
-            and pi_tilde.marginal0 == nu2
-            and pi_tilde.marginal1 == nu1
-        )
-    passed = formulas_ok and pi.marginal0 == nu1 and pi.marginal1 == nu2
-    return TrialRecord(
-        index=index,
-        digest=_digest(str(nu1), str(nu2)),
-        passed=passed,
-        values={"case": "i" if b0 <= a0 else "ii"},
-        witness=None if passed else f"coupling masses off for nu1={nu1} nu2={nu2}",
-    )
+    (a0, a1), (b0, b1) = (nu1.mass(0), nu1.mass(1)), (nu2.mass(0), nu2.mass(1))
+    case_i = b0 <= a0
+    if case_i:  # S#pi = pi couples (nu1, nu2)
+        lemma_pi = lemma_tilde = _positive((0, 0, b0), (0, 1, a0 - b0), (1, 1, a1))
+        tilde_marginals = (nu1, nu2)
+    else:  # S#pi moves pi(1,0) to (0,1) and couples (nu2, nu1)
+        lemma_pi = _positive((0, 0, a0), (1, 0, b0 - a0), (1, 1, b1))
+        lemma_tilde = _positive((0, 0, a0), (0, 1, b0 - a0), (1, 1, b1))
+        tilde_marginals = (nu2, nu1)
+    found = (pi.atoms, pi_tilde.atoms, pi.marginal0, pi.marginal1, pi_tilde.marginal0, pi_tilde.marginal1)
+    passed = found == (lemma_pi, lemma_tilde, nu1, nu2, *tilde_marginals)
+    witness = None if passed else f"coupling masses off for nu1={nu1} nu2={nu2}"
+    return (nu1, nu2), passed, {"case": "i" if case_i else "ii"}, witness
 
 
-def _te_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecord:
+def _te_trial(rng: random.Random, cfg: CampaignConfig):
     family = LOG_CONCAVE_FAMILIES[rng.randrange(len(LOG_CONCAVE_FAMILIES))]
     half_width = min(12, cfg.support_width)
     mu = rational_log_concave_family(family, half_width)
@@ -270,15 +215,12 @@ def _te_trial(rng: random.Random, cfg: CampaignConfig, index: int) -> TrialRecor
     nu0 = _pmf_in_window(rng, window, cfg.mass_resolution, 12)
     nu1 = _pmf_in_window(rng, window, cfg.mass_resolution, 12)
     check = transport_entropy_check(mu, nu0, nu1)
-    return TrialRecord(
-        index=index,
-        digest=_digest(family, str(nu0), str(nu1)),
-        passed=check.holds,
-        values={"family": family, "lhs": check.lhs, "rhs": check.rhs},
-        witness=None if check.holds else f"T={check.lhs} > H+H={check.rhs} under {family}",
-    )
+    witness = None if check.holds else f"T={check.lhs} > H+H={check.rhs} under {family}"
+    return (family, nu0, nu1), check.holds, {"family": family, "lhs": check.lhs, "rhs": check.rhs}, witness
 
 
+#: check -> trial (rng, config) -> (inputs, passed, values, witness); the record
+#: digest hashes the str() of each input, and the witness is None on a pass
 _TRIALS = {
     "leq1": _leq1_trial,
     "displacement": _displacement_trial,
@@ -294,16 +236,15 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     report = CampaignReport(cfg)
     runner = _TRIALS[cfg.check]
     for index in range(cfg.trials):
-        record = runner(trial_rng(cfg.seed, index), cfg, index)
-        report.records.append(record)
+        inputs, passed, values, witness = runner(trial_rng(cfg.seed, index), cfg)
+        digest = hashlib.sha256("|".join(map(str, inputs)).encode()).hexdigest()[:12]
+        report.records.append(TrialRecord(index, digest, passed, values, witness))
     _summarize(report)
     return report
 
 
 def _summarize(report: CampaignReport) -> None:
     records = report.records
-    if not records:
-        return
     check = report.config.check
     if check in ("leq1", "displacement"):
         max_p = max(records, key=lambda r: Fraction(r.values["P"]))

@@ -6,7 +6,8 @@ failed (an implementation-bug signal, since the inequalities are theorems)
 or a user-supplied instance violates a hypothesis, 2 usage or parse errors,
 including a numeric option outside its bounds (0 <= --K <= 100000;
 1 <= --trials <= 1000000; --width, --resolution >= 1; 1 <= --n <= 16384;
---lambda > 0; 1 <= --support-width <= 20000) and a clt target whose
+--lambda > 0; 1 <= --support-width <= 20000), more than 2500 support
+pairs in one exact transport solve, and a pl or clt target whose
 quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when standard
 output was closed early by its reader.
 `--json` switches to machine output everywhere.
@@ -22,7 +23,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import io as formats
@@ -334,13 +334,7 @@ def _limit_inputs(args):
 
 
 def _rows_out(rows, args) -> None:
-    dicts = []
-    for row in rows:
-        d = asdict(row)
-        for key, value in d.items():
-            if isinstance(value, Fraction):
-                d[key] = str(value)
-        dicts.append(d)
+    dicts = [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()} for row in rows]
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(dicts[0].keys()))
@@ -370,13 +364,7 @@ def _cmd_limit_exp(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    cfg = CampaignConfig(
-        seed=args.seed,
-        trials=args.trials,
-        support_width=args.support_width,
-        mass_resolution=args.resolution,
-        check=args.check,
-    )
+    cfg = CampaignConfig(args.seed, args.trials, args.support_width, args.resolution, args.check)
     report = run_campaign(cfg)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

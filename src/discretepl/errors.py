@@ -67,7 +67,7 @@ class SupportExceedsWindow(DiscretePLError):
 
 
 class QuadratureFailed(DiscretePLError):
-    """A continuous target's quadrature warned, overflowed or left (0, inf)."""
+    """A continuous target's quadrature warned, overflowed, was not finite, or (clt) left (0, inf)."""
 
 
 class ParseError(DiscretePLError):

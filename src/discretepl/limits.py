@@ -113,11 +113,34 @@ class PlRow:
     holds: bool
 
 
-def interval_integral(fn: FloatFn, a: float, b: float) -> float:
-    """Adaptive quadrature at EQ_TOL target accuracy (target oracle)."""
-    from scipy.integrate import quad
+def _targets(names: str, fns: Sequence[FloatFn], integral: Callable[..., float], *bounds: float) -> list[float]:
+    """integral(fn, *bounds) for each fn; a QuadratureFailed names the target it came from."""
+    targets = []
+    for name, fn in zip(names, fns):
+        try:
+            targets.append(integral(fn, *bounds))
+        except QuadratureFailed as exc:
+            raise QuadratureFailed(f"target_{name}: {exc}") from None
+    return targets
 
-    value, _ = quad(fn, a, b, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500)
+
+def interval_integral(fn: FloatFn, a: float, b: float) -> float:
+    """Adaptive quadrature at EQ_TOL target accuracy (the target oracle).
+
+    Raises QuadratureFailed when the quadrature warns (a divergent or slowly
+    converging integral, round-off), when the integrand overflows, or when
+    the value is not finite.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            value, _ = quad(fn, a, b, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500)
+        except (IntegrationWarning, OverflowError) as exc:
+            raise QuadratureFailed(f"quadrature failed ({type(exc).__name__}: {exc})") from None
+    if not math.isfinite(value):
+        raise QuadratureFailed(f"quadrature gave {value}")
     return value
 
 
@@ -126,7 +149,8 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
 
     For each n, the discretized quadruple must satisfy the line hypothesis
     at every pair of grid points (a failure raises HypothesisFailedOnGrid);
-    every grid is checked before any quadrature runs.  The row records
+    every grid is checked before any quadrature runs, and a failed target
+    quadrature raises QuadratureFailed naming F, G, H or K.  The row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 
@@ -142,8 +166,8 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         scale = grid.step() ** 2
         sums.append((n, scale * sum(f.values) * sum(g.values), scale * sum(h.values) * sum(k.values)))
-    num = interval_integral(F, -half_width, half_width) * interval_integral(G, -half_width, half_width)
-    den = interval_integral(H, -half_width, half_width) * interval_integral(K, -half_width, half_width)
+    int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)
+    num, den = int_f * int_g, int_h * int_k
     target = num / den if den > 0 else math.nan
     rows = []
     for n, lhs, rhs in sums:
@@ -171,24 +195,13 @@ class CltRow:
 
 
 def gaussian_exp_integral(fn: FloatFn) -> float:
-    """int e^{fn(x)} dgamma(x) for the standard Gaussian, by quadrature.
+    """int e^{fn(x)} dgamma(x) for the standard Gaussian, by `interval_integral`.
 
-    Raises QuadratureFailed when the quadrature warns (a divergent or slowly
-    converging integral, round-off), when the integrand overflows, or when
-    the value is not in (0, inf), as when it underflows to 0.0.
+    Besides the failures of `interval_integral`, raises QuadratureFailed
+    when the value is not in (0, inf), as when it underflows to 0.0.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, _ = quad(
-                lambda x: math.exp(fn(x) - x * x / 2), -math.inf, math.inf, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500
-            )
-        except (IntegrationWarning, OverflowError) as exc:
-            raise QuadratureFailed(f"quadrature failed ({type(exc).__name__}: {exc})") from None
-    value /= math.sqrt(2 * math.pi)
-    if not 0 < value < math.inf:  # false for NaN too
+    value = interval_integral(lambda x: math.exp(fn(x) - x * x / 2), -math.inf, math.inf) / math.sqrt(2 * math.pi)
+    if not 0 < value < math.inf:
         raise QuadratureFailed(f"quadrature gave {value}, outside (0, inf)")
     return value
 
@@ -212,6 +225,14 @@ def binomial_weights(n: int) -> list[float]:
         shift = max(0, bits - 55)
         weights.append(math.ldexp(c >> shift, shift - n))
     return weights
+
+
+def _weighted_exp(w: float, v: float) -> float:
+    """w e^v, also where e^v alone overflows: then e^(v + log w), or 0.0 for w = 0.0."""
+    try:
+        return w * math.exp(v)
+    except OverflowError:
+        return math.exp(v + math.log(w)) if w else 0.0
 
 
 def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Sequence[float], hv: Sequence[float]):
@@ -270,16 +291,11 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
         values = [[fn(t) for t in points] for fn in fns]
         _check_cube_hypothesis(points, *values)
         grids.append((n, values))
-    targets = []
-    for name, fn in zip("fgh", fns):
-        try:
-            targets.append(gaussian_exp_integral(fn))
-        except QuadratureFailed as exc:
-            raise QuadratureFailed(f"target_{name}: {exc}") from None
+    targets = _targets("fgh", fns, gaussian_exp_integral)
     rows = []
     for n, values in grids:
         weights = binomial_weights(n)
-        ef, eg, eh = (sum(w * math.exp(v) for w, v in zip(weights, vs)) for vs in values)
+        ef, eg, eh = (sum(map(_weighted_exp, weights, vs)) for vs in values)
         lhs, rhs = ef * eg, eh * eh
         rel_errs = (abs(e - t) / t for e, t in zip((ef, eg, eh), targets))
         rows.append(CltRow(n, ef, eg, eh, lhs, rhs, lhs <= rhs * (1 + INEQ_SLACK), *targets, *rel_errs))

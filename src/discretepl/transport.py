@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from .coupling import Coupling, monotone_coupling
 from .displacement import m_minus, m_plus
-from .errors import InfeasibleCost, ConstraintViolated, OutsidePositiveWindow
+from .errors import ConfigError, InfeasibleCost, ConstraintViolated, OutsidePositiveWindow
 from .measures import (
     INEQ_SLACK,
     SUM_SLACK,
@@ -185,6 +185,10 @@ def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
     )
 
 
+#: one exact solve on 50 x 50 support points takes 1.7-3.6 s, growing about cubically (Python 3.11, 2 cores)
+MAX_OT_CELLS = 2_500
+
+
 @dataclass(frozen=True)
 class TransportPlanResult:
     cost: float
@@ -280,9 +284,13 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
     Float costs are rationalized to their exact binary values, so the
     returned plan and value are the exact optimum of the rationalized
     program; the result's `cost` is the float image of that exact value.
+    More than MAX_OT_CELLS support pairs raise ConfigError before any cost
+    is evaluated.
     """
     xs = nu0.support_points()
     ys = nu1.support_points()
+    if len(xs) * len(ys) > MAX_OT_CELLS:
+        raise ConfigError(f"{len(xs)} x {len(ys)} support points exceed the {MAX_OT_CELLS} pairs of one exact solve")
     a = [nu0.mass(x) for x in xs]
     b = [nu1.mass(y) for y in ys]
     rc = _rational_cost_matrix(cost, xs, ys)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import discretepl
-from discretepl import campaign, cli, displacement
+from discretepl import campaign, cli, displacement, transport
 from discretepl.campaign import CampaignConfig, run_campaign
 from discretepl.cli import main
 from discretepl.errors import ConfigError, ParseError
@@ -22,7 +23,7 @@ from discretepl.io import (
     parse_cubefn_text,
     parse_pmf_text,
 )
-from discretepl.coupling import coupling_from_atoms, monotone_coupling
+from discretepl.coupling import binary_lattice_couplings, coupling_from_atoms, monotone_coupling
 from discretepl.measures import pmf, uniform_on
 
 F = Fraction
@@ -511,3 +512,49 @@ def test_cli_limit_exp_clt_nan_prints_only_its_error_line(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cube hypothesis") and proc.stderr.count("\n") == 1
+
+
+def test_cli_lemma_couplings_of_the_swapped_pair_fail_every_trial(monkeypatch, capsys):
+    # a planted fault: the couplings of (nu2, nu1) instead of (nu1, nu2)
+    monkeypatch.setattr(campaign, "binary_lattice_couplings", lambda nu1, nu2: binary_lattice_couplings(nu2, nu1))
+    assert main(["campaign", "--check", "transport-lemma", "--trials", "3", "--json"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == 3
+    assert all(not r["passed"] and r["witness"].startswith("coupling masses off for nu1=") for r in records)
+
+
+@pytest.mark.parametrize(
+    "expr, n_list",
+    [
+        # E[e^{X^2/4}] = sqrt 2; f(t_0) = 1024 at n = 4096, where e^1024 alone overflows
+        ("x*x/4", "64,4096"),
+        # E[e^{0.49 X^2}] = 1/sqrt(0.02); e^v overflows where the binomial weight is still subnormal
+        ("0.49*x*x", "16384"),
+    ],
+    ids=["quarter", "near-divergent"],
+)
+def test_cli_limit_exp_clt_grid_value_beyond_exp_range_exits_zero(tmp_path, capsys, expr, n_list):
+    path = _write(tmp_path, "spec.json", json.dumps({"f": expr, "g": expr, "h": expr}))
+    assert main(["limit-exp", "--kind", "clt", "--spec", path, "--n", n_list, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert all(row["holds"] and math.isfinite(row["value_f"]) for row in rows)
+    assert rows[-1]["rel_err_f"] < 0.05
+
+
+def test_cli_limit_exp_pl_target_that_fails_exits_two(tmp_path, capsys):
+    # the quadrature of an oscillating H warns instead of returning a meaningless value
+    wild = "sin(1/(x+1e-9))+2"
+    path = _write(tmp_path, "spec.json", json.dumps({"F": "0", "G": "0", "H": wild, "K": wild}))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: target_H: quadrature failed (IntegrationWarning: ") and captured.out == ""
+
+
+def test_cli_transport_cost_beyond_the_cell_bound_exits_two_without_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(transport, "_successive_shortest_paths", lambda *args: calls.append(args))
+    nu0 = _write(tmp_path, "nu0.txt", "0; " + " ".join(["1/51"] * 51) + "\n")
+    nu1 = _write(tmp_path, "nu1.txt", "0; " + " ".join(["1/50"] * 50) + "\n")
+    assert main(["transport-cost", "--mu-kind", "geometric", "--K", "60", "--nu0", nu0, "--nu1", nu1]) == 2
+    assert "51 x 50 support points exceed the 2500 pairs" in capsys.readouterr().err
+    assert calls == []

@@ -244,6 +244,26 @@ def test_clt_names_the_target_whose_quadrature_fails():
         clt_experiment(zero, low, zero, [8])
 
 
+def test_pl_names_the_target_whose_quadrature_fails():
+    zero, wild = (lambda x: 0.0), (lambda x: math.sin(1 / (x + 1e-9)) + 2)
+    with pytest.raises(QuadratureFailed, match=r"^target_H: quadrature failed \(IntegrationWarning: "):
+        pl_limit_experiment(zero, zero, wild, wild, 6.0, [8])
+
+
+def test_interval_integral_fails_on_an_overflowing_integrand():
+    with pytest.raises(QuadratureFailed, match="OverflowError"):
+        interval_integral(lambda x: math.exp(1000 * x), 0.0, 1.0)
+
+
+def test_clt_expectation_survives_grid_values_beyond_the_exp_range():
+    # f(t_0) = 1024 at n = 4096: e^1024 overflows, its binomial weight underflows to 0.0
+    quarter = lambda x: x * x / 4
+    rows = clt_experiment(quarter, quarter, quarter, [64, 4096])
+    assert rows[-1].value_f == pytest.approx(math.sqrt(2), rel=1e-3)
+    assert limits._weighted_exp(0.0, 1000.0) == 0.0
+    assert limits._weighted_exp(2.0**-1070, 800.0) == pytest.approx(math.exp(800.0 - 1070 * math.log(2)))
+
+
 def _count_quadratures(monkeypatch):
     calls = []
     for name in ("interval_integral", "gaussian_exp_integral"):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from discretepl import transport
 from discretepl.campaign import (
     LOG_CONCAVE_FAMILIES,
     _pmf_in_window,
@@ -358,3 +359,23 @@ def test_pmf_and_logweight_costs_agree():
     for x in range(-8, 9):
         for y in range(-8, 9):
             assert cost_mu(mu, x, y) == pytest.approx(float(cost_mu(gw, x, y)) * math.log(2), abs=1e-9)
+
+
+class _Solved(Exception):
+    pass
+
+
+def test_ot_cost_bounds_the_support_pairs_before_any_cost(monkeypatch):
+    def solve(*args):
+        raise _Solved
+
+    monkeypatch.setattr(transport, "_successive_shortest_paths", solve)
+    evaluated = []
+    cost = lambda x, y: evaluated.append((x, y)) or F(0)
+    with pytest.raises(_Solved):  # 50 x 50 = MAX_OT_CELLS pairs reach the solver
+        ot_cost(cost, uniform_on(range(50)), uniform_on(range(50)))
+    evaluated.clear()
+    for side0, side1 in ((51, 50), (1, 2501)):
+        with pytest.raises(ConfigError, match=f"{side0} x {side1} support points exceed"):
+            ot_cost(cost, uniform_on(range(side0)), uniform_on(range(side1)))
+    assert evaluated == []
