@@ -2,10 +2,12 @@
 
 The multiplicative four-functions hypothesis f(x)g(y) <= h(x^y)k(xvy) and
 its conclusion (sum f)(sum g) <= (sum h)(sum k) are checked exactly when the
-values are rational.  The additive form works on exponents: its hypothesis
-runs the same pair sweep on sums, exact when every value is rational, and
-its conclusion compares log-sum-exps, so no value is ever exponentiated out
-of range.
+values are rational; the hypothesis sweep then runs on ints, each function
+scaled to the common integer unit of its values (`measures.to_common_unit`),
+unless a unit is longer than MAX_UNIT_BITS.
+The additive form works on exponents: its hypothesis runs the same pair
+sweep on sums, exact when every value is rational, and its conclusion
+compares log-sum-exps, so no value is ever exponentiated out of range.
 
 Cube functions are stored as length-2^n vectors; bit i of the index is
 coordinate i, so meet/join of index vectors are bitwise AND/OR and slicing
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from .limits import grid_hypothesis_witness
-from .measures import APPROX_TOL, RealFn, logsumexp
+from .measures import APPROX_TOL, RealFn, logsumexp, to_common_unit
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class CubeFn:
 
 
 def bits_of(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> i) & 1 for i in range(n))
+    return tuple([(index >> i) & 1 for i in range(n)])
 
 
 def meet(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -73,29 +75,53 @@ class HypothesisCheck:
     witness: tuple | None  # (x_bits, y_bits, lhs, rhs) of the first failing pair
 
 
-def _first_violation(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn, combine) -> tuple | None:
-    """(x_bits, y_bits, lhs, rhs) of the first pair with combine(f(x), g(y)) > combine(h(x^y), k(xvy))."""
-    n = f.n
+def _first_violation(n: int, swept, reported, combine) -> tuple | None:
+    """(x_bits, y_bits, lhs, rhs) of the first pair with combine(f(x), g(y)) > combine(h(x^y), k(xvy)).
+
+    The pairs are swept on the value vectors `swept` = (f, g, h, k); lhs and
+    rhs of the failing pair are recomputed from `reported`, the same four
+    functions in the values the caller reports.
+    """
+    f, g, h, k = swept
     size = 2**n
     for x in range(size):
         for y in range(size):
-            lhs = combine(f.values[x], g.values[y])
-            rhs = combine(h.values[x & y], k.values[x | y])
-            if lhs > rhs:
-                return bits_of(x, n), bits_of(y, n), lhs, rhs
+            if combine(f[x], g[y]) > combine(h[x & y], k[x | y]):
+                f, g, h, k = reported
+                return bits_of(x, n), bits_of(y, n), combine(f[x], g[y]), combine(h[x & y], k[x | y])
     return None
+
+
+#: the int sweep's products carry the four units: per pair it is 2.5x faster than the Fraction
+#: products with 300-bit units, and 2.8x slower with 1200-bit ones (dim 8, Python 3.11)
+MAX_UNIT_BITS = 256
 
 
 def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> HypothesisCheck:
     """Exhaustive check of f(x)g(y) <= h(x^y)k(xvy) over all 4^n pairs.
 
-    Exact for rational values.  Values must be non-negative.
+    Exact for rational values: each function is scaled to integers in its
+    own common unit, f's integers are multiplied by the units of h and k and
+    h's by those of f and g, so the sweep compares int products.  A unit of
+    more than MAX_UNIT_BITS bits (many distinct large denominators) would
+    make every product larger than the Fraction products it replaces, so
+    such a quadruple is swept on its own values.  So is a quadruple holding
+    any float, as floats compare; exact scaling could flip a float
+    near-tie.  The witness products are in the given values.  Values must
+    be non-negative.
     """
-    _same_dimension(f, g, h, k)
-    for fn in (f, g, h, k):
-        if any(v < 0 for v in fn.values):
+    n = _same_dimension(f, g, h, k)
+    values = [fn.values for fn in (f, g, h, k)]
+    for vs in values:
+        if any(v < 0 for v in vs):
             raise NegativeMass("multiplicative form needs non-negative values")
-    witness = _first_violation(f, g, h, k, operator.mul)
+    swept = values
+    if not any(isinstance(v, float) for vs in values for v in vs):
+        units = [to_common_unit(vs, MAX_UNIT_BITS) for vs in values]
+        if all(units):
+            (fi, sf), (gi, sg), (hi, sh), (ki, sk) = units
+            swept = [[v * sh * sk for v in fi], gi, [v * sf * sg for v in hi], ki]
+    witness = _first_violation(n, swept, values, operator.mul)
     return HypothesisCheck(witness is None, witness)
 
 
@@ -137,9 +163,10 @@ def check_4ft_additive(h1: CubeFn, h2: CubeFn, h3: CubeFn, h4: CubeFn) -> Additi
         finite = False
     if not finite:
         raise PreconditionViolated("additive 4FT values must be finite")
-    if any(isinstance(v, float) for h in fns for v in h.values):
-        fns = tuple(CubeFn(n, tuple(map(float, h.values))) for h in fns)
-    witness = _first_violation(*fns, operator.add)
+    values = [h.values for h in fns]
+    if any(isinstance(v, float) for vs in values for v in vs):
+        values = [list(map(float, vs)) for vs in values]
+    witness = _first_violation(n, values, values, operator.add)
     if witness is not None:
         witness = (*witness[:2], float(witness[2]), float(witness[3]))
     lhs_log = logsumexp(h1.values) + logsumexp(h2.values)

@@ -41,6 +41,23 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int] | None:
+    """(ints, scale) with values[i] == ints[i] / scale exactly; scale is the lcm of the denominators.
+
+    Ints and Fractions are used as they are, floats at their exact binary
+    value.  With `max_bits`, a scale longer than that many bits gives None
+    before any value is scaled.  The lcm's arguments come from a list, not
+    a generator: a tuple built from a generator is allocated at one size
+    and freed at another, which strands a small tuple on CPython's free
+    lists on every call.
+    """
+    qs = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
+    scale = math.lcm(*[q.denominator for q in qs])
+    if max_bits is not None and scale.bit_length() > max_bits:
+        return None
+    return [q.numerator * (scale // q.denominator) for q in qs], scale
+
+
 def log_of_fraction(q: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators/denominators."""
     if q <= 0:

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -19,3 +21,25 @@ def pmf_strategy(draw, max_width=10, resolution=24, max_offset=10):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+#: the block-growth guards read CPython's allocator and free lists
+cpython_only = pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython allocator statistics")
+
+
+def allocated_block_growth(call, times: int) -> int:
+    """Growth of sys.getallocatedblocks() over `times` calls, with the cyclic collector off.
+
+    A full collection empties CPython's free lists, so with it off the small
+    tuples a call strands there show as growth instead of being reclaimed.
+    """
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(times):
+            call()
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()

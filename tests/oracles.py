@@ -224,3 +224,25 @@ def meet_join_coupling_feasible(nu1_masses, nu2_masses, swap_targets: bool) -> b
         rows.append(row)
         rhs.append(Fraction(target1[z]))
     return lp_feasible(rows, rhs)
+
+
+def four_functions_witness(f, g, h, k):
+    """First pair violating f(x)g(y) <= h(x^y)k(xvy) on {0,1}^n, by exact Fraction comparison.
+
+    The value lists are indexed by sum(x_i 2^i).  Pairs are visited with x
+    outer and y inner, both in that index order.  Returns (x, y, f(x)g(y),
+    h(x^y)k(xvy)) with the products formed in the given values, or None.
+    """
+    n = len(f).bit_length() - 1
+
+    def index(bits):
+        return sum(b << i for i, b in enumerate(bits))
+
+    cube = sorted(itertools.product((0, 1), repeat=n), key=index)
+    for x in cube:
+        for y in cube:
+            lhs = f[index(x)] * g[index(y)]
+            rhs = h[index(tuple(map(min, x, y)))] * k[index(tuple(map(max, x, y)))]
+            if Fraction(lhs) > Fraction(rhs):
+                return x, y, lhs, rhs
+    return None

@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from conftest import allocated_block_growth, cpython_only
+from discretepl import fourfunctions
 from discretepl.errors import DimensionMismatch, LengthMismatch, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
     PHI_MEAN,
     PHI_QUADRATIC,
+    MAX_UNIT_BITS,
     CubeFn,
+    HypothesisCheck,
     bits_of,
     check_4ft_additive,
     check_4ft_conclusion,
@@ -76,6 +81,78 @@ def test_hypothesis_witness():
     res = check_4ft_hypothesis(f, f, h, h)
     assert not res.ok
     assert res.witness == ((0,), (0,), F(4), F(1))
+
+
+def test_integer_sweep_matches_a_brute_force_fraction_sweep(rng):
+    outcomes = []
+    for trial in range(300):
+        n = 1 + trial % 5
+        size = 2**n
+        f, g, h, k = ([F(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(size)] for _ in range(4))
+        stratum = trial // 5 % 4
+        if stratum == 1:  # h, k above every product: the hypothesis holds
+            top = max(f + g)
+            h, k = [top + v for v in h], [top + v for v in k]
+        elif stratum == 2:  # the generator's quadruple, tight on the diagonal, with one f value raised a hair
+            f, g, h, k = (list(q.values) for q in random_hypothesis_quadruple(rng, n, 12))
+            f[rng.randrange(size)] += F(1, 10**12)
+        elif stratum == 3:  # int f and h: int products must stay ints
+            f, h = [rng.randint(0, 6) for _ in range(size)], [rng.randint(0, 6) for _ in range(size)]
+        expected = oracles.four_functions_witness(f, g, h, k)
+        result = check_4ft_hypothesis(*(CubeFn(n, tuple(v)) for v in (f, g, h, k)))
+        assert result == HypothesisCheck(expected is None, expected)
+        if expected is not None:
+            assert [type(v) for v in result.witness] == [type(v) for v in expected]
+        outcomes.append(result.ok)
+    assert 60 <= outcomes.count(True) <= 240
+
+
+def test_quadruples_with_long_units_are_swept_in_fractions(monkeypatch, rng):
+    swept = []
+    sweep = fourfunctions._first_violation
+    monkeypatch.setattr(fourfunctions, "_first_violation", lambda *args: swept.append(args[1]) or sweep(*args))
+    # 32 distinct 17-bit prime denominators per function give units of over 500 bits
+    primes = [p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))]
+    for denominators, in_ints in (([rng.randint(1, 12) for _ in range(128)], True), (rng.sample(primes, 128), False)):
+        f, g, h, k = ([F(rng.randint(0, 2 * q), q) for q in denominators[i::4]] for i in range(4))
+        h, k = [4 + v for v in h], [4 + v for v in k]  # the hypothesis holds: every pair is swept
+        for quad in ((f, g, h, k), ([f[0] * 20] + f[1:], g, h, k)):
+            fns = [CubeFn(5, tuple(v)) for v in quad]
+            expected = oracles.four_functions_witness(*quad)
+            assert check_4ft_hypothesis(*fns) == HypothesisCheck(expected is None, expected)
+            assert (expected is None) == (quad[0] is f)
+            units = [math.lcm(*[v.denominator for v in vs]).bit_length() for vs in quad]
+            assert (max(units) <= MAX_UNIT_BITS) == in_ints
+            values = swept.pop()
+            if in_ints:
+                assert all(type(v) is int for vs in values for v in vs)
+            else:
+                assert values == [fn.values for fn in fns]
+
+
+def test_float_quadruples_are_swept_in_floats():
+    # f(x)g(y) equals h(x^y)k(xvy) in floats, but the exact binary values of the floats give lhs > rhs
+    f = CubeFn(1, (0.41, 0.41))
+    h = CubeFn(1, (2.29, 2.29))
+    k = CubeFn(1, (0.07340611353711789,) * 2)
+    assert 0.41 * 0.41 == 2.29 * 0.07340611353711789
+    assert F(0.41) * F(0.41) > F(2.29) * F(0.07340611353711789)
+    assert check_4ft_hypothesis(f, f, h, k) == HypothesisCheck(True, None)
+
+
+@cpython_only
+def test_repeated_sweeps_strand_no_tuples(rng):
+    quads = [random_hypothesis_quadruple(rng, n, 16) for n in (1, 2, 3, 4) for _ in range(3)]
+    for f, g, h, k in quads[::4]:  # raise one f value: the sweep fails and builds a witness
+        quads.append((CubeFn(f.n, (f.values[0] * 2,) + f.values[1:]), g, h, k))
+    assert [check_4ft_hypothesis(*quad).ok for quad in quads].count(False) == 3
+
+    def sweeps():
+        for quad in quads:
+            check_4ft_hypothesis(*quad)
+
+    # 4,500 sweeps; a tuple built from a generator strands one block per build
+    assert allocated_block_growth(sweeps, 300) < 300
 
 
 def test_dimension_mismatch():

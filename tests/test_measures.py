@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pmf_strategy
 from discretepl.errors import NegativeMass, NotNormalized
@@ -18,6 +19,7 @@ from discretepl.measures import (
     log_laplace,
     pmf,
     relative_entropy,
+    to_common_unit,
     uniform_on,
 )
 
@@ -173,3 +175,28 @@ def test_duality_upper_bound_over_random_measures(rng):
         nu_star = gibbs_optimizer(phi)
         attained = expectation(phi, nu_star) - counting_entropy(nu_star)
         assert attained == pytest.approx(bound, abs=1e-10)
+
+
+def test_to_common_unit_scales_by_the_least_common_denominator():
+    assert to_common_unit([]) == ([], 1)
+    assert to_common_unit([3, -2, 0]) == ([3, -2, 0], 1)
+    assert to_common_unit([F(1, 4), F(-1, 6), 2]) == ([3, -2, 24], 12)
+    assert to_common_unit([F(2, 4), F(3, 6)]) == ([1, 1], 2)  # reduced denominators, not 4 and 6
+    assert to_common_unit([0.5, -0.375, F(1, 3)]) == ([12, -9, 8], 24)
+    # a float is its exact binary value, not the decimal it prints as
+    assert to_common_unit([0.1, F(1, 10)]) == ([3602879701896397 * 5, 2**54], 5 * 2**55)
+
+
+def test_to_common_unit_gives_none_for_a_scale_past_max_bits():
+    assert to_common_unit([F(1, 256), 3], max_bits=9) == ([1, 768], 256)
+    assert to_common_unit([F(1, 512), 3], max_bits=9) is None
+    assert to_common_unit([F(1, 3), F(1, 5), F(1, 7)], max_bits=7) == ([35, 21, 15], 105)
+    assert to_common_unit([F(1, 3), F(1, 5), F(1, 7), F(1, 11)], max_bits=10) is None  # the lcm, 1155
+
+
+@given(st.lists(st.fractions(max_denominator=60) | st.integers(-99, 99) | st.floats(-1e6, 1e6), max_size=12))
+def test_to_common_unit_is_exact(values):
+    ints, scale = to_common_unit(values)
+    assert all(type(i) is int for i in ints) and scale >= 1
+    assert [F(i, scale) for i in ints] == [F(v) for v in values]
+    assert scale == math.lcm(*[F(v).denominator for v in values])

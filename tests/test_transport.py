@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import allocated_block_growth, cpython_only
 from discretepl import transport
 from discretepl.campaign import (
     LOG_CONCAVE_FAMILIES,
@@ -379,3 +380,15 @@ def test_ot_cost_bounds_the_support_pairs_before_any_cost(monkeypatch):
         with pytest.raises(ConfigError, match=f"{side0} x {side1} support points exceed"):
             ot_cost(cost, uniform_on(range(side0)), uniform_on(range(side1)))
     assert evaluated == []
+
+
+@cpython_only
+def test_repeated_solves_with_duals_strand_no_tuples():
+    # off-support window points, so the duals are extended; windows of 5 and 7 points
+    table = {(x, y): F((3 * x - 2 * y) ** 2 + x, 7) for x in range(-3, 2) for y in range(-1, 6)}
+    nu0, nu1 = from_weights(-3, [1, 0, 2, 0, 3]), from_weights(-1, [2, 0, 0, 1, 1, 0, 4])
+    result = ot_cost(lambda x, y: table[(x, y)], nu0, nu1, want_duals=True)
+    assert len(result.dual_u.values) == 5 and len(result.dual_v.values) == 7
+    # a tuple built from a generator strands one block per build: about 2,000 over these calls
+    grown = allocated_block_growth(lambda: ot_cost(lambda x, y: table[(x, y)], nu0, nu1, want_duals=True), 1000)
+    assert grown < 300
