@@ -129,42 +129,43 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check_displacement(args) -> int:
     nu0 = formats.parse_pmf_file(args.nu0)
     nu1 = formats.parse_pmf_file(args.nu1)
-    report = displacement_gap(nu0, nu1)
-    chains = chain_diagnostics(report.pair)
-    cards = all(ls.card_holds for ls in level_sets(report.pair.pi))
-    ok = report.holds and cards and all(c.bound_holds for c in chains)
-    if args.json:
-        payload = {
-            "P": str(report.ratio_sum),
-            "gap": report.gap,
-            "entropies": {
-                "nu0": report.entropy0,
-                "nu1": report.entropy1,
-                "nu_minus": report.entropy_minus,
-                "nu_plus": report.entropy_plus,
-            },
-            "jensen_certificate": report.jensen_certificate,
-            "levels": [
-                {
-                    "levels": c.levels,
-                    "isolated": c.isolated,
-                    "alphas": {str(b): str(a) for b, a in c.alphas.items()},
-                    "bound_holds": c.bound_holds,
-                }
-                for c in chains
-            ],
-            "coupling": [[x, y, str(p)] for x, y, p in report.pair.pi.atoms] if args.dump_coupling else None,
-            "ok": ok,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"P = {report.ratio_sum} (<= 1: {report.ratio_sum <= 1})")
-        print(f"entropy gap = {report.gap:.12g} (>= 0 up to {INEQ_SLACK:g}: {report.gap >= -INEQ_SLACK})")
-        for c in chains:
-            kind = "isolated" if c.isolated else "chain"
-            print(f"  {kind} levels={list(c.levels)} mass={c.mass} contribution={c.ratio_contribution} ok={c.bound_holds}")
-        if args.dump_coupling:
-            sys.stdout.write(formats.emit_coupling(report.pair.pi))
+    with formats.long_int_strings():
+        report = displacement_gap(nu0, nu1)
+        chains = chain_diagnostics(report.pair)
+        cards = all(ls.card_holds for ls in level_sets(report.pair.pi))
+        ok = report.holds and cards and all(c.bound_holds for c in chains)
+        if args.json:
+            payload = {
+                "P": str(report.ratio_sum),
+                "gap": report.gap,
+                "entropies": {
+                    "nu0": report.entropy0,
+                    "nu1": report.entropy1,
+                    "nu_minus": report.entropy_minus,
+                    "nu_plus": report.entropy_plus,
+                },
+                "jensen_certificate": report.jensen_certificate,
+                "levels": [
+                    {
+                        "levels": c.levels,
+                        "isolated": c.isolated,
+                        "alphas": {str(b): str(a) for b, a in c.alphas.items()},
+                        "bound_holds": c.bound_holds,
+                    }
+                    for c in chains
+                ],
+                "coupling": [[x, y, str(p)] for x, y, p in report.pair.pi.atoms] if args.dump_coupling else None,
+                "ok": ok,
+            }
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print(f"P = {report.ratio_sum} (<= 1: {report.ratio_sum <= 1})")
+            print(f"entropy gap = {report.gap:.12g} (>= 0 up to {INEQ_SLACK:g}: {report.gap >= -INEQ_SLACK})")
+            for c in chains:
+                kind = "isolated" if c.isolated else "chain"
+                print(f"  {kind} levels={list(c.levels)} mass={c.mass} contribution={c.ratio_contribution} ok={c.bound_holds}")
+            if args.dump_coupling:
+                sys.stdout.write(formats.emit_coupling(report.pair.pi))
     return 0 if ok else 1
 
 
@@ -174,32 +175,33 @@ def _cmd_check_4ft(args) -> int:
     if args.dim < 1 or args.dim > 12:
         raise ConfigError("--dim must be in 1..12")
     fns = tuple(formats.parse_cubefn_file(path, args.dim) for path in (args.f, args.g, args.h, args.k))
-    if args.additive:
-        outcome = check_4ft_additive(*fns)
-        ok = outcome.ok
-        payload = {
-            "hypothesis_ok": outcome.hypothesis_ok,
-            "witness": outcome.hyp_witness,
-            "lhs_log": outcome.lhs,
-            "rhs_log": outcome.rhs,
-            "conclusion_ok": outcome.conclusion_ok,
-        }
-    else:
-        hyp = check_4ft_hypothesis(*fns)
-        lhs, rhs, concl = check_4ft_conclusion(*fns)
-        ok = hyp.ok and concl
-        payload = {
-            "hypothesis_ok": hyp.ok,
-            "witness": [str(w) for w in hyp.witness] if hyp.witness else None,
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "conclusion_ok": concl,
-        }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    with formats.long_int_strings():
+        if args.additive:
+            outcome = check_4ft_additive(*fns)
+            ok = outcome.ok
+            payload = {
+                "hypothesis_ok": outcome.hypothesis_ok,
+                "witness": outcome.hyp_witness,
+                "lhs_log": outcome.lhs,
+                "rhs_log": outcome.rhs,
+                "conclusion_ok": outcome.conclusion_ok,
+            }
+        else:
+            hyp = check_4ft_hypothesis(*fns)
+            lhs, rhs, concl = check_4ft_conclusion(*fns)
+            ok = hyp.ok and concl
+            payload = {
+                "hypothesis_ok": hyp.ok,
+                "witness": [str(w) for w in hyp.witness] if hyp.witness else None,
+                "lhs": str(lhs),
+                "rhs": str(rhs),
+                "conclusion_ok": concl,
+            }
+        if args.json:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for key, value in payload.items():
+                print(f"{key}: {value}")
     return 0 if ok else 1
 
 
@@ -219,23 +221,24 @@ def _cmd_transport_cost(args) -> int:
         cost = formats.parse_cost_table_file(args.cost_table)
     else:
         cost = curvature_cost(_reference_measure(args))
-    result = ot_cost(cost, nu0, nu1, want_duals=args.duals)
-    if args.json:
-        payload = {
-            "cost": result.cost,
-            "cost_exact": str(result.cost_exact),
-            "plan": [[x, y, str(p)] for x, y, p in result.plan.atoms],
-            "dual_u": list(result.dual_u.values) if result.dual_u else None,
-            "dual_v": list(result.dual_v.values) if result.dual_v else None,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(f"transport cost = {result.cost:.12g} (exact {result.cost_exact})")
-        for x, y, p in result.plan.atoms:
-            print(f"  {x} -> {y}: {p}")
-        if result.dual_u is not None:
-            print(f"dual u: {[round(v, 9) for v in result.dual_u.values]}")
-            print(f"dual v: {[round(v, 9) for v in result.dual_v.values]}")
+    with formats.long_int_strings():
+        result = ot_cost(cost, nu0, nu1, want_duals=args.duals)
+        if args.json:
+            payload = {
+                "cost": result.cost,
+                "cost_exact": str(result.cost_exact),
+                "plan": [[x, y, str(p)] for x, y, p in result.plan.atoms],
+                "dual_u": list(result.dual_u.values) if result.dual_u else None,
+                "dual_v": list(result.dual_v.values) if result.dual_v else None,
+            }
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print(f"transport cost = {result.cost:.12g} (exact {result.cost_exact})")
+            for x, y, p in result.plan.atoms:
+                print(f"  {x} -> {y}: {p}")
+            if result.dual_u is not None:
+                print(f"dual u: {[round(v, 9) for v in result.dual_u.values]}")
+                print(f"dual v: {[round(v, 9) for v in result.dual_v.values]}")
     return 0
 
 

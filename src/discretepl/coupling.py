@@ -16,7 +16,7 @@ from itertools import pairwise
 from typing import Callable, Iterable
 
 from .errors import PreconditionViolated, SupportNotBinary
-from .measures import ZERO, Pmf, pmf
+from .measures import ZERO, Pmf, _canonical, to_common_unit
 
 Atom = tuple[int, int, Fraction]
 
@@ -65,11 +65,13 @@ def coupling_from_atoms(atoms: Iterable[tuple[int, int, Fraction]]) -> Coupling:
 
 def _image(points: Iterable[tuple[int, Fraction]]) -> Pmf:
     """Pmf of the (point, mass) pairs, merging masses that land on the same point."""
-    acc: dict[int, Fraction] = {}
-    for z, p in points:
-        acc[z] = acc.get(z, ZERO) + p
+    pairs = list(points)
+    ints, unit = to_common_unit([p for _, p in pairs])
+    acc: dict[int, int] = {}
+    for (z, _), w in zip(pairs, ints):
+        acc[z] = acc.get(z, 0) + w
     lo, hi = min(acc), max(acc)
-    return pmf(lo, [acc.get(z, ZERO) for z in range(lo, hi + 1)])
+    return _canonical(lo, [acc.get(z, 0) for z in range(lo, hi + 1)], unit)
 
 
 def _axis_sum(atoms: tuple[Atom, ...], axis: int) -> Pmf:
@@ -109,24 +111,26 @@ def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:
     Two-pointer sweep over the supports: each step emits the overlap of the
     current quantile intervals and advances whichever side is exhausted
     (both on ties).  Atom count is at most |supp nu0| + |supp nu1| - 1.
+    The sweep runs on int masses in the unit 1 / (T0 T1) of the two totals.
     """
-    s0 = list(nu0.support())
-    s1 = list(nu1.support())
+    unit = nu0.total * nu1.total
+    s0 = [(x, w * nu1.total) for x, w in enumerate(nu0.weights, nu0.offset) if w]
+    s1 = [(y, w * nu0.total) for y, w in enumerate(nu1.weights, nu1.offset) if w]
     atoms: list[Atom] = []
     i = j = 0
     r0 = s0[0][1]
     r1 = s1[0][1]
     while i < len(s0) and j < len(s1):
         take = min(r0, r1)
-        atoms.append((s0[i][0], s1[j][0], take))
+        atoms.append((s0[i][0], s1[j][0], Fraction(take, unit)))
         r0 -= take
         r1 -= take
         if r0 == 0:
             i += 1
-            r0 = s0[i][1] if i < len(s0) else ZERO
+            r0 = s0[i][1] if i < len(s0) else 0
         if r1 == 0:
             j += 1
-            r1 = s1[j][1] if j < len(s1) else ZERO
+            r1 = s1[j][1] if j < len(s1) else 0
     return Coupling(tuple(atoms), nu0, nu1)
 
 

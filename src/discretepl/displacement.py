@@ -56,11 +56,11 @@ def midpoint_measures(nu0: Pmf, nu1: Pmf) -> MidpointPair:
 
 def _atom_ratios(pair: MidpointPair) -> list[tuple[Fraction, Fraction]]:
     """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom, in atom order."""
-    nu0 = pair.pi.marginal0
-    nu1 = pair.pi.marginal1
-    # denominators are positive on supp(pi) by the marginal contract
+    nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
+    # in weights the totals leave one factor T0 T1 / (T- T+); nu0(x) nu1(y) > 0 on supp(pi)
+    num, den = nu0.total * nu1.total, lo.total * hi.total
     return [
-        (p, pair.nu_minus.mass(m_minus(x, y)) * pair.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y)))
+        (p, Fraction(lo.weight(m_minus(x, y)) * hi.weight(m_plus(x, y)) * num, nu0.weight(x) * nu1.weight(y) * den))
         for x, y, p in pair.pi.atoms
     ]
 

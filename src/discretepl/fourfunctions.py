@@ -306,6 +306,6 @@ def random_hypothesis_quadruple(rng, n: int, resolution: int):
                         changed = True
     alpha = Fraction(rng.randint(1, resolution), rng.randint(1, resolution))
     beta = Fraction(rng.randint(1, resolution), rng.randint(1, resolution))
-    f = CubeFn(n, tuple(alpha * v for v in vals))
-    g = CubeFn(n, tuple(beta * v for v in vals))
+    f = CubeFn(n, tuple([alpha * v for v in vals]))
+    g = CubeFn(n, tuple([beta * v for v in vals]))
     return (f, g, f, g)

@@ -4,12 +4,16 @@ Pmf files hold one measure per line, `offset; m0 m1 m2 ...` with masses as
 `p/q` rationals (or integers).  Cube-function files hold one value per line
 in index order, rationals or decimal floats.  Cost tables hold `x y value`
 lines.  Coupling dumps are `x y p/q` lines in lexicographic order.
-Parsing and emission round-trip exactly on canonical forms.
+Parsing and emission round-trip exactly on canonical forms.  Parsing keeps
+CPython's limit on the digits of an int-str conversion, so an over-long
+token is a parse error; exact reports lift it with `long_int_strings`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -18,6 +22,24 @@ from .errors import ConfigError, NegativeMass, NotNormalized, ParseError
 from .fourfunctions import CubeFn
 from .measures import Pmf, pmf
 from .transport import Cost
+
+
+@contextlib.contextmanager
+def long_int_strings() -> Iterator[None]:
+    """Lift CPython's limit on the digits of int-str conversions inside the block.
+
+    Exact report values (ratio sums, 4FT sums, coupling atoms) can run past
+    the default 4,300 digits although every input token is within it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def parse_rational(token: str, line: int) -> Fraction:

@@ -1,10 +1,11 @@
 """Finitely supported probability mass functions on Z and entropy functionals.
 
-Masses are exact `fractions.Fraction` values, so every mass-only identity
-(normalization, marginals, ratio sums) can be checked with rational
-equality.  Logarithmic quantities (entropies, log-Laplace transforms) are
-IEEE doubles in natural log.  Every float comparison in the package uses
-one of the tolerances named below.
+A Pmf stores coprime integer weights over one integer total, so every mass
+is the exact rational weight / total and every mass-only identity
+(normalization, marginals, ratio sums) can be checked in integers or with
+rational equality.  Logarithmic quantities (entropies, log-Laplace
+transforms) are IEEE doubles in natural log.  Every float comparison in the
+package uses one of the tolerances named below.
 """
 
 from __future__ import annotations
@@ -69,63 +70,71 @@ def log_of_fraction(q: Fraction) -> float:
 class Pmf:
     """Probability mass function stored on a contiguous window of Z.
 
-    `masses[i]` is the mass at `offset + i`.  Canonical form: the first and
-    last entries are strictly positive (zeros may occur inside), and the
-    masses sum to 1 exactly.  Instances are immutable; build them with
-    :func:`pmf` which validates and trims.
+    The mass at `offset + i` is `weights[i] / total`.  Canonical form: the
+    first and last weights are strictly positive (zeros may occur inside),
+    the weights are coprime and they sum to `total`, so equal measures
+    compare and hash equal.  Instances are immutable; build them with
+    :func:`pmf` or :func:`from_weights`, which validate and trim.
     """
 
     offset: int
-    masses: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    total: int
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        """The masses as Fractions, built on each access."""
+        return tuple([Fraction(w, self.total) for w in self.weights])
 
     def window(self) -> range:
-        return range(self.offset, self.offset + len(self.masses))
+        return range(self.offset, self.offset + len(self.weights))
+
+    def weight(self, x: int) -> int:
+        i = x - self.offset
+        return self.weights[i] if 0 <= i < len(self.weights) else 0
 
     def mass(self, x: int) -> Fraction:
-        i = x - self.offset
-        if 0 <= i < len(self.masses):
-            return self.masses[i]
-        return ZERO
+        return Fraction(self.weight(x), self.total)
 
     def support(self) -> Iterator[tuple[int, Fraction]]:
-        for i, m in enumerate(self.masses):
-            if m > 0:
-                yield self.offset + i, m
+        for i, w in enumerate(self.weights):
+            if w:
+                yield self.offset + i, Fraction(w, self.total)
 
     def support_points(self) -> list[int]:
-        return [x for x, _ in self.support()]
+        return [self.offset + i for i, w in enumerate(self.weights) if w]
 
     def mean(self) -> Fraction:
-        return sum((Fraction(x) * m for x, m in self.support()), ZERO)
+        return Fraction(sum(x * w for x, w in enumerate(self.weights, self.offset)), self.total)
 
     def translate(self, t: int) -> "Pmf":
-        return Pmf(self.offset + t, self.masses)
+        return Pmf(self.offset + t, self.weights, self.total)
 
     def __str__(self) -> str:
         body = " ".join(str(m) for m in self.masses)
         return f"{self.offset}; {body}"
 
 
+def _canonical(offset: int, ints: list[int], unit: int) -> Pmf:
+    """The canonical Pmf with mass ints[i] / unit at offset + i: trimmed and divided by the gcd."""
+    if min(ints, default=0) < 0:
+        raise NegativeMass(f"negative mass {Fraction(next(w for w in ints if w < 0), unit)}")
+    total = sum(ints)
+    if total != unit:
+        raise NotNormalized(Fraction(unit - total, unit))
+    kept = [i for i, w in enumerate(ints) if w]
+    lo, hi = kept[0], kept[-1]
+    g = math.gcd(*ints)
+    return Pmf(offset + lo, tuple([w // g for w in ints[lo : hi + 1]]), unit // g)
+
+
 def pmf(offset: int, masses: Sequence) -> Pmf:
     """Validated, canonically trimmed Pmf from a window of rational masses."""
-    ms = [as_fraction(m) for m in masses]
-    for m in ms:
-        if m < 0:
-            raise NegativeMass(f"negative mass {m}")
-    total = sum(ms, ZERO)
-    if total != ONE:
-        raise NotNormalized(ONE - total)
-    lo = 0
-    while ms[lo] == 0:
-        lo += 1
-    hi = len(ms) - 1
-    while ms[hi] == 0:
-        hi -= 1
-    return Pmf(offset + lo, tuple(ms[lo : hi + 1]))
+    return _canonical(offset, *to_common_unit(masses))
 
 
 def delta(x: int) -> Pmf:
-    return Pmf(x, (ONE,))
+    return Pmf(x, (1,), 1)
 
 
 def uniform_on(points: Sequence[int]) -> Pmf:
@@ -137,11 +146,10 @@ def uniform_on(points: Sequence[int]) -> Pmf:
 
 def from_weights(offset: int, weights: Sequence) -> Pmf:
     """Normalize non-negative rational weights exactly."""
-    ws = [as_fraction(w) for w in weights]
-    total = sum(ws, ZERO)
-    if total <= 0:
+    ints, _ = to_common_unit(weights)
+    if sum(ints) <= 0:
         raise NotNormalized(ONE)
-    return pmf(offset, [w / total for w in ws])
+    return _canonical(offset, ints, sum(ints))
 
 
 @dataclass(frozen=True)

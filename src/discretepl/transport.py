@@ -12,9 +12,10 @@ so truncating an infinite family to a window does not change the cost.
 
 The transport cost T_c(nu0, nu1) = inf over couplings of the integral of c
 is a finite linear program, solved exactly by successive shortest paths
-with potentials.  The rational masses and costs are scaled to two common
-integer units (`measures.to_common_unit`), so the solver runs on ints and
-divides back once.  Returned dual potentials satisfy
+with potentials.  It runs on ints: the masses are the two pmfs' integer
+weights, scaled to the unit 1 / (T0 T1) of their totals, and the rational
+costs are scaled to their common unit (`measures.to_common_unit`); the plan
+and the potentials are divided back once.  Returned dual potentials satisfy
 u(x) + v(y) <= c(x, y) with equality on the support of the optimal plan.
 
 With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
@@ -87,7 +88,7 @@ def positive_window(mu: Pmf) -> range:
     Raises OutsidePositiveWindow when the positive support is not contiguous
     (curvature costs are only defined relative to a positive window).
     """
-    if not all(mu.masses):
+    if not all(mu.weights):
         raise OutsidePositiveWindow("positive support is not contiguous")
     return mu.window()
 
@@ -110,8 +111,7 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
     for z in (x, y, lo_mid, hi_mid):
         if z not in window:
             raise OutsidePositiveWindow(f"{z} outside positive window {window}")
-    ratio = mu.mass(lo_mid) * mu.mass(hi_mid) / (mu.mass(x) * mu.mass(y))
-    return log_of_fraction(ratio)
+    return log_of_fraction(Fraction(mu.weight(lo_mid) * mu.weight(hi_mid), mu.weight(x) * mu.weight(y)))
 
 
 def curvature_cost(mu: Pmf | LogWeights) -> Cost:
@@ -143,10 +143,9 @@ def log_concavity_witness(mu: Pmf) -> int | None:
     An interior zero between positive masses is a violation at that point; a
     zero outside the contiguous positive window is not.
     """
-    ms = mu.masses
-    for i in range(1, len(ms) - 1):
-        a, b, c = ms[i - 1], ms[i], ms[i + 1]
-        if a.numerator * c.numerator * b.denominator**2 > b.numerator**2 * a.denominator * c.denominator:
+    w = mu.weights
+    for i in range(1, len(w) - 1):
+        if w[i - 1] * w[i + 1] > w[i] ** 2:
             return mu.offset + i
     return None
 
@@ -182,9 +181,9 @@ def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
     window = reference_window(mu)
     if isinstance(mu, LogWeights):
         return all(cost_mu(mu, x, y) >= 0 for x in window for y in window)
-    # exact rational form of the log-ratio sign
+    # exact integer form of the log-ratio sign: the totals cancel
     return all(
-        mu.mass(m_minus(x, y)) * mu.mass(m_plus(x, y)) >= mu.mass(x) * mu.mass(y) for x in window for y in window
+        mu.weight(m_minus(x, y)) * mu.weight(m_plus(x, y)) >= mu.weight(x) * mu.weight(y) for x in window for y in window
     )
 
 
@@ -217,13 +216,15 @@ def _rational_cost_matrix(cost: Cost, xs: Sequence[int], ys: Sequence[int]) -> l
     return rows
 
 
-def _successive_shortest_paths(a: list[Fraction], b: list[Fraction], cost: list[list[Fraction]]):
+def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[list[Fraction]]):
     """Exact min-cost transportation by shortest augmenting paths with potentials.
 
-    The masses are scaled to one integer unit and the costs to another, so
-    the search, the potentials and the flows are all ints; scaling by a
-    positive constant keeps every comparison and heap order, and the result
-    is divided back once, as the flows (per sink) and potentials in Fractions.
+    The int supplies and demands are masses in one unit, with equal sums;
+    they are used up in place.  The costs are scaled to another unit, so the
+    search, the potentials and the flows are all ints; scaling by a positive
+    constant keeps every comparison and heap order.  The flows (per sink)
+    are returned in the mass unit, and the potentials divided back to
+    Fractions.
 
     Nodes 0..m-1 are sources, m..m+n-1 sinks.  Forward arcs i -> m+j have
     infinite capacity; the backward arc m+j -> i exists while into[j][i], the
@@ -232,9 +233,7 @@ def _successive_shortest_paths(a: list[Fraction], b: list[Fraction], cost: list[
     never improves: Dijkstra, keyed (dist, counter, node), skips stale entries
     (d > dist[node]) and relaxes only on strict improvement.
     """
-    m, n = len(a), len(b)
-    masses, mass_unit = to_common_unit(a + b)
-    supply, demand = masses[:m], masses[m:]
+    m, n = len(supply), len(demand)
     flat, cost_unit = to_common_unit([c for row in cost for c in row])
     cost = [flat[i * n : (i + 1) * n] for i in range(m)]
     into: list[dict[int, int]] = [{} for _ in range(n)]
@@ -284,8 +283,7 @@ def _successive_shortest_paths(a: list[Fraction], b: list[Fraction], cost: list[
         demand[target] -= amount
         for v in range(m + n):
             pot[v] += min(dist.get(v, d_target), d_target)
-    flows = [{i: Fraction(f, mass_unit) for i, f in row.items()} for row in into]
-    return flows, [Fraction(p, cost_unit) for p in pot]
+    return into, [Fraction(p, cost_unit) for p in pot]
 
 
 def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
@@ -306,11 +304,13 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
     ys = nu1.support_points()
     if len(xs) * len(ys) > MAX_OT_CELLS:
         raise ConfigError(f"{len(xs)} x {len(ys)} support points exceed the {MAX_OT_CELLS} pairs of one exact solve")
-    a = [nu0.mass(x) for x in xs]
-    b = [nu1.mass(y) for y in ys]
+    # the weights in the unit 1 / (T0 T1): both sides sum to T0 T1
+    supply = [nu0.weight(x) * nu1.total for x in xs]
+    demand = [nu1.weight(y) * nu0.total for y in ys]
     rc = _rational_cost_matrix(cost, xs, ys)
-    into, pot = _successive_shortest_paths(a, b, rc)
-    flow = [(i, j, f) for j, row in enumerate(into) for i, f in row.items() if f > 0]
+    into, pot = _successive_shortest_paths(supply, demand, rc)
+    unit = nu0.total * nu1.total
+    flow = [(i, j, Fraction(f, unit)) for j, row in enumerate(into) for i, f in row.items() if f > 0]
     plan = Coupling(tuple(sorted((xs[i], ys[j], f) for i, j, f in flow)), nu0, nu1)
     exact = sum((rc[i][j] * f for i, j, f in flow), ZERO)
     dual_u = dual_v = None

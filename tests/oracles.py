@@ -246,3 +246,15 @@ def four_functions_witness(f, g, h, k):
             if Fraction(lhs) > Fraction(rhs):
                 return x, y, lhs, rhs
     return None
+
+
+def normalized_window(offset, values):
+    """(first point, masses) of the values divided by their sum, with the zero ends cut off.
+
+    Plain Fraction division, with no integer scaling: the oracle for a
+    Pmf's `offset` and `masses`.
+    """
+    qs = [Fraction(v) for v in values]
+    total = sum(qs, ZERO)
+    kept = [i for i, q in enumerate(qs) if q != 0]
+    return offset + kept[0], tuple(q / total for q in qs[kept[0] : kept[-1] + 1])

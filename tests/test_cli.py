@@ -193,6 +193,45 @@ def test_cli_4ft_additive_exact_rational_tie_exits_zero(tmp_path, capsys):
     assert out["hypothesis_ok"] is True and out["witness"] is None
 
 
+#: CPython 3.10.7 and later refuse int-str conversions longer than 4,300 digits by default
+digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
+
+
+@digit_limit
+def test_cli_campaign_reports_a_ratio_sum_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["campaign", "--check", "leq1", "--resolution", "1000000000", "--support-width", "2000", "--trials", "1"]
+    assert main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    p_value = report["records"][0]["values"]["P"]
+    assert len(p_value.partition("/")[2]) > 4300 and report["summary"]["extremes"]["max_P"]["P"] == p_value
+    assert sys.get_int_max_str_digits() == limit  # restored
+
+
+@digit_limit
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_4ft_reports_sums_past_the_int_digit_limit(tmp_path, capsys, json_flag):
+    # coprime 2,501-digit denominators: (sum f)(sum g) has a 5,000-digit one
+    f = _write(tmp_path, "f.txt", f"1/1{'0' * 2499}1\n1/1{'0' * 2499}3\n")
+    one = _write(tmp_path, "one.txt", "1\n1\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["check-4ft", "--dim", "1", "--f", f, "--g", f, "--h", one, "--k", one, *json_flag]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out) > 10000 and captured.err == ""
+    assert sys.get_int_max_str_digits() == limit  # restored
+
+
+@digit_limit
+def test_cli_input_tokens_past_the_int_digit_limit_still_exit_two(tmp_path, capsys):
+    long_token = "1" + "0" * 4300
+    one = _write(tmp_path, "one.txt", "1\n1\n")
+    cube = _write(tmp_path, "cube.txt", f"{long_token}\n1\n")
+    assert main(["check-4ft", "--dim", "1", "--f", cube, "--g", one, "--h", one, "--k", one]) == 2
+    nu = _write(tmp_path, "nu.txt", f"0; {long_token}/{long_token}\n")
+    assert main(["check-displacement", "--nu0", nu, "--nu1", one]) == 2
+    assert capsys.readouterr().err.count("bad rational") == 2
+
+
 def test_cli_4ft_dimension_is_bounded_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code = main(["check-4ft", "--dim", "13", "--f", missing, "--g", missing, "--h", missing, "--k", missing])

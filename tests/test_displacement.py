@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import pmf_strategy
+from conftest import allocated_block_growth, cpython_only, pmf_strategy
 from discretepl.campaign import random_pmf
 from discretepl.coupling import coupling_from_atoms, monotone_coupling
 from discretepl.displacement import (
@@ -228,3 +228,15 @@ def test_chain_diagnostics_facts_on_levels(rng):
         mass = {(x, y): p for x, y, p in pair.pi.atoms}
         for ls in level_sets(pair.pi):
             assert pair.nu_minus.mass(ls.a) == sum((mass[p] for p in ls.pairs), ZERO)
+
+
+@cpython_only
+def test_repeated_ratio_sums_strand_no_tuples(rng):
+    w0 = [rng.randint(1, 64) for _ in range(12)]  # under 20 points, where tuples reach the free lists
+    w1 = [rng.randint(1, 64) for _ in range(7)]
+
+    def ratio_sum():
+        pair_ratio_sum(midpoint_measures(from_weights(-3, w0), from_weights(5, w1)))
+
+    # 130-160 blocks however many calls; a Pmf tuple built from a generator added about 3,000 here
+    assert allocated_block_growth(ratio_sum, 1000) < 300

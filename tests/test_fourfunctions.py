@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import allocated_block_growth, cpython_only
 from discretepl import fourfunctions
+from discretepl.campaign import CampaignConfig, _fourfn_trial
 from discretepl.errors import DimensionMismatch, LengthMismatch, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
@@ -153,6 +154,13 @@ def test_repeated_sweeps_strand_no_tuples(rng):
 
     # 4,500 sweeps; a tuple built from a generator strands one block per build
     assert allocated_block_growth(sweeps, 300) < 300
+
+
+@cpython_only
+def test_repeated_4ft_trials_strand_no_tuples(rng):
+    cfg = CampaignConfig(1, 1, check="4ft")
+    # three tuples built from generators per trial stranded about 3,000 blocks over these calls
+    assert allocated_block_growth(lambda: _fourfn_trial(rng, cfg), 1000) < 300
 
 
 def test_dimension_mismatch():

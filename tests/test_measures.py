@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import pmf_strategy
+from discretepl.coupling import coupling_from_atoms, pushforward
 from discretepl.errors import NegativeMass, NotNormalized
 from discretepl.measures import (
     Pmf,
@@ -27,7 +29,80 @@ F = Fraction
 
 
 def test_pmf_point_mass():
-    assert pmf(0, [1]) == Pmf(0, (F(1),))
+    assert pmf(0, [1]) == Pmf(0, (1,), 1)
+
+
+def _assert_canonical(nu):
+    assert all(type(w) is int and w >= 0 for w in nu.weights) and type(nu.total) is int
+    assert nu.weights[0] > 0 and nu.weights[-1] > 0
+    assert math.gcd(*nu.weights) == 1 and sum(nu.weights) == nu.total
+
+
+_weight = st.integers(0, 40) | st.fractions(min_value=0, max_value=5, max_denominator=30)
+
+
+@given(st.integers(-9, 9), st.lists(_weight, min_size=1, max_size=12).filter(any))
+@settings(max_examples=150)
+def test_every_builder_gives_the_canonical_form(offset, values):
+    expected = oracles.normalized_window(offset, values)
+    total = sum(map(F, values))
+    # the second marginal spreads each mass over two columns, so it differs from the first
+    atoms = [(offset + i, c, F(v) / total / 2) for i, v in enumerate(values) for c in (i % 3, i * i % 5)]
+    pi = coupling_from_atoms(atoms)
+    built = [from_weights(offset, values), pmf(offset, [F(v) / total for v in values]), pi.marginal0]
+    for nu in built:
+        _assert_canonical(nu)
+        assert (nu.offset, nu.masses) == expected
+    _assert_canonical(pi.marginal1)
+    sums: dict[int, F] = {}
+    for _, y, p in atoms:
+        sums[y] = sums.get(y, F(0)) + p
+    assert (pi.marginal1.offset, pi.marginal1.masses) == oracles.normalized_window(0, [sums.get(y, 0) for y in range(5)])
+
+
+def test_equal_measures_built_different_ways_compare_and_hash_equal():
+    built = [
+        from_weights(2, [2, 0, 4]),
+        from_weights(2, [F(1, 6), 0, F(1, 3)]),
+        from_weights(2, [0.5, 0.0, 1.0]),
+        from_weights(0, [0, 0, 7, 0, 14, 0]),
+        pmf(2, [F(1, 3), 0, F(2, 3)]),
+        pmf(0, [0, 0, "1/3", 0, "2/3", 0]),
+        coupling_from_atoms([(2, 0, F(1, 3)), (4, 0, F(1, 6)), (4, 1, F(1, 2))]).marginal0,
+        pushforward(coupling_from_atoms([(1, 1, F(1, 3)), (2, 2, F(2, 3))]), lambda x, y: x + y),
+        from_weights(-1, [1, 0, 2]).translate(3),
+    ]
+    assert all(nu == Pmf(2, (1, 0, 2), 3) for nu in built)
+    assert len({hash(nu) for nu in built}) == 1
+    assert from_weights(2, [1, 0, 2]) != from_weights(2, [2, 0, 1]) and from_weights(2, [1, 2]) != from_weights(3, [1, 2])
+
+
+def test_pmf_reads_its_weights_over_the_total():
+    nu = from_weights(-1, [3, 0, 6, 9])
+    assert (nu.offset, nu.weights, nu.total) == (-1, (1, 0, 2, 3), 6)
+    assert nu.masses == (F(1, 6), F(0), F(1, 3), F(1, 2))
+    assert [nu.weight(x) for x in range(-3, 5)] == [0, 0, 1, 0, 2, 3, 0, 0]
+    assert [nu.mass(x) for x in (-2, -1, 0, 1, 2, 3)] == [0, F(1, 6), 0, F(1, 3), F(1, 2), 0]
+    assert list(nu.support()) == [(-1, F(1, 6)), (1, F(1, 3)), (2, F(1, 2))]
+    assert nu.mean() == F(-1, 6) + F(1, 3) + 1 and str(nu) == "-1; 1/6 0 1/3 1/2"
+
+
+@pytest.mark.parametrize(
+    "build, error, text",
+    [
+        (lambda: pmf(0, [F(3, 2), F(-1, 2)]), NegativeMass, "negative mass -1/2"),
+        (lambda: from_weights(0, [3, -1]), NegativeMass, "negative mass -1/2"),
+        (lambda: from_weights(0, [F(1, 2), -0.25, 1]), NegativeMass, "negative mass -1/5"),
+        (lambda: pmf(0, [F(1, 3), F(1, 3), F(1, 4)]), NotNormalized, "masses sum to 1 - (1/12); deficit 1/12"),
+        (lambda: from_weights(0, [1, -1]), NotNormalized, "masses sum to 1 - (1); deficit 1"),
+        (lambda: pmf(0, []), NotNormalized, "masses sum to 1 - (1); deficit 1"),
+        (lambda: coupling_from_atoms([(0, 0, F(1, 2)), (1, 0, F(1, 3))]), NotNormalized, "masses sum to 1 - (1/6); deficit 1/6"),
+    ],
+)
+def test_builders_keep_their_error_texts(build, error, text):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == text
 
 
 def test_pmf_gap_support():
