@@ -2,14 +2,20 @@
 
 The monotone coupling of (nu0, nu1) is the law of (F0^{-1}(U), F1^{-1}(U))
 for U uniform on (0,1).  It is built here by merging the two cumulative-sum
-partitions of (0,1) with exact rational arithmetic: atom (x, y) receives the
-length of the overlap of the half-open quantile intervals [F(x-), F(x)) of
-x under nu0 and y under nu1.  Shared breakpoints therefore never create a
-zero-mass atom.
+partitions of (0,1) in integers: atom (x, y) receives the length of the
+overlap of the half-open quantile intervals [F(x-), F(x)) of x under nu0 and
+y under nu1, counted in the unit 1 / (T0 T1) of the two totals.  Shared
+breakpoints therefore never create a zero-mass atom.
+
+A coupling stores int cells (x, y, w) over one int `unit`, canonical like a
+`Pmf`: so every mass identity on it (marginals, push-forwards) is a sum of
+ints, and the `Fraction` atoms are built only when asked for.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -19,30 +25,64 @@ from .errors import PreconditionViolated, SupportNotBinary
 from .measures import ZERO, Pmf, _canonical, to_common_unit
 
 Atom = tuple[int, int, Fraction]
+#: (x, y, w): mass w / unit at (x, y)
+Cell = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class Coupling:
     """Finitely supported joint mass on Z^2 with its two marginals.
 
-    Atoms are lexicographically sorted (x, y, mass) triples with mass > 0
-    summing to 1; row sums equal `marginal0` and column sums `marginal1`
-    exactly.  Builders maintain these contracts; `check_marginals` re-derives
-    them for verification.
+    The mass at (x, y) is w / `unit` for each cell (x, y, w).  Canonical
+    form: the cells are lexicographically sorted with w > 0, and the weights
+    are coprime and sum to `unit`, so equal couplings compare and hash equal.
+    Row sums equal `marginal0` and column sums `marginal1` exactly.  The
+    constructors keep these contracts; `check_marginals` re-derives the
+    marginals for verification.
     """
 
-    atoms: tuple[Atom, ...]
+    cells: tuple[Cell, ...]
+    unit: int
     marginal0: Pmf
     marginal1: Pmf
 
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The (x, y, mass) triples with Fraction masses, built on each access."""
+        return tuple([(x, y, Fraction(w, self.unit)) for x, y, w in self.cells])
+
     def mass(self, x: int, y: int) -> Fraction:
-        for ax, ay, p in self.atoms:
-            if (ax, ay) == (x, y):
-                return p
+        i = bisect_left(self.cells, (x, y))  # (x, y) sorts just before (x, y, w)
+        if i < len(self.cells) and self.cells[i][:2] == (x, y):
+            return Fraction(self.cells[i][2], self.unit)
         return ZERO
 
     def total(self) -> Fraction:
-        return sum((p for _, _, p in self.atoms), ZERO)
+        return Fraction(sum([w for _, _, w in self.cells]), self.unit)
+
+
+def _reduced(cells: list[Cell], unit: int, marginal0: Pmf, marginal1: Pmf) -> Coupling:
+    """The canonical coupling of sorted positive cells summing to `unit`: weights divided by their gcd."""
+    g = math.gcd(*[w for _, _, w in cells])
+    if g > 1:
+        cells = [(x, y, w // g) for x, y, w in cells]
+    return Coupling(tuple(cells), unit // g, marginal0, marginal1)
+
+
+def _from_cells(cells: Iterable[Cell], unit: int) -> Coupling:
+    """Coupling with mass w / unit at each (x, y, w), merging cells and dropping zeros.
+
+    The marginals are the row and column sums; they check that the weights
+    are non-negative and sum to `unit`.
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for x, y, w in cells:
+        if w:
+            acc[(x, y)] = acc.get((x, y), 0) + w
+    if not acc:
+        raise ValueError("coupling needs at least one positive atom")
+    merged = [(x, y, w) for (x, y), w in sorted(acc.items())]
+    return _reduced(merged, unit, _axis_sum(merged, 0, unit), _axis_sum(merged, 1, unit))
 
 
 def coupling_from_atoms(atoms: Iterable[tuple[int, int, Fraction]]) -> Coupling:
@@ -51,45 +91,39 @@ def coupling_from_atoms(atoms: Iterable[tuple[int, int, Fraction]]) -> Coupling:
     Marginals are derived from row/column sums and validated (they must be
     probability vectors, i.e. the atom masses must sum to 1).
     """
-    cells: dict[tuple[int, int], Fraction] = {}
-    for x, y, p in atoms:
+    triples = list(atoms)
+    for x, y, p in triples:
         if p < 0:
             raise ValueError(f"negative coupling mass at ({x},{y})")
-        if p > 0:
-            cells[(x, y)] = cells.get((x, y), ZERO) + p
-    if not cells:
-        raise ValueError("coupling needs at least one positive atom")
-    sorted_atoms = tuple((x, y, p) for (x, y), p in sorted(cells.items()))
-    return Coupling(sorted_atoms, _axis_sum(sorted_atoms, 0), _axis_sum(sorted_atoms, 1))
+    weights, unit = to_common_unit([p for _, _, p in triples])
+    return _from_cells([(x, y, w) for (x, y, _), w in zip(triples, weights)], unit)
 
 
-def _image(points: Iterable[tuple[int, Fraction]]) -> Pmf:
-    """Pmf of the (point, mass) pairs, merging masses that land on the same point."""
-    pairs = list(points)
-    ints, unit = to_common_unit([p for _, p in pairs])
+def _image(points: Iterable[tuple[int, int]], unit: int) -> Pmf:
+    """Pmf of the (point, weight) pairs over `unit`, merging weights that land on the same point."""
     acc: dict[int, int] = {}
-    for (z, _), w in zip(pairs, ints):
+    for z, w in points:
         acc[z] = acc.get(z, 0) + w
     lo, hi = min(acc), max(acc)
     return _canonical(lo, [acc.get(z, 0) for z in range(lo, hi + 1)], unit)
 
 
-def _axis_sum(atoms: tuple[Atom, ...], axis: int) -> Pmf:
-    return _image((atom[axis], atom[2]) for atom in atoms)
+def _axis_sum(cells: Iterable[Cell], axis: int, unit: int) -> Pmf:
+    return _image([(cell[axis], cell[2]) for cell in cells], unit)
 
 
 def check_marginals(c: Coupling) -> bool:
-    """Exact rational check that row/column sums reproduce the stored marginals."""
-    return _axis_sum(c.atoms, 0) == c.marginal0 and _axis_sum(c.atoms, 1) == c.marginal1
+    """Exact check, in ints, that row/column sums reproduce the stored marginals."""
+    return _axis_sum(c.cells, 0, c.unit) == c.marginal0 and _axis_sum(c.cells, 1, c.unit) == c.marginal1
 
 
 def is_staircase(c: Coupling) -> bool:
     """Monotone-support test: x1 < x2 implies y1 <= y2 over all atom pairs.
 
-    The atoms are lex sorted, so this holds exactly when y never decreases
-    from one atom to the next.
+    The cells are lex sorted, so this holds exactly when y never decreases
+    from one cell to the next.
     """
-    return all(a[1] <= b[1] for a, b in pairwise(c.atoms))
+    return all(a[1] <= b[1] for a, b in pairwise(c.cells))
 
 
 def quantile(nu: Pmf, t: Fraction) -> int:
@@ -111,37 +145,40 @@ def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:
     Two-pointer sweep over the supports: each step emits the overlap of the
     current quantile intervals and advances whichever side is exhausted
     (both on ties).  Atom count is at most |supp nu0| + |supp nu1| - 1.
-    The sweep runs on int masses in the unit 1 / (T0 T1) of the two totals.
+    The sweep runs on int masses in the unit 1 / (T0 T1) of the two totals,
+    and (i, j) only rises, so the cells come out lex sorted.
     """
-    unit = nu0.total * nu1.total
-    s0 = [(x, w * nu1.total) for x, w in enumerate(nu0.weights, nu0.offset) if w]
-    s1 = [(y, w * nu0.total) for y, w in enumerate(nu1.weights, nu1.offset) if w]
-    atoms: list[Atom] = []
-    i = j = 0
-    r0 = s0[0][1]
-    r1 = s1[0][1]
-    while i < len(s0) and j < len(s1):
-        take = min(r0, r1)
-        atoms.append((s0[i][0], s1[j][0], Fraction(take, unit)))
-        r0 -= take
-        r1 -= take
-        if r0 == 0:
-            i += 1
-            r0 = s0[i][1] if i < len(s0) else 0
-        if r1 == 0:
-            j += 1
-            r1 = s1[j][1] if j < len(s1) else 0
-    return Coupling(tuple(atoms), nu0, nu1)
+    rows = iter([(x, w * nu1.total) for x, w in enumerate(nu0.weights, nu0.offset) if w])
+    cols = iter([(y, w * nu0.total) for y, w in enumerate(nu1.weights, nu1.offset) if w])
+    cells: list[Cell] = []
+    (x, r0), (y, r1) = next(rows), next(cols)
+    # both sides hold T0 T1 in all, so neither runs out while the other has mass left
+    while True:
+        if r0 < r1:
+            cells.append((x, y, r0))
+            r1 -= r0
+            x, r0 = next(rows)
+        elif r1 < r0:
+            cells.append((x, y, r1))
+            r0 -= r1
+            y, r1 = next(cols)
+        else:
+            cells.append((x, y, r0))
+            row = next(rows, None)
+            if row is None:
+                break
+            (x, r0), (y, r1) = row, next(cols)
+    return _reduced(cells, nu0.total * nu1.total, nu0, nu1)
 
 
 def pushforward(c: Coupling, mapping: Callable[[int, int], int]) -> Pmf:
-    """Image measure of the coupling under (x, y) -> z, exact."""
-    return _image((mapping(x, y), p) for x, y, p in c.atoms)
+    """Image measure of the coupling under (x, y) -> z, exact: the cell weights summed in ints."""
+    return _image([(mapping(x, y), w) for x, y, w in c.cells], c.unit)
 
 
 def meet_join_pushforward(c: Coupling) -> Coupling:
     """Push a coupling on {0,1}^2 (as integers) forward under S(x,y) = (min, max)."""
-    return coupling_from_atoms((min(x, y), max(x, y), p) for x, y, p in c.atoms)
+    return _from_cells(((min(x, y), max(x, y), w) for x, y, w in c.cells), c.unit)
 
 
 def _require_binary(nu: Pmf) -> None:

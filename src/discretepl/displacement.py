@@ -13,6 +13,12 @@ satisfies P <= 1, and Jensen's inequality turns that into the entropy
 inequality  H(nu-|m) + H(nu+|m) <= H(nu0|m) + H(nu1|m)  with m the counting
 measure.  This module computes all of these plus the level-set and chain
 combinatorics that drive the bound.
+
+Everything is read off the integer cells of the coupling and the integer
+weights of the four measures.  P is summed in ints and becomes one Fraction
+at the end, and the Jensen certificate and the entropies take their logs on
+reduced int ratios.  So the floats are those of the same formulas written on
+Fraction masses, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from itertools import groupby
 
 from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
 from .errors import NotMonotone, PreconditionViolated
-from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, counting_entropy, log_of_fraction
+from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _mass_times_log, counting_entropy, log_of_fraction
 
 
 def m_minus(x: int, y: int) -> int:
@@ -54,25 +60,61 @@ def midpoint_measures(nu0: Pmf, nu1: Pmf) -> MidpointPair:
     return MidpointPair(pushforward(pi, m_minus), pushforward(pi, m_plus), pi)
 
 
-def _atom_ratios(pair: MidpointPair) -> list[tuple[Fraction, Fraction]]:
-    """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom, in atom order."""
+def _cell_factors(pair: MidpointPair) -> list[tuple[int, int, int]]:
+    """(w, nu-(m-) nu+(m+), nu0(x) nu1(y)) in weights for each cell (x, y, w), in cell order.
+
+    In masses the ratio of the atom is the second over the third, times
+    T0 T1 / (T- T+) of the four totals; the third is positive on supp(pi),
+    so 0/0 is never formed.
+    """
     nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
-    # in weights the totals leave one factor T0 T1 / (T- T+); nu0(x) nu1(y) > 0 on supp(pi)
-    num, den = nu0.total * nu1.total, lo.total * hi.total
-    return [
-        (p, Fraction(lo.weight(m_minus(x, y)) * hi.weight(m_plus(x, y)) * num, nu0.weight(x) * nu1.weight(y) * den))
-        for x, y, p in pair.pi.atoms
-    ]
+    # every point read lies in its pmf's window, so the weights are indexed directly
+    factors = []
+    for x, y, w in pair.pi.cells:
+        a = m_minus(x, y)
+        b = x + y - a  # m_plus(x, y)
+        num = lo.weights[a - lo.offset] * hi.weights[b - hi.offset]
+        factors.append((w, num, nu0.weights[x - nu0.offset] * nu1.weights[y - nu1.offset]))
+    return factors
+
+
+def _ratio_sum(pair: MidpointPair, factors: list[tuple[int, int, int]]) -> Fraction:
+    """P from the cell factors: T0 T1 / (U T- T+) times the sum of w num / den, one Fraction in all.
+
+    Each term is reduced by its own gcd before the lcm of the denominators
+    is taken.  A cell's weight often fills its whole row or column, so most
+    reduced denominators are single weights rather than products, and the
+    lcm stays short.
+    """
+    by_den: dict[int, int] = {}
+    for w, num, den in factors:
+        n = w * num
+        g = math.gcd(n, den)
+        by_den[den // g] = by_den.get(den // g, 0) + n // g
+    lcm = math.lcm(*by_den)
+    numerator = sum([n * (lcm // d) for d, n in by_den.items()])
+    nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
+    return Fraction(numerator * nu0.total * nu1.total, lcm * pair.pi.unit * lo.total * hi.total)
 
 
 def pair_ratio_sum(pair: MidpointPair) -> Fraction:
     """Exact P for an already-built midpoint pair."""
-    return sum((ratio * p for p, ratio in _atom_ratios(pair)), ZERO)
+    return _ratio_sum(pair, _cell_factors(pair))
 
 
 def midpoint_ratio_sum(nu0: Pmf, nu1: Pmf) -> Fraction:
     """Exact rational P; always <= 1.  Off-support terms never arise (0/0 is never formed)."""
     return pair_ratio_sum(midpoint_measures(nu0, nu1))
+
+
+def _jensen_certificate(pair: MidpointPair, factors: list[tuple[int, int, int]]) -> float:
+    """The float sum over atoms of float(pi(x,y)) * log_of_fraction(ratio), formed from the cell factors."""
+    nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
+    scale_num, scale_den, unit = nu0.total * nu1.total, lo.total * hi.total, pair.pi.unit
+    certificate = 0.0
+    for w, num, den in factors:
+        certificate += _mass_times_log(w, unit, num * scale_num, den * scale_den)
+    return certificate
 
 
 @dataclass(frozen=True)
@@ -111,11 +153,8 @@ def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:
     h1 = counting_entropy(nu1)
     hm = counting_entropy(pair.nu_minus)
     hp = counting_entropy(pair.nu_plus)
-    certificate = 0.0
-    p_sum = ZERO
-    for p, ratio in _atom_ratios(pair):
-        certificate += float(p) * log_of_fraction(ratio)
-        p_sum += ratio * p
+    factors = _cell_factors(pair)
+    p_sum = _ratio_sum(pair, factors)
     return DisplacementReport(
         pair=pair,
         entropy0=h0,
@@ -123,7 +162,7 @@ def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:
         entropy_minus=hm,
         entropy_plus=hp,
         gap=h0 + h1 - hm - hp,
-        jensen_certificate=certificate,
+        jensen_certificate=_jensen_certificate(pair, factors),
         ratio_sum=p_sum,
         log_ratio_sum=log_of_fraction(p_sum) if p_sum > 0 else -math.inf,
     )
@@ -156,8 +195,8 @@ def level_sets(pi: Coupling) -> list[LevelSet]:
     if not is_staircase(pi):
         raise NotMonotone("level sets are only defined for staircase couplings")
     # along a staircase x + y never decreases, so each level is a run of atoms
-    runs = groupby(pi.atoms, key=lambda atom: m_minus(atom[0], atom[1]))
-    return [LevelSet(a, tuple((x, y) for x, y, _ in atoms)) for a, atoms in runs]
+    runs = groupby(pi.cells, key=lambda cell: m_minus(cell[0], cell[1]))
+    return [LevelSet(a, tuple([(x, y) for x, y, _ in cells])) for a, cells in runs]
 
 
 @dataclass(frozen=True)
@@ -251,7 +290,7 @@ class ChainRecord:
 def chain_diagnostics(pair: MidpointPair) -> list[ChainRecord]:
     """Label each level as isolated or chained and verify the per-chain bound."""
     sets = level_sets(pair.pi)
-    mass_at = {(x, y): p for x, y, p in pair.pi.atoms}
+    weight_at = {(x, y): w for x, y, w in pair.pi.cells}
     plus_img = {ls.a: {m_plus(x, y) for x, y in ls.pairs} for ls in sets}
 
     runs: list[list[LevelSet]] = []
@@ -261,32 +300,31 @@ def chain_diagnostics(pair: MidpointPair) -> list[ChainRecord]:
         else:
             runs.append([ls])
 
-    nu0 = pair.pi.marginal0
-    nu1 = pair.pi.marginal1
+    nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
+    unit = pair.pi.unit
     records = []
     for run in runs:
         alphas: dict[int, Fraction] = {}
-        sent: dict[int, Fraction] = {}
-        mass = ZERO
-        contribution = ZERO
+        sent: dict[int, int] = {}  # cell weights sent to each m_plus value, over `unit`
         for ls in run:
             for x, y in ls.pairs:
-                p = mass_at[(x, y)]
+                w = weight_at[(x, y)]
                 b = m_plus(x, y)
-                coeff = pair.nu_minus.mass(ls.a) * p / (nu0.mass(x) * nu1.mass(y))
+                # nu-(a) pi(x,y) / (nu0(x) nu1(y)), from the weights and the totals
+                coeff = Fraction(
+                    lo.weight(ls.a) * w * nu0.total * nu1.total, lo.total * unit * nu0.weight(x) * nu1.weight(y)
+                )
                 alphas[b] = alphas.get(b, ZERO) + coeff
-                sent[b] = sent.get(b, ZERO) + p
-                mass += p
-                contribution += coeff * pair.nu_plus.mass(b)
+                sent[b] = sent.get(b, 0) + w
         records.append(
             ChainRecord(
-                levels=tuple(ls.a for ls in run),
+                levels=tuple([ls.a for ls in run]),
                 isolated=len(run) == 1,
                 plus_values=tuple(sorted(alphas)),
                 alphas=alphas,
-                mass=mass,
-                ratio_contribution=contribution,
-                plus_decomposition_exact=all(pair.nu_plus.mass(b) == q for b, q in sent.items()),
+                mass=Fraction(sum(sent.values()), unit),
+                ratio_contribution=sum((alpha * hi.mass(b) for b, alpha in alphas.items()), ZERO),
+                plus_decomposition_exact=all(hi.weight(b) * unit == q * hi.total for b, q in sent.items()),
             )
         )
     return records

@@ -4,8 +4,10 @@ A Pmf stores coprime integer weights over one integer total, so every mass
 is the exact rational weight / total and every mass-only identity
 (normalization, marginals, ratio sums) can be checked in integers or with
 rational equality.  Logarithmic quantities (entropies, log-Laplace
-transforms) are IEEE doubles in natural log.  Every float comparison in the
-package uses one of the tolerances named below.
+transforms) are IEEE doubles in natural log.  The entropies are formed from
+the weights without building Fractions (`_mass_times_log`), and equal the
+Fraction formulas bit for bit.  Every float comparison in the package uses
+one of the tolerances named below.
 """
 
 from __future__ import annotations
@@ -111,8 +113,25 @@ class Pmf:
         return Pmf(self.offset + t, self.weights, self.total)
 
     def __str__(self) -> str:
-        body = " ".join(str(m) for m in self.masses)
+        body = " ".join([_ratio_str(w, self.total) for w in self.weights])
         return f"{self.offset}; {body}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for ints n >= 0 and d > 0, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _mass_times_log(w: int, unit: int, n: int, d: int) -> float:
+    """float(Fraction(w, unit)) * log_of_fraction(Fraction(n, d)) for positive ints, on ints.
+
+    w / unit is correctly rounded, as the float of a Fraction is, and the
+    logs are taken on the reduced numerator and denominator, as
+    `log_of_fraction` takes them, so the float is the same.
+    """
+    g = math.gcd(n, d)
+    return w / unit * (math.log(n // g) - math.log(d // g))
 
 
 def _canonical(offset: int, ints: list[int], unit: int) -> Pmf:
@@ -188,21 +207,24 @@ def counting_entropy(nu: Pmf) -> float:
     """Entropy relative to counting measure: sum nu(x) log nu(x) over the support.
 
     Always <= 0 because every atom is <= 1.  Invariant under translation.
+    Each term is float(m) * log_of_fraction(m), formed from the weights.
     """
-    return sum(float(m) * log_of_fraction(m) for _, m in nu.support())
+    return sum([_mass_times_log(w, nu.total, w, nu.total) for w in nu.weights if w])
 
 
 def relative_entropy(nu: Pmf, mu: Pmf) -> float:
     """sum nu(x) log(nu(x)/mu(x)); +inf when nu charges a mu-null point.
 
-    Non-negative by Jensen; exactly 0.0 when nu == mu.
+    Non-negative by Jensen; exactly 0.0 when nu == mu.  Each term is
+    float(m) * log_of_fraction(m / q), formed from the weights.
     """
     acc = 0.0
-    for x, m in nu.support():
-        q = mu.mass(x)
-        if q == 0:
-            return math.inf
-        acc += float(m) * log_of_fraction(m / q)
+    for x, w in enumerate(nu.weights, nu.offset):
+        if w:
+            v = mu.weight(x)
+            if v == 0:
+                return math.inf
+            acc += _mass_times_log(w, nu.total, w * mu.total, nu.total * v)
     return acc
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .coupling import Coupling, monotone_coupling
+from .coupling import Coupling, _reduced, monotone_coupling
 from .displacement import m_minus, m_plus
 from .errors import ConfigError, InfeasibleCost, ConstraintViolated, OutsidePositiveWindow
 from .measures import (
@@ -309,10 +309,11 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
     demand = [nu1.weight(y) * nu0.total for y in ys]
     rc = _rational_cost_matrix(cost, xs, ys)
     into, pot = _successive_shortest_paths(supply, demand, rc)
+    # the flows are already in the unit 1 / (T0 T1)
     unit = nu0.total * nu1.total
-    flow = [(i, j, Fraction(f, unit)) for j, row in enumerate(into) for i, f in row.items() if f > 0]
-    plan = Coupling(tuple(sorted((xs[i], ys[j], f) for i, j, f in flow)), nu0, nu1)
-    exact = sum((rc[i][j] * f for i, j, f in flow), ZERO)
+    flow = [(i, j, f) for j, row in enumerate(into) for i, f in row.items() if f > 0]
+    plan = _reduced(sorted([(xs[i], ys[j], f) for i, j, f in flow]), unit, nu0, nu1)
+    exact = sum((rc[i][j] * f for i, j, f in flow), ZERO) / unit
     dual_u = dual_v = None
     if want_duals:
         u = {x: -pot[i] for i, x in enumerate(xs)}
@@ -353,8 +354,9 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
                 raise OutsidePositiveWindow(f"support point {x} outside positive window")
     witness = weights_concavity_witness(mu) if isinstance(mu, LogWeights) else log_concavity_witness(mu)
     if witness is None:
-        atoms = monotone_coupling(nu0, nu1).atoms
-        lhs = float(sum((as_fraction(cost_mu(mu, x, y)) * p for x, y, p in atoms), ZERO))
+        pi = monotone_coupling(nu0, nu1)
+        costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])
+        lhs = float(Fraction(sum([c * w for c, (_, _, w) in zip(costs, pi.cells)]), cost_unit * pi.unit))
     else:
         lhs = ot_cost(curvature_cost(mu), nu0, nu1).cost
     if isinstance(mu, LogWeights):

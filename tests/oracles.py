@@ -10,6 +10,7 @@ simplex over rationals.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -258,3 +259,38 @@ def normalized_window(offset, values):
     total = sum(qs, ZERO)
     kept = [i for i, q in enumerate(qs) if q != 0]
     return offset + kept[0], tuple(q / total for q in qs[kept[0] : kept[-1] + 1])
+
+
+def ratio_sum_fraction(nu0, nu1) -> Fraction:
+    """P by its definition, one Fraction per term, on a quantile-overlap coupling built here.
+
+    Each support point owns the half-open interval [F(x-), F(x)) of its
+    cumulative masses, and the pair (x, y) gets the length of the overlap of
+    the two intervals; the floor and ceiling midpoint measures are summed
+    from those atoms, and P is the sum of
+    pi(x,y) nu-(floor) nu+(ceil) / (nu0(x) nu1(y)) term by term.
+    """
+
+    def intervals(nu):
+        out, start = [], ZERO
+        for x, m in nu.support():
+            out.append((x, start, start + m))
+            start += m
+        return out
+
+    atoms = []
+    for x, lo0, hi0 in intervals(nu0):
+        for y, lo1, hi1 in intervals(nu1):
+            overlap = min(hi0, hi1) - max(lo0, lo1)
+            if overlap > 0:
+                atoms.append((x, y, overlap))
+    floor_mass, ceil_mass = {}, {}
+    for x, y, p in atoms:
+        mid = Fraction(x + y, 2)
+        floor_mass[math.floor(mid)] = floor_mass.get(math.floor(mid), ZERO) + p
+        ceil_mass[math.ceil(mid)] = ceil_mass.get(math.ceil(mid), ZERO) + p
+    total = ZERO
+    for x, y, p in atoms:
+        mid = Fraction(x + y, 2)
+        total += p * floor_mass[math.floor(mid)] * ceil_mass[math.ceil(mid)] / (nu0.mass(x) * nu1.mass(y))
+    return total

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 import oracles
 from conftest import pmf_strategy
 from discretepl.coupling import (
-    Coupling,
     binary_lattice_couplings,
     check_marginals,
     coupling_from_atoms,
@@ -19,6 +19,7 @@ from discretepl.coupling import (
 from discretepl.displacement import m_minus, m_plus
 from discretepl.errors import PreconditionViolated, SupportNotBinary
 from discretepl.measures import delta, from_weights, pmf, uniform_on
+from discretepl.transport import ot_cost
 
 F = Fraction
 
@@ -57,7 +58,9 @@ def test_monotone_coupling_is_the_unique_staircase_vertex():
     staircase = []
     for vertex in vertices:
         atoms = tuple(sorted((xs[i], ys[j], f) for (i, j), f in vertex.items()))
-        c = Coupling(atoms, nu0, nu1)
+        # transport_vertices drops zero flows, so no cell is lost here
+        c = coupling_from_atoms(atoms)
+        assert (c.marginal0, c.marginal1) == (nu0, nu1)
         if is_staircase(c):
             staircase.append(atoms)
     assert staircase == [monotone_coupling(nu0, nu1).atoms]
@@ -171,7 +174,7 @@ def test_is_staircase_matches_the_pairwise_definition(rng):
     for _ in range(400):
         cells = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))}
         atoms = tuple(sorted((x, y, F(1, len(cells))) for x, y in cells))
-        c = Coupling(atoms, pmf(0, [F(1)]), pmf(0, [F(1)]))  # marginals are not read
+        c = coupling_from_atoms(atoms)
         expected = all(y1 <= y2 for x1, y1, _ in atoms for x2, y2, _ in atoms if x1 < x2)
         assert is_staircase(c) == expected
         verdicts.add(expected)
@@ -184,9 +187,7 @@ def test_uniqueness_of_staircase_vertex_small_supports(rng):
         nu1 = from_weights(rng.randint(-3, 3), [rng.randint(1, 9) for _ in range(rng.randint(1, 3))])
         xs, ys = nu0.support_points(), nu1.support_points()
         vertices = oracles.transport_vertices([nu0.mass(x) for x in xs], [nu1.mass(y) for y in ys])
-        staircase = [
-            v for v in vertices if is_staircase(Coupling(tuple(sorted((xs[i], ys[j], f) for (i, j), f in v.items())), nu0, nu1))
-        ]
+        staircase = [v for v in vertices if is_staircase(coupling_from_atoms((xs[i], ys[j], f) for (i, j), f in v.items()))]
         assert len(staircase) == 1
         atoms = tuple(sorted((xs[i], ys[j], f) for (i, j), f in staircase[0].items()))
         assert atoms == monotone_coupling(nu0, nu1).atoms
@@ -202,3 +203,29 @@ def test_pushforward_two_atoms():
     pi = monotone_coupling(uniform_on([0, 2]), delta(1))
     assert pushforward(pi, m_minus) == uniform_on([0, 1])
     assert pushforward(pi, m_plus) == uniform_on([1, 2])
+
+
+@given(pmf_strategy(), pmf_strategy())
+@settings(max_examples=100, deadline=None)
+def test_equal_couplings_compare_and_hash_equal_from_every_constructor(nu0, nu1):
+    pi = monotone_coupling(nu0, nu1)
+    # split every atom in two, so the merge and the gcd reduction both have work to do
+    halves = [(x, y, p / 2) for x, y, p in pi.atoms] * 2
+    # (x - y)^2 is strictly Monge, so the monotone coupling is the only optimal plan
+    plan = ot_cost(lambda x, y: (x - y) ** 2, nu0, nu1).plan
+    for other in (coupling_from_atoms(pi.atoms), coupling_from_atoms(reversed(halves)), plan):
+        assert other == pi
+        assert hash(other) == hash(pi)
+    assert math.gcd(pi.unit, *[w for _, _, w in pi.cells]) == 1
+    assert sum(w for _, _, w in pi.cells) == pi.unit
+
+
+def test_mass_reads_cells_and_off_support_points(rng):
+    for _ in range(100):
+        nu0 = from_weights(rng.randint(-3, 3), [rng.randint(0, 9) for _ in range(rng.randint(1, 5))] + [1])
+        nu1 = from_weights(rng.randint(-3, 3), [rng.randint(0, 9) for _ in range(rng.randint(1, 5))] + [1])
+        pi = monotone_coupling(nu0, nu1)
+        atoms = {(x, y): p for x, y, p in pi.atoms}
+        for x in range(nu0.offset - 1, nu0.window().stop + 1):
+            for y in range(nu1.offset - 1, nu1.window().stop + 1):
+                assert pi.mass(x, y) == atoms.get((x, y), 0)

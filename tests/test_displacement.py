@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import allocated_block_growth, cpython_only, pmf_strategy
 from discretepl.campaign import random_pmf
 from discretepl.coupling import coupling_from_atoms, monotone_coupling
@@ -21,7 +23,16 @@ from discretepl.displacement import (
     pair_ratio_sum,
 )
 from discretepl.errors import NotMonotone, PreconditionViolated
-from discretepl.measures import ZERO, delta, from_weights, uniform_on
+from discretepl.measures import (
+    ZERO,
+    counting_entropy,
+    delta,
+    from_weights,
+    log_of_fraction,
+    pmf,
+    relative_entropy,
+    uniform_on,
+)
 
 F = Fraction
 
@@ -240,3 +251,83 @@ def test_repeated_ratio_sums_strand_no_tuples(rng):
 
     # 130-160 blocks however many calls; a Pmf tuple built from a generator added about 3,000 here
     assert allocated_block_growth(ratio_sum, 1000) < 300
+
+
+@cpython_only
+def test_repeated_displacement_gaps_strand_no_tuples(rng):
+    nu0 = from_weights(-3, [rng.randint(1, 64) for _ in range(12)])
+    nu1 = from_weights(5, [rng.randint(1, 64) for _ in range(7)])
+
+    def gap():
+        displacement_gap(nu0, nu1)
+
+    # the growth stays flat in the number of calls; one stranded tuple per call would add 1,000
+    assert allocated_block_growth(gap, 1000) < 300
+
+
+#: pmf pairs at small and at 10^9 weight resolutions, where the totals run to 10^10 and beyond
+_pmf_pairs = st.sampled_from([24, 10**4, 10**9]).flatmap(
+    lambda resolution: st.tuples(pmf_strategy(resolution=resolution), pmf_strategy(resolution=resolution))
+)
+
+
+@given(_pmf_pairs)
+@settings(max_examples=150, deadline=None)
+def test_ratio_sum_matches_the_fraction_oracle(pair):
+    nu0, nu1 = pair
+    expected = oracles.ratio_sum_fraction(nu0, nu1)
+    assert pair_ratio_sum(midpoint_measures(nu0, nu1)) == expected
+    assert displacement_gap(nu0, nu1).ratio_sum == expected
+
+
+def _fraction_counting_entropy(nu):
+    return sum(float(m) * log_of_fraction(m) for _, m in nu.support())
+
+
+def _fraction_relative_entropy(nu, mu):
+    acc = 0.0
+    for x, m in nu.support():
+        q = mu.mass(x)
+        if q == 0:
+            return math.inf
+        acc += float(m) * log_of_fraction(m / q)
+    return acc
+
+
+@given(_pmf_pairs)
+@settings(max_examples=150, deadline=None)
+def test_entropies_and_certificate_are_the_fraction_formulas_bit_for_bit(pair):
+    nu0, nu1 = pair
+    lo, hi = min(nu0.offset, nu1.offset), max(nu0.window().stop, nu1.window().stop)
+    mixture = pmf(lo, [(nu0.mass(x) + nu1.mass(x)) / 2 for x in range(lo, hi)])
+    report = displacement_gap(nu0, nu1)
+    midpoints = report.pair
+    for nu in (nu0, nu1, midpoints.nu_minus, midpoints.nu_plus):
+        assert counting_entropy(nu) == _fraction_counting_entropy(nu)
+        assert relative_entropy(nu, mixture) == _fraction_relative_entropy(nu, mixture)
+    assert relative_entropy(nu0, nu1) == _fraction_relative_entropy(nu0, nu1)
+    certificate = 0.0
+    for x, y, p in midpoints.pi.atoms:
+        ratio = midpoints.nu_minus.mass(m_minus(x, y)) * midpoints.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y))
+        certificate += float(p) * log_of_fraction(ratio)
+    assert report.jensen_certificate == certificate
+
+
+def test_one_fraction_per_ratio_sum_however_many_atoms(monkeypatch):
+    nu0 = from_weights(-20, list(range(1, 41)))
+    nu1 = from_weights(3, list(range(40, 0, -1)))
+    made = []
+    build = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    pair = midpoint_measures(nu0, nu1)
+    assert len(pair.pi.cells) > 40 and made == []  # the coupling and the push-forwards are ints
+    pair_ratio_sum(pair)
+    assert len(made) == 1
+    made.clear()
+    displacement_gap(nu0, nu1)
+    assert len(made) == 1
