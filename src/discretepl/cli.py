@@ -5,8 +5,9 @@ limit-exp, campaign.  Exit codes: 0 all checks pass, 1 an inequality check
 failed (an implementation-bug signal, since the inequalities are theorems)
 or a user-supplied instance violates a hypothesis, 2 usage or parse errors,
 including a numeric option outside its bounds (0 <= --K <= 100000;
-1 <= --trials <= 1000000; --width, --resolution >= 1; 1 <= --n <= 16384;
---lambda > 0; 1 <= --support-width <= 20000), more than 2500 support
+1 <= --trials <= 1000000; --width >= 1; 1 <= --resolution <= 10^9;
+1 <= --n <= 16384; finite --lambda > 0; 1 <= --support-width <= 20000), a
+path that cannot be read or written, more than 2500 support
 pairs in one exact transport solve, and a pl or clt target whose
 quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when standard
 output was closed early by its reader.
@@ -26,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import io as formats
-from .campaign import CHECKS, MAX_TRIALS, CampaignConfig, _pmf_in_window, run_campaign
+from .campaign import CHECKS, MAX_RESOLUTION, MAX_TRIALS, CampaignConfig, _pmf_in_window, run_campaign
 from .displacement import chain_diagnostics, displacement_gap, level_sets
 from .errors import ConfigError, ConvexityWitnessFailed, DiscretePLError, HypothesisFailedOnGrid, ParseError
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
@@ -243,7 +244,7 @@ def _cmd_transport_cost(args) -> int:
 
 
 def _cmd_check_te(args) -> int:
-    _in_range(args, K=(0, MAX_K), trials=(1, MAX_TRIALS), width=(1, math.inf), resolution=(1, math.inf))
+    _in_range(args, K=(0, MAX_K), trials=(1, MAX_TRIALS), width=(1, math.inf), resolution=(1, MAX_RESOLUTION))
     mu = _reference_measure(args)
     window = reference_window(mu)
     rng = random.Random(args.seed)
@@ -355,8 +356,8 @@ def _rows_out(rows, args) -> None:
 def _cmd_limit_exp(args) -> int:
     if not args.n or min(args.n) < 1 or max(args.n) > 16384:  # a pl row checks all (n+1)^2 pairs: 1-2 s at 16384
         raise ConfigError("--n must list integers >= 1 and <= 16384")
-    if not args.lam > 0:
-        raise ConfigError("--lambda must be > 0")
+    if not 0 < args.lam < math.inf:  # false for NaN too
+        raise ConfigError("--lambda must be > 0 and finite")
     inputs = _limit_inputs(args)
     if args.kind == "pl":
         rows = pl_limit_experiment(*inputs, args.n)
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
         # the reader closed the pipe: send the rest to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (DiscretePLError, FileNotFoundError) as exc:
+    except (DiscretePLError, OSError, UnicodeDecodeError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         # a failed hypothesis on valid input is a failed check, as in check-4ft
         return 1 if isinstance(exc, (HypothesisFailedOnGrid, ConvexityWitnessFailed)) else 2

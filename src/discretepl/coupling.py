@@ -127,14 +127,14 @@ def is_staircase(c: Coupling) -> bool:
 
 
 def quantile(nu: Pmf, t: Fraction) -> int:
-    """Generalized inverse CDF: the smallest x with F(x) >= t, exact in rationals."""
+    """Generalized inverse CDF: the smallest x with F(x) >= t, exact: cumulative weights are compared with t in ints."""
     t = Fraction(t)
     if not 0 < t < 1:
         raise PreconditionViolated("quantile level must lie in (0,1)")
-    acc = ZERO
-    for x, m in nu.support():
-        acc += m
-        if acc >= t:
+    acc = 0
+    for x, w in enumerate(nu.weights, nu.offset):
+        acc += w
+        if acc * t.denominator >= t.numerator * nu.total:
             return x
     raise AssertionError("unreachable: masses sum to 1")
 

@@ -281,7 +281,7 @@ def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn) -> CubeR
 def random_hypothesis_quadruple(rng, n: int, resolution: int):
     """Random rational quadruple satisfying the multiplicative hypothesis.
 
-    Draws positive rational values, repairs them into a log-supermodular
+    Draws positive integer values, repairs them into a log-supermodular
     function by sweeping meet/join pairs (raising the meet/join values to
     the max of an offending pair) until a fixpoint, then returns scaled
     copies (alpha*u, beta*u, alpha*u, beta*u).  At the fixpoint no pair
@@ -289,7 +289,7 @@ def random_hypothesis_quadruple(rng, n: int, resolution: int):
     join value below max(u(x), u(y)), and the sweep raises both to it.
     """
     size = 2**n
-    vals = [Fraction(rng.randint(1, resolution)) for _ in range(size)]
+    vals = [rng.randint(1, resolution) for _ in range(size)]
     changed = True
     while changed:
         changed = False

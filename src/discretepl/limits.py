@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .displacement import displacement_gap, m_minus, m_plus
 from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
-from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, ZERO, Pmf, RealFn, pmf
+from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, Pmf, RealFn, _canonical, delta, to_common_unit
 
 
 @dataclass(frozen=True)
@@ -282,6 +282,8 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
     it.  `lam` rescales the arguments by sqrt(lam) (the flat-to-Gaussian
     reweighting step).
     """
+    if not 0 < lam < math.inf:  # inf * 0 would make NaN grid values
+        raise ConfigError(f"lam must be > 0 and finite, not {lam}")
     root = math.sqrt(lam)
     fns = [fn if lam == 1.0 else (lambda x, fn=fn: fn(root * x)) for fn in (f, g, h)]
     grids = []
@@ -312,14 +314,11 @@ class UniformInterval:
     def cell_masses(self, n: int, half_width: int) -> Pmf:
         if not (-half_width <= self.a < self.b <= half_width):
             raise SupportExceedsWindow(f"[{self.a},{self.b}) not inside [-{half_width},{half_width})")
-        lo = math.floor(self.a * n)
-        hi = math.ceil(self.b * n) - 1
-        masses = []
-        for k in range(lo, hi + 1):
-            left = max(self.a, Fraction(k, n))
-            right = min(self.b, Fraction(k + 1, n))
-            masses.append(max(right - left, ZERO) / (self.b - self.a))
-        return pmf(lo, masses)
+        (p, s), r = to_common_unit([self.a, self.b])
+        lo, hi = p * n // r, -(-s * n // r)  # floor(a n) and ceil(b n)
+        # cell [k/n, (k+1)/n) holds the overlap of [pn, sn) and [kr, (k+1)r), in the unit 1 / (rn)
+        overlaps = [max(0, min(s * n, (k + 1) * r) - max(p * n, k * r)) for k in range(lo, hi)]
+        return _canonical(lo, overlaps, (s - p) * n)
 
     def continuous_entropy(self, half_width: int) -> float:
         # H(uniform[a,b) | uniform[-K,K)) = log(2K / (b - a))
@@ -335,7 +334,7 @@ class PointMass:
     def cell_masses(self, n: int, half_width: int) -> Pmf:
         if not -half_width <= self.c < half_width:
             raise SupportExceedsWindow(f"{self.c} not inside [-{half_width},{half_width})")
-        return pmf(math.floor(self.c * n), [Fraction(1)])
+        return delta(math.floor(self.c * n))
 
     def continuous_entropy(self, half_width: int) -> None:
         return None  # not absolutely continuous

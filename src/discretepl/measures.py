@@ -4,10 +4,11 @@ A Pmf stores coprime integer weights over one integer total, so every mass
 is the exact rational weight / total and every mass-only identity
 (normalization, marginals, ratio sums) can be checked in integers or with
 rational equality.  Logarithmic quantities (entropies, log-Laplace
-transforms) are IEEE doubles in natural log.  The entropies are formed from
-the weights without building Fractions (`_mass_times_log`), and equal the
-Fraction formulas bit for bit.  Every float comparison in the package uses
-one of the tolerances named below.
+transforms) are IEEE doubles in natural log.  They are formed from the
+weights without building Fractions (`_log_ratio`), and equal the Fraction
+formulas bit for bit; a Fraction is built only where a value is returned or
+reported.  Every float comparison in the package uses one of the tolerances
+named below.
 """
 
 from __future__ import annotations
@@ -123,15 +124,19 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
+def _log_ratio(n: int, d: int) -> float:
+    """log_of_fraction(Fraction(n, d)) for positive ints, on ints: the logs of the reduced n and d."""
+    g = math.gcd(n, d)
+    return math.log(n // g) - math.log(d // g)
+
+
 def _mass_times_log(w: int, unit: int, n: int, d: int) -> float:
     """float(Fraction(w, unit)) * log_of_fraction(Fraction(n, d)) for positive ints, on ints.
 
-    w / unit is correctly rounded, as the float of a Fraction is, and the
-    logs are taken on the reduced numerator and denominator, as
-    `log_of_fraction` takes them, so the float is the same.
+    w / unit is correctly rounded, as the float of a Fraction is, so the
+    float is the same.
     """
-    g = math.gcd(n, d)
-    return w / unit * (math.log(n // g) - math.log(d // g))
+    return w / unit * _log_ratio(n, d)
 
 
 def _canonical(offset: int, ints: list[int], unit: int) -> Pmf:
@@ -164,8 +169,8 @@ def uniform_on(points: Sequence[int]) -> Pmf:
 
 
 def from_weights(offset: int, weights: Sequence) -> Pmf:
-    """Normalize non-negative rational weights exactly."""
-    ints, _ = to_common_unit(weights)
+    """Normalize non-negative rational weights exactly; int weights are used as they are."""
+    ints = weights if all([type(w) is int for w in weights]) else to_common_unit(weights)[0]
     if sum(ints) <= 0:
         raise NotNormalized(ONE)
     return _canonical(offset, ints, sum(ints))
@@ -246,12 +251,12 @@ def log_laplace(phi: RealFn, base: Pmf | None = None) -> float:
     """
     if base is None:
         return logsumexp(phi.values)
-    return logsumexp(float(phi.value(x)) + log_of_fraction(m) for x, m in base.support())
+    return logsumexp(float(phi.value(x)) + _log_ratio(w, base.total) for x, w in enumerate(base.weights, base.offset) if w)
 
 
 def expectation(phi: RealFn, nu: Pmf) -> float:
     """Integral of phi against nu (float)."""
-    return sum(float(m) * float(phi.value(x)) for x, m in nu.support())
+    return sum(w / nu.total * float(phi.value(x)) for x, w in enumerate(nu.weights, nu.offset) if w)
 
 
 def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:
@@ -262,13 +267,11 @@ def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:
     log_laplace(phi) - (int phi dnu* - H(nu*|base)) vanishes to EQ_TOL.
     """
     if base is None:
-        xs = list(phi.window())
-        log_base = {x: 0.0 for x in xs}
+        log_base = dict.fromkeys(phi.window(), 0.0)
     else:
-        xs = [x for x, _ in base.support()]
-        log_base = {x: log_of_fraction(base.mass(x)) for x in xs}
-    shift = max(float(phi.value(x)) + log_base[x] for x in xs)
-    lo, hi = min(xs), max(xs)
+        log_base = {x: _log_ratio(w, base.total) for x, w in enumerate(base.weights, base.offset) if w}
+    shift = max(float(phi.value(x)) + log_base[x] for x in log_base)
+    lo, hi = min(log_base), max(log_base)
     weights = [math.exp(float(phi.value(x)) + log_base[x] - shift) if x in log_base else 0.0 for x in range(lo, hi + 1)]
     return from_weights(lo, weights)
 

@@ -43,8 +43,8 @@ from .measures import (
     ZERO,
     Pmf,
     RealFn,
+    _log_ratio,
     as_fraction,
-    log_of_fraction,
     logsumexp,
     relative_entropy,
     to_common_unit,
@@ -111,7 +111,7 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
     for z in (x, y, lo_mid, hi_mid):
         if z not in window:
             raise OutsidePositiveWindow(f"{z} outside positive window {window}")
-    return log_of_fraction(Fraction(mu.weight(lo_mid) * mu.weight(hi_mid), mu.weight(x) * mu.weight(y)))
+    return _log_ratio(mu.weight(lo_mid) * mu.weight(hi_mid), mu.weight(x) * mu.weight(y))
 
 
 def curvature_cost(mu: Pmf | LogWeights) -> Cost:
@@ -169,11 +169,11 @@ def log_interpolant(mu: Pmf, t: float) -> float:
     window = positive_window(mu)
     if lo not in window or hi not in window:
         raise OutsidePositiveWindow(f"[{lo},{hi}] outside positive window {window}")
-    log_lo = log_of_fraction(mu.mass(lo))
+    log_lo = _log_ratio(mu.weight(lo), mu.total)
     if hi == lo:
         return log_lo
     frac = t - lo
-    return (1 - frac) * log_lo + frac * log_of_fraction(mu.mass(hi))
+    return (1 - frac) * log_lo + frac * _log_ratio(mu.weight(hi), mu.total)
 
 
 def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
@@ -368,7 +368,8 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
 
 def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
     log_z = mu.log_normalizer()
-    return sum(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+    t = nu.total
+    return sum(w / t * (_log_ratio(w, t) - float(mu.weight(x)) + log_z) for x, w in enumerate(nu.weights, nu.offset) if w)
 
 
 def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn) -> float:
@@ -388,7 +389,7 @@ def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn) -> float:
         log_z = mu.log_normalizer()
         log_mass = {x: float(mu.weight(x)) - log_z for x in window}
     else:
-        log_mass = {x: log_of_fraction(mu.mass(x)) for x in window}
+        log_mass = {x: _log_ratio(mu.weight(x), mu.total) for x in window}
     int_u = sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
     int_v = sum(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
     return int_u * int_v

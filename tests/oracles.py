@@ -294,3 +294,13 @@ def ratio_sum_fraction(nu0, nu1) -> Fraction:
         mid = Fraction(x + y, 2)
         total += p * floor_mass[math.floor(mid)] * ceil_mass[math.ceil(mid)] / (nu0.mass(x) * nu1.mass(y))
     return total
+
+
+def lattice_cell_masses(a, b, n):
+    """(first cell, masses) of the uniform law on [a, b) rounded to the cells [k/n, (k+1)/n).
+
+    One Fraction per cell: the length of the cell's overlap with [a, b),
+    divided by b - a.  The oracle for `UniformInterval.cell_masses`.
+    """
+    lo, hi = math.floor(a * n), math.ceil(b * n)
+    return lo, tuple(max(min(b, Fraction(k + 1, n)) - max(a, Fraction(k, n)), ZERO) / (b - a) for k in range(lo, hi))

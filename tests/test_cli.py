@@ -410,13 +410,44 @@ def test_cli_numeric_option_below_its_bound_exits_two(argv, message, capsys):
         (["check-te", "--mu-kind", "geometric", "--trials", "1000001"], "--trials must be >= 1 and <= 1000000"),
         (["campaign", "--trials", "1000001"], "trials must be >= 1 and <= 1000000"),
         (["campaign", "--support-width", "20001"], "support width must be >= 1 and <= 20000"),
+        (["campaign", "--resolution", "1000000001"], "mass resolution must be >= 2 and <= 1000000000"),
+        (["check-te", "--mu-kind", "geometric", "--resolution", "1000000001"], "--resolution must be >= 1 and <= 1000000000"),
+        (["limit-exp", "--kind", "clt", "--demo", "linear", "--n", "8", "--lambda", "inf"], "--lambda must be > 0 and finite"),
     ],
-    ids=["te-K", "transport-K", "te-trials", "campaign-trials", "campaign-support-width"],
+    ids=[
+        "te-K",
+        "transport-K",
+        "te-trials",
+        "campaign-trials",
+        "campaign-support-width",
+        "campaign-resolution",
+        "te-resolution",
+        "clt-lambda",
+    ],
 )
 def test_cli_numeric_option_above_its_bound_exits_two(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-displacement", "--nu0", "{dir}", "--nu1", "{dir}"],
+        ["limit-exp", "--kind", "pl", "--spec", "{dir}", "--n", "8"],
+        ["campaign", "--trials", "1", "--csv", "{dir}"],
+        ["limit-exp", "--kind", "disp", "--n", "8", "--csv", "{dir}"],
+        ["check-displacement", "--nu0", "{latin1}", "--nu1", "{latin1}"],
+    ],
+    ids=["directory-as-pmf", "directory-as-spec", "directory-as-campaign-csv", "directory-as-rows-csv", "not-utf8"],
+)
+def test_cli_unreadable_path_exits_two(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("0; 1 # \xe9t\xe9\n".encode("latin-1"))
+    assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "internal error" not in err
 
 
 def test_cli_limit_exp_n_is_bounded_before_any_file_is_read(tmp_path, capsys):

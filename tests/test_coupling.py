@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import pmf_strategy
@@ -37,6 +38,19 @@ def test_quantile_exact_crossing():
 def test_quantile_rejects_bad_level():
     with pytest.raises(PreconditionViolated):
         quantile(delta(0), F(0))
+
+
+@given(pmf_strategy(), st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda t: 0 < t < 1))
+@settings(max_examples=200, deadline=None)
+def test_quantile_is_the_smallest_point_whose_cdf_reaches_the_level(nu, t):
+    cdf, acc = {}, F(0)
+    for z in nu.window():
+        acc += nu.mass(z)
+        cdf[z] = acc
+    # the levels the cdf attains are the ties, so they are checked besides t
+    for level in {t, *[c for c in cdf.values() if c < 1]}:
+        x = quantile(nu, level)
+        assert cdf[x] >= level and all(cdf[z] < level for z in cdf if z < x)
 
 
 def test_monotone_coupling_of_diracs():

@@ -1,0 +1,145 @@
+"""Exact values are read as ints: the Fraction views of a Pmf or Coupling are for reports only.
+
+The float functions below read the canonical int weights, and each is
+compared with its formula written on Fraction masses, bit for bit.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from discretepl import campaign
+from discretepl.coupling import Coupling, quantile
+from discretepl.fourfunctions import random_hypothesis_quadruple
+from discretepl.limits import DISP_DEMOS, PointMass, UniformInterval, rescaled_displacement_experiment
+from discretepl.measures import Pmf, RealFn, expectation, from_weights, gibbs_optimizer, log_laplace, log_of_fraction, logsumexp
+from discretepl.transport import (
+    LogWeights,
+    _relative_entropy_logweights,
+    cost_mu,
+    dual_product_check,
+    log_interpolant,
+)
+
+F = Fraction
+
+
+def _random_phi(rng, window):
+    return RealFn(window.start, tuple([rng.uniform(-3, 3) for _ in window]))
+
+
+def _random_log_weights(rng, window):
+    return LogWeights(window.start, tuple([F(rng.randint(-30, 5), rng.randint(1, 6)) for _ in window]))
+
+
+def _feasible_duals(rng, mu):
+    """u, v on the window of mu with u(x) + v(y) <= c_mu(x, y) everywhere, with room to spare."""
+    window = mu.window()
+    low = min(float(cost_mu(mu, x, y)) for x in window for y in window) / 2 - 1e-3
+    return [RealFn(window.start, tuple([low - rng.uniform(0, 1) for _ in window])) for _ in range(2)]
+
+
+def _converted_calls(rng):
+    """One call of each function that reads the int weights where it once read Fractions."""
+    nu = from_weights(-2, [rng.randint(1, 40) for _ in range(rng.randint(1, 9))])
+    phi = _random_phi(rng, nu.window())
+    lw = _random_log_weights(rng, nu.window())
+    u, v = _feasible_duals(rng, nu)
+    return [
+        lambda: UniformInterval(F(-1, 3), F(5, 7)).cell_masses(64, 1),
+        lambda: PointMass(F(-2, 3)).cell_masses(64, 1),
+        lambda: random_hypothesis_quadruple(rng, 3, 64),
+        lambda: quantile(nu, F(1, 3)),
+        lambda: log_laplace(phi, nu),
+        lambda: expectation(phi, nu),
+        lambda: gibbs_optimizer(phi, nu),
+        lambda: cost_mu(nu, nu.offset, nu.window().stop - 1),
+        lambda: log_interpolant(nu, nu.offset + 0.5),
+        lambda: _relative_entropy_logweights(nu, lw),
+        lambda: dual_product_check(nu, u, v),
+        lambda: dual_product_check(lw, *_feasible_duals(rng, lw)),
+    ]
+
+
+def test_no_checker_reads_a_fraction_view(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction view was read")
+
+    calls = _converted_calls(random.Random(3))  # built before the views are closed
+    for cls, names in ((Pmf, ("masses", "mass", "support")), (Coupling, ("atoms", "mass"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse) if name in ("masses", "atoms") else refuse)
+    for call in calls:
+        call()
+    for check in campaign.CHECKS:
+        report = campaign.run_campaign(campaign.CampaignConfig(1, 20, check=check))
+        assert report.failures == 0
+    for dist0, dist1, half_width in DISP_DEMOS.values():
+        assert all(row.holds for row in rescaled_displacement_experiment(dist0, dist1, half_width, [8, 64]))
+
+
+# the formulas on Fraction masses that the int readers replace
+
+
+def _log_laplace_fraction(phi, base):
+    return logsumexp(float(phi.value(x)) + log_of_fraction(m) for x, m in base.support())
+
+
+def _expectation_fraction(phi, nu):
+    return sum(float(m) * float(phi.value(x)) for x, m in nu.support())
+
+
+def _gibbs_fraction(phi, base):
+    log_base = {x: log_of_fraction(base.mass(x)) for x, _ in base.support()}
+    shift = max(float(phi.value(x)) + log_base[x] for x in log_base)
+    lo, hi = min(log_base), max(log_base)
+    return from_weights(
+        lo, [math.exp(float(phi.value(x)) + log_base[x] - shift) if x in log_base else 0.0 for x in range(lo, hi + 1)]
+    )
+
+
+def _cost_fraction(mu, x, y):
+    lo, hi = (x + y) // 2, -((-x - y) // 2)
+    return log_of_fraction(mu.mass(lo) * mu.mass(hi) / (mu.mass(x) * mu.mass(y)))
+
+
+def _log_interpolant_fraction(mu, t):
+    lo, hi = math.floor(t), math.ceil(t)
+    if lo == hi:
+        return log_of_fraction(mu.mass(lo))
+    return (1 - (t - lo)) * log_of_fraction(mu.mass(lo)) + (t - lo) * log_of_fraction(mu.mass(hi))
+
+
+def _relative_entropy_logweights_fraction(nu, mu):
+    log_z = mu.log_normalizer()
+    return sum(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+
+
+def _dual_product_fraction(mu, u, v):
+    window = mu.window()
+    log_mass = {x: log_of_fraction(mu.mass(x)) for x in window}
+    int_u = sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
+    int_v = sum(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
+    return int_u * int_v
+
+
+def test_float_readers_equal_their_fraction_formulas_bit_for_bit(rng):
+    for _ in range(300):
+        base = from_weights(rng.randint(-4, 4), [rng.randint(0, 30) or 1 for _ in range(rng.randint(1, 9))])
+        wide = range(base.offset - 2, base.window().stop + 2)
+        phi = _random_phi(rng, wide)
+        nu = from_weights(base.offset, [rng.choice([0, rng.randint(1, 30)]) for _ in base.window()] + [1])
+        for pmf in (base, nu):  # nu may hold zero weights inside its window
+            assert log_laplace(phi, pmf) == _log_laplace_fraction(phi, pmf)
+            assert expectation(phi, pmf) == _expectation_fraction(phi, pmf)
+            assert gibbs_optimizer(phi, pmf) == _gibbs_fraction(phi, pmf)
+        for x in base.window():
+            for y in base.window():
+                assert cost_mu(base, x, y) == _cost_fraction(base, x, y)
+        for t in (base.offset, rng.uniform(base.offset, base.window().stop - 1)):
+            assert log_interpolant(base, t) == _log_interpolant_fraction(base, t)
+        lw = _random_log_weights(rng, wide)
+        assert _relative_entropy_logweights(nu, lw) == _relative_entropy_logweights_fraction(nu, lw)
+        u, v = _feasible_duals(rng, base)
+        assert dual_product_check(base, u, v) == _dual_product_fraction(base, u, v)
+

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from discretepl import limits
 from discretepl.errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
 from discretepl.fourfunctions import CubeFn, check_4ft_additive
@@ -213,6 +214,12 @@ def test_clt_quadratic_demo_holds():
     assert rows[-1].rel_err_f < 0.01
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_clt_rejects_a_lambda_that_is_not_positive_and_finite(lam):
+    with pytest.raises(ConfigError, match="lam must be > 0 and finite"):
+        clt_experiment(*CLT_DEMOS["linear"], [8], lam=lam)
+
+
 def test_clt_lambda_rescaling_changes_targets():
     rows1 = clt_experiment(*CLT_DEMOS["quadratic"], [64], lam=1.0)
     rows2 = clt_experiment(*CLT_DEMOS["quadratic"], [64], lam=4.0)
@@ -300,6 +307,17 @@ def test_uniform_interval_cells_exact():
     assert all(m == F(1, 4) for _, m in cells.support())
     offset_cells = UniformInterval(F(-1, 2), F(1, 2)).cell_masses(4, 1)
     assert offset_cells.support_points() == [-2, -1, 0, 1]
+
+
+def test_uniform_interval_cells_match_the_fraction_oracle(rng):
+    for index in range(240):
+        n = 2048 if index % 40 == 0 else int(2 ** rng.uniform(0, 11))
+        # an endpoint on a cell edge k/n, or off the edges with its own denominator
+        a, b = sorted(F(rng.randint(-n, n), n) if rng.random() < 0.4 else F(rng.randint(-97, 97), 97) for _ in range(2))
+        if a == b:
+            continue
+        nu = UniformInterval(a, b).cell_masses(n, 1)
+        assert (nu.offset, nu.masses) == oracles.lattice_cell_masses(a, b, n)
 
 
 def test_point_mass_cell():
