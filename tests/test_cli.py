@@ -314,6 +314,63 @@ def test_cli_check_te_json_is_byte_stable(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "21f346abb75686a91165473c1489ff3e4352bed400ea86cc3367acbb3b652946"
 
 
+#: input files for the text-mode pins, by placeholder name
+_TEXT_PIN_FILES = {
+    "nu0": "0; 1/6 1/3 1/2\n",
+    "nu1": "2; 1/4 1/8 3/8 1/4\n",
+    "mu": "-2; 1/10 1/5 2/5 1/5 1/10\n",
+    "f": "1/2\n1\n1/3\n2\n",
+    "g": "1\n1/4\n1/2\n1\n",
+    "h": "1\n1\n1\n2\n",
+    "k": "1\n2\n2\n3\n",
+    "bad": "2\n0\n",
+    "one": "1\n1\n",
+    "cost": "".join(f"{x} {y} {abs(x - y) // 2}\n" for x in range(3) for y in range(2, 6)),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["check-displacement", "--nu0", "{nu0}", "--nu1", "{nu1}"], 0, "39a54f9996eb3629f7b0f4acd3f831d34f30f72e7e52dcf30f91b2d9c61734a8"),
+        (["check-displacement", "--nu0", "{nu0}", "--nu1", "{nu1}", "--dump-coupling"], 0, "3e67974830c6f29217482cbbb861b4e72c4033f75aac34fe679c06613948e3e0"),
+        (["check-4ft", "--dim", "2", "--f", "{f}", "--g", "{g}", "--h", "{h}", "--k", "{k}"], 0, "bbb2281bdb653f17643b62719f51c48870c54e94407ccfbc188d737b69bc18e0"),
+        (["check-4ft", "--dim", "2", "--additive", "--f", "{f}", "--g", "{g}", "--h", "{h}", "--k", "{k}"], 0, "c909a8a19f75a2ae673955262bba718edad555ff5aa08e2229ded116fb4e146c"),
+        (["check-4ft", "--dim", "1", "--f", "{bad}", "--g", "{bad}", "--h", "{one}", "--k", "{one}"], 1, "2d40514682ad553b7eec306495d6173cf8c27766a36000f807a979051b440f14"),
+        (["transport-cost", "--mu-kind", "gaussian", "--nu0", "{nu0}", "--nu1", "{nu1}", "--duals"], 0, "57b47d75f727959ee3517f273d5eb0fc9b09ca9fc6625295e2e26064784bbe2c"),
+        (["transport-cost", "--cost-table", "{cost}", "--nu0", "{nu0}", "--nu1", "{nu1}", "--duals"], 0, "78d53ee577e532adef7b1e45cdd655804522884cf74ab5c16aba259a89906c4a"),
+        (["check-te", "--mu", "{mu}", "--trials", "20", "--seed", "3", "--width", "4"], 0, "b85cad80fd9cde8ce3ca19602c006684b0a4ed0e18294ff2988f8887d87b5753"),
+        (["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1"], 0, "edf3310be8f59c667c249cd2f6642398efeb7b91c69dab4a10e7fee83ab38f42"),
+        (["limit-exp", "--kind", "pl", "--demo", "gaussian", "--n", "16,64"], 0, "e227fa09953379b7974b11f53277e3926fd36e1644a74776dd3715a024af5ab8"),
+        (["limit-exp", "--kind", "clt", "--demo", "quadratic", "--n", "16,64", "--lambda", "2.0"], 0, "4909aaad824a73a064924b1515545a5a1089d67198d6d7435e31658be2c32a26"),
+        (["limit-exp", "--kind", "disp", "--demo", "two-uniform", "--n", "8,32"], 0, "907d13525790b7b9a2ce904cfb91d264f15fe0ba1e6100f62ea7aa612aa68ea7"),
+        (["campaign", "--check", "displacement", "--trials", "30", "--seed", "2"], 0, "5d0220249571551f8688903a1cf540f8d8b700e9793fff1f17dfc4d79137c837"),
+        (["campaign", "--check", "te", "--trials", "30", "--seed", "2"], 0, "1f82b1b4fbbe7a658e312e9bb45fdbf536cd2df50ab369d4bcd4372b1cc1c7e8"),
+    ],
+    ids=[
+        "displacement",
+        "displacement-dump-coupling",
+        "4ft",
+        "4ft-additive",
+        "4ft-failing-hypothesis",
+        "transport-duals",
+        "transport-cost-table",
+        "te-mu-file",
+        "te-mu-kind",
+        "limit-pl",
+        "limit-clt",
+        "limit-disp",
+        "campaign-displacement",
+        "campaign-te",
+    ],
+)
+def test_cli_text_output_is_byte_stable(tmp_path, capsys, argv, code, digest):
+    paths = {name: _write(tmp_path, f"{name}.txt", text) for name, text in _TEXT_PIN_FILES.items()}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_transport_cost_json(tmp_path, capsys):
     nu0 = _write(tmp_path, "nu0.txt", "0; 1/2 0 1/2\n")
     nu1 = _write(tmp_path, "nu1.txt", "1; 1\n")
