@@ -80,14 +80,16 @@ class CampaignReport:
     def failures(self) -> int:
         return len(self.records) - self.passes
 
-    def to_json(self) -> str:
-        # the dataclass field names are the JSON keys; sort_keys fixes their order
-        payload = {
+    def payload(self) -> dict:
+        """The report as JSON-ready data: the dataclass field names are the keys."""
+        return {
             "config": vars(self.config),
             "summary": {"passes": self.passes, "failures": self.failures, "extremes": self.extremes},
             "records": [vars(r) for r in self.records],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         keys = sorted({k for r in self.records for k in r.values})

@@ -12,13 +12,19 @@ pairs in one exact transport solve, and a pl or clt target whose
 quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when standard
 output was closed early by its reader.
 `--json` switches to machine output everywhere.
+
+Each `_cmd_*` maps the options and parsed input files, with no I/O, to
+(JSON payload, text lines, ok, CSV text or None); `main` alone reads the
+files and opens `--csv`, both before any work, prints, and exits 0 if ok.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -29,7 +35,7 @@ from fractions import Fraction
 from . import io as formats
 from .campaign import CHECKS, MAX_RESOLUTION, MAX_TRIALS, CampaignConfig, _pmf_in_window, run_campaign
 from .displacement import chain_diagnostics, displacement_gap, level_sets
-from .errors import ConfigError, ConvexityWitnessFailed, DiscretePLError, HypothesisFailedOnGrid, ParseError
+from .errors import ConfigError, ConvexityWitnessFailed, DiscretePLError, HypothesisFailedOnGrid
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
 from .limits import (
     CLT_DEMOS,
@@ -54,17 +60,18 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-#: one check-te trial takes 1.2-1.3 s at --K 100000 (Python 3.11, 2 cores): mu has 2K+1 points
+#: at --K 100000 a first check-te trial walks mu's 2K+1 weights in 1.0-1.8 s, and a later one takes
+#: 0.1-0.2 ms (Python 3.11, 2 cores)
 MAX_K = 100_000
 #: --mu-kind: name -> log-weights on [-K, K]
 _MU_KINDS = {"geometric": geometric_weights, "gaussian": gaussian_weights}
 
 
-def _in_range(args, **bounds) -> None:
-    """Reject any named option outside its (low, high) bounds, before any work."""
-    for name, (low, high) in bounds.items():
-        if not low <= getattr(args, name) <= high:
-            raise ConfigError(f"--{name} must be >= {low}" + (f" and <= {high}" if high < math.inf else ""))
+#: subcommand -> option -> inclusive (low, high) bounds
+_BOUNDS = {
+    "transport-cost": {"K": (0, MAX_K)},
+    "check-te": {"K": (0, MAX_K), "trials": (1, MAX_TRIALS), "width": (1, math.inf), "resolution": (1, MAX_RESOLUTION)},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,125 +134,95 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check_displacement(args) -> int:
-    nu0 = formats.parse_pmf_file(args.nu0)
-    nu1 = formats.parse_pmf_file(args.nu1)
-    with formats.long_int_strings():
-        report = displacement_gap(nu0, nu1)
-        chains = chain_diagnostics(report.pair)
-        cards = all(ls.card_holds for ls in level_sets(report.pair.pi))
-        ok = report.holds and cards and all(c.bound_holds for c in chains)
-        if args.json:
-            payload = {
-                "P": str(report.ratio_sum),
-                "gap": report.gap,
-                "entropies": {
-                    "nu0": report.entropy0,
-                    "nu1": report.entropy1,
-                    "nu_minus": report.entropy_minus,
-                    "nu_plus": report.entropy_plus,
-                },
-                "jensen_certificate": report.jensen_certificate,
-                "levels": [
-                    {
-                        "levels": c.levels,
-                        "isolated": c.isolated,
-                        "alphas": {str(b): str(a) for b, a in c.alphas.items()},
-                        "bound_holds": c.bound_holds,
-                    }
-                    for c in chains
-                ],
-                "coupling": [[x, y, str(p)] for x, y, p in report.pair.pi.atoms] if args.dump_coupling else None,
-                "ok": ok,
+def _cmd_check_displacement(args, files) -> tuple:
+    report = displacement_gap(files["nu0"], files["nu1"])
+    chains = chain_diagnostics(report.pair)
+    cards = all(ls.card_holds for ls in level_sets(report.pair.pi))
+    ok = report.holds and cards and all(c.bound_holds for c in chains)
+    payload = {
+        "P": str(report.ratio_sum),
+        "gap": report.gap,
+        "entropies": {
+            "nu0": report.entropy0,
+            "nu1": report.entropy1,
+            "nu_minus": report.entropy_minus,
+            "nu_plus": report.entropy_plus,
+        },
+        "jensen_certificate": report.jensen_certificate,
+        "levels": [
+            {
+                "levels": c.levels,
+                "isolated": c.isolated,
+                "alphas": {str(b): str(a) for b, a in c.alphas.items()},
+                "bound_holds": c.bound_holds,
             }
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            print(f"P = {report.ratio_sum} (<= 1: {report.ratio_sum <= 1})")
-            print(f"entropy gap = {report.gap:.12g} (>= 0 up to {INEQ_SLACK:g}: {report.gap >= -INEQ_SLACK})")
-            for c in chains:
-                kind = "isolated" if c.isolated else "chain"
-                print(f"  {kind} levels={list(c.levels)} mass={c.mass} contribution={c.ratio_contribution} ok={c.bound_holds}")
-            if args.dump_coupling:
-                sys.stdout.write(formats.emit_coupling(report.pair.pi))
-    return 0 if ok else 1
+            for c in chains
+        ],
+        "coupling": [[x, y, str(p)] for x, y, p in report.pair.pi.atoms] if args.dump_coupling else None,
+        "ok": ok,
+    }
+    lines = [
+        f"P = {report.ratio_sum} (<= 1: {report.ratio_sum <= 1})",
+        f"entropy gap = {report.gap:.12g} (>= 0 up to {INEQ_SLACK:g}: {report.gap >= -INEQ_SLACK})",
+    ]
+    for c in chains:
+        kind = "isolated" if c.isolated else "chain"
+        lines.append(f"  {kind} levels={list(c.levels)} mass={c.mass} contribution={c.ratio_contribution} ok={c.bound_holds}")
+    if args.dump_coupling:
+        lines += formats.emit_coupling(report.pair.pi).splitlines()
+    return payload, lines, ok, None
 
 
-def _cmd_check_4ft(args) -> int:
-    # the sweep visits 4^dim pairs; at dim 12 it takes 4 s on small-denominator rationals, 3 s on floats
-    # and 100 s on rationals with thousands of distinct large denominators, swept as Fractions
-    if args.dim < 1 or args.dim > 12:
-        raise ConfigError("--dim must be in 1..12")
-    fns = tuple(formats.parse_cubefn_file(path, args.dim) for path in (args.f, args.g, args.h, args.k))
-    with formats.long_int_strings():
-        if args.additive:
-            outcome = check_4ft_additive(*fns)
-            ok = outcome.ok
-            payload = {
-                "hypothesis_ok": outcome.hypothesis_ok,
-                "witness": outcome.hyp_witness,
-                "lhs_log": outcome.lhs,
-                "rhs_log": outcome.rhs,
-                "conclusion_ok": outcome.conclusion_ok,
-            }
-        else:
-            hyp = check_4ft_hypothesis(*fns)
-            lhs, rhs, concl = check_4ft_conclusion(*fns)
-            ok = hyp.ok and concl
-            payload = {
-                "hypothesis_ok": hyp.ok,
-                "witness": [str(w) for w in hyp.witness] if hyp.witness else None,
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "conclusion_ok": concl,
-            }
-        if args.json:
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            for key, value in payload.items():
-                print(f"{key}: {value}")
-    return 0 if ok else 1
-
-
-def _reference_measure(args):
-    if args.mu:
-        return formats.parse_pmf_file(args.mu)
-    if args.mu_kind:
-        return _MU_KINDS[args.mu_kind](args.K)
-    raise ConfigError("need --mu or --mu-kind")
-
-
-def _cmd_transport_cost(args) -> int:
-    _in_range(args, K=(0, MAX_K))
-    nu0 = formats.parse_pmf_file(args.nu0)
-    nu1 = formats.parse_pmf_file(args.nu1)
-    if args.cost_table:
-        cost = formats.parse_cost_table_file(args.cost_table)
+def _cmd_check_4ft(args, files) -> tuple:
+    fns = [files[name] for name in "fghk"]
+    if args.additive:
+        outcome = check_4ft_additive(*fns)
+        ok = outcome.ok
+        payload = {
+            "hypothesis_ok": outcome.hypothesis_ok,
+            "witness": outcome.hyp_witness,
+            "lhs_log": outcome.lhs,
+            "rhs_log": outcome.rhs,
+            "conclusion_ok": outcome.conclusion_ok,
+        }
     else:
-        cost = curvature_cost(_reference_measure(args))
-    with formats.long_int_strings():
-        result = ot_cost(cost, nu0, nu1, want_duals=args.duals)
-        if args.json:
-            payload = {
-                "cost": result.cost,
-                "cost_exact": str(result.cost_exact),
-                "plan": [[x, y, str(p)] for x, y, p in result.plan.atoms],
-                "dual_u": list(result.dual_u.values) if result.dual_u else None,
-                "dual_v": list(result.dual_v.values) if result.dual_v else None,
-            }
-            print(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            print(f"transport cost = {result.cost:.12g} (exact {result.cost_exact})")
-            for x, y, p in result.plan.atoms:
-                print(f"  {x} -> {y}: {p}")
-            if result.dual_u is not None:
-                print(f"dual u: {[round(v, 9) for v in result.dual_u.values]}")
-                print(f"dual v: {[round(v, 9) for v in result.dual_v.values]}")
-    return 0
+        hyp = check_4ft_hypothesis(*fns)
+        lhs, rhs, concl = check_4ft_conclusion(*fns)
+        ok = hyp.ok and concl
+        payload = {
+            "hypothesis_ok": hyp.ok,
+            "witness": [str(w) for w in hyp.witness] if hyp.witness else None,
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "conclusion_ok": concl,
+        }
+    return payload, [f"{key}: {value}" for key, value in payload.items()], ok, None
 
 
-def _cmd_check_te(args) -> int:
-    _in_range(args, K=(0, MAX_K), trials=(1, MAX_TRIALS), width=(1, math.inf), resolution=(1, MAX_RESOLUTION))
-    mu = _reference_measure(args)
+def _reference_measure(args, files):
+    return files["mu"] if args.mu else _MU_KINDS[args.mu_kind](args.K)
+
+
+def _cmd_transport_cost(args, files) -> tuple:
+    cost = files["cost_table"] if args.cost_table else curvature_cost(_reference_measure(args, files))
+    result = ot_cost(cost, files["nu0"], files["nu1"], want_duals=args.duals)
+    payload = {
+        "cost": result.cost,
+        "cost_exact": str(result.cost_exact),
+        "plan": [[x, y, str(p)] for x, y, p in result.plan.atoms],
+        "dual_u": list(result.dual_u.values) if result.dual_u else None,
+        "dual_v": list(result.dual_v.values) if result.dual_v else None,
+    }
+    lines = [f"transport cost = {result.cost:.12g} (exact {result.cost_exact})"]
+    lines += [f"  {x} -> {y}: {p}" for x, y, p in result.plan.atoms]
+    if result.dual_u is not None:
+        lines.append(f"dual u: {[round(v, 9) for v in result.dual_u.values]}")
+        lines.append(f"dual v: {[round(v, 9) for v in result.dual_v.values]}")
+    return payload, lines, True, None
+
+
+def _cmd_check_te(args, files) -> tuple:
+    mu = _reference_measure(args, files)
     window = reference_window(mu)
     rng = random.Random(args.seed)
     failures = []
@@ -257,13 +234,9 @@ def _cmd_check_te(args) -> int:
         worst = min(worst, check.rhs - check.lhs)
         if not check.holds:
             failures.append({"index": index, "nu0": str(nu0), "nu1": str(nu1), "lhs": check.lhs, "rhs": check.rhs})
-    if args.json:
-        print(json.dumps({"trials": args.trials, "failures": failures, "min_slack": worst}, sort_keys=True, indent=2))
-    else:
-        print(f"{args.trials - len(failures)}/{args.trials} transport-entropy checks passed; min slack {worst:.6g}")
-        for f in failures:
-            print(f"  FAILED {f}")
-    return 0 if not failures else 1
+    lines = [f"{args.trials - len(failures)}/{args.trials} transport-entropy checks passed; min slack {worst:.6g}"]
+    lines += [f"  FAILED {f}" for f in failures]
+    return {"trials": args.trials, "failures": failures, "min_slack": worst}, lines, not failures, None
 
 
 _SPEC_NODES = (
@@ -308,83 +281,54 @@ def _load_expr(expr: str):
 
 
 _SPEC_KEYS = {"pl": ("F", "G", "H", "K"), "clt": ("f", "g", "h")}
+_DEMOS = {"pl": PL_DEMOS, "clt": CLT_DEMOS, "disp": DISP_DEMOS}
 
 
-def _limit_inputs(args):
-    if args.spec:
-        if args.kind not in _SPEC_KEYS:
-            raise ConfigError("--spec for disp experiments is not supported; use --demo")
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except ValueError as exc:
-                raise ParseError(exc.lineno, f"spec is not JSON: {exc.msg}") from None
-        if not isinstance(spec, dict):
-            raise ConfigError("spec must be a JSON object")
-        for key in _SPEC_KEYS[args.kind]:
-            if not isinstance(spec.get(key), str):
-                raise ConfigError(f"spec needs an expression string under key {key!r}")
-        try:
-            half_width = float(spec.get("N", 6.0))
-        except (TypeError, ValueError):
-            raise ConfigError("spec N must be a number") from None
-        if args.kind == "pl" and not 0 < half_width < math.inf:  # false for NaN too
-            raise ConfigError(f"spec N must be finite and > 0, not {half_width}")
-        fns = tuple(_load_expr(spec[key]) for key in _SPEC_KEYS[args.kind])
-        return (*fns, half_width) if args.kind == "pl" else fns
-    demos = {"pl": PL_DEMOS, "clt": CLT_DEMOS, "disp": DISP_DEMOS}[args.kind]
-    name = args.demo or next(iter(demos))
-    if name not in demos:
-        raise ConfigError(f"unknown demo {name!r}; choose from {list(demos)}")
-    return demos[name]
+def _parse_spec(text: str, kind: str) -> tuple:
+    """The expression functions of a pl or clt spec, then N for pl."""
+    try:
+        spec = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past the int-digit limit, or too deep nesting
+        raise ConfigError(f"spec is not JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ConfigError("spec must be a JSON object")
+    for key in _SPEC_KEYS[kind]:
+        if not isinstance(spec.get(key), str):
+            raise ConfigError(f"spec needs an expression string under key {key!r}")
+    try:
+        half_width = float(spec.get("N", 6.0))
+    except (TypeError, ValueError):
+        raise ConfigError("spec N must be a number") from None
+    if kind == "pl" and not 0 < half_width < math.inf:  # false for NaN too
+        raise ConfigError(f"spec N must be finite and > 0, not {half_width}")
+    fns = tuple(_load_expr(spec[key]) for key in _SPEC_KEYS[kind])
+    return (*fns, half_width) if kind == "pl" else fns
 
 
-def _rows_out(rows, args) -> None:
-    dicts = [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()} for row in rows]
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(dicts[0].keys()))
-            writer.writeheader()
-            writer.writerows(dicts)
-    if args.json:
-        print(json.dumps(dicts, sort_keys=True, indent=2))
-    else:
-        for d in dicts:
-            print(" ".join(f"{k}={v}" for k, v in d.items()))
-
-
-def _cmd_limit_exp(args) -> int:
-    if not args.n or min(args.n) < 1 or max(args.n) > 16384:  # a pl row checks all (n+1)^2 pairs: 1-2 s at 16384
-        raise ConfigError("--n must list integers >= 1 and <= 16384")
-    if not 0 < args.lam < math.inf:  # false for NaN too
-        raise ConfigError("--lambda must be > 0 and finite")
-    inputs = _limit_inputs(args)
+def _cmd_limit_exp(args, files) -> tuple:
+    demos = _DEMOS[args.kind]
+    inputs = files["spec"] if args.spec else demos[args.demo or next(iter(demos))]
     if args.kind == "pl":
         rows = pl_limit_experiment(*inputs, args.n)
     elif args.kind == "clt":
         rows = clt_experiment(*inputs, args.n, lam=args.lam)
     else:
         rows = rescaled_displacement_experiment(*inputs, args.n)
-    _rows_out(rows, args)
-    return 0 if all(row.holds for row in rows) else 1
+    dicts = [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()} for row in rows]
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=list(dicts[0].keys()))
+    writer.writeheader()
+    writer.writerows(dicts)
+    lines = [" ".join(f"{k}={v}" for k, v in d.items()) for d in dicts]
+    return dicts, lines, all(row.holds for row in rows), table.getvalue()
 
 
-def _cmd_campaign(args) -> int:
-    cfg = CampaignConfig(args.seed, args.trials, args.support_width, args.resolution, args.check)
-    report = run_campaign(cfg)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"{report.passes}/{len(report.records)} {cfg.check} trials passed (seed {cfg.seed})")
-        for key, value in report.extremes.items():
-            print(f"  {key}: {value}")
-        for record in report.records:
-            if not record.passed:
-                print(f"  FAILED trial {record.index}: {record.witness}")
-    return 0 if report.failures == 0 else 1
+def _cmd_campaign(args, files) -> tuple:
+    report = run_campaign(args.config)
+    lines = [f"{report.passes}/{len(report.records)} {args.check} trials passed (seed {args.seed})"]
+    lines += [f"  {key}: {value}" for key, value in report.extremes.items()]
+    lines += [f"  FAILED trial {record.index}: {record.witness}" for record in report.records if not record.passed]
+    return report.payload(), lines, report.failures == 0, report.to_csv() if args.csv else None
 
 
 _COMMANDS = {
@@ -397,18 +341,66 @@ _COMMANDS = {
 }
 
 
+def _check_options(args) -> None:
+    """Reject a bad option before any file is read or opened; a campaign's options become `args.config`."""
+    for name, (low, high) in _BOUNDS.get(args.command, {}).items():
+        if not low <= getattr(args, name) <= high:
+            raise ConfigError(f"--{name} must be >= {low}" + (f" and <= {high}" if high < math.inf else ""))
+    if args.command in ("transport-cost", "check-te") and not (args.mu or args.mu_kind or getattr(args, "cost_table", None)):
+        raise ConfigError("need --mu or --mu-kind")
+    # the 4FT sweep visits 4^dim pairs; at dim 12 it takes 4 s on small-denominator rationals, 3 s on floats
+    # and 100 s on rationals with thousands of distinct large denominators, swept as Fractions
+    if args.command == "check-4ft" and not 1 <= args.dim <= 12:
+        raise ConfigError("--dim must be in 1..12")
+    if args.command == "limit-exp":
+        if not args.n or min(args.n) < 1 or max(args.n) > 16384:  # a pl row checks all (n+1)^2 pairs: 1-2 s at 16384
+            raise ConfigError("--n must list integers >= 1 and <= 16384")
+        if not 0 < args.lam < math.inf:  # false for NaN too
+            raise ConfigError("--lambda must be > 0 and finite")
+        if args.spec and args.kind not in _SPEC_KEYS:
+            raise ConfigError("--spec for disp experiments is not supported; use --demo")
+        if not args.spec and args.demo and args.demo not in _DEMOS[args.kind]:
+            raise ConfigError(f"unknown demo {args.demo!r}; choose from {list(_DEMOS[args.kind])}")
+    if args.command == "campaign":
+        args.config = CampaignConfig(args.seed, args.trials, args.support_width, args.resolution, args.check)
+
+
+def _read_inputs(args) -> dict:
+    """Option name -> its UTF-8 input file, parsed, for each file option given; an error names the file."""
+    parsers = dict.fromkeys(("nu0", "nu1", "mu"), formats.parse_pmf_text)
+    parsers.update(dict.fromkeys("fghk", lambda text: formats.parse_cubefn_text(text, args.dim)))
+    parsers.update(cost_table=formats.parse_cost_table_text, spec=lambda text: _parse_spec(text, args.kind))
+    files = {}
+    for name, parse in parsers.items():
+        if path := getattr(args, name, None):
+            with open(path, encoding="utf-8") as fh:
+                try:
+                    files[name] = parse(fh.read())
+                except (UnicodeDecodeError, DiscretePLError) as exc:
+                    raise ConfigError(f"{path}: {exc}") from None
+    return files
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        _check_options(args)
+        files = _read_inputs(args)  # before the lift below: an input token keeps the int-digit limit
+        csv_path = getattr(args, "csv", None)
+        with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else contextlib.nullcontext() as csv_out:
+            with formats.long_int_strings():
+                payload, lines, ok, table = _COMMANDS[args.command](args, files)
+                text = json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines)
+            if csv_out:
+                csv_out.write(table)
+        print(text)
         sys.stdout.flush()
-        return code
+        return 0 if ok else 1
     except BrokenPipeError:
         # the reader closed the pipe: send the rest to devnull so the flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (DiscretePLError, OSError, UnicodeDecodeError) as exc:  # OSError: a path that cannot be read or written
+    except (DiscretePLError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         # a failed hypothesis on valid input is a failed check, as in check-4ft
         return 1 if isinstance(exc, (HypothesisFailedOnGrid, ConvexityWitnessFailed)) else 2

@@ -4,9 +4,10 @@ Pmf files hold one measure per line, `offset; m0 m1 m2 ...` with masses as
 `p/q` rationals (or integers).  Cube-function files hold one value per line
 in index order, rationals or decimal floats.  Cost tables hold `x y value`
 lines.  Coupling dumps are `x y p/q` lines in lexicographic order.
-Parsing and emission round-trip exactly on canonical forms.  Parsing keeps
-CPython's limit on the digits of an int-str conversion, so an over-long
-token is a parse error; exact reports lift it with `long_int_strings`.
+Parsing and emission round-trip exactly on canonical forms.  The parsers
+take text, not paths: the CLI reads each file and names it in any error.
+Parsing keeps CPython's int-str digit limit, so an over-long token is a
+parse error; exact reports lift the limit with `long_int_strings`.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def parse_pmf_text(text: str) -> Pmf:
     raise ParseError(0, "empty pmf file")
 
 
-def parse_pmf_file(path: str) -> Pmf:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pmf_text(fh.read())
-
-
 def emit_pmf(nu: Pmf) -> str:
     return str(nu) + "\n"
 
@@ -105,11 +101,6 @@ def parse_cubefn_text(text: str, n: int) -> CubeFn:
     if len(values) != 2**n:
         raise ParseError(0, f"expected 2^{n} = {2**n} values, found {len(values)}")
     return CubeFn(n, tuple(values))
-
-
-def parse_cubefn_file(path: str, n: int) -> CubeFn:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cubefn_text(fh.read(), n)
 
 
 def emit_cubefn(fn: CubeFn) -> str:
@@ -136,11 +127,6 @@ def parse_cost_table_text(text: str) -> Cost:
             raise ConfigError(f"cost table has no entry for ({x},{y})") from None
 
     return evaluate
-
-
-def parse_cost_table_file(path: str) -> Cost:
-    with open(path, encoding="utf-8") as fh:
-        return parse_cost_table_text(fh.read())
 
 
 def emit_coupling(c: Coupling) -> str:

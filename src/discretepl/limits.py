@@ -365,7 +365,9 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
     are counting entropies plus the explicit shift log(2nK), which cancels
     in the displacement gap.  When a continuous relative entropy is
     available, the row also records the rounding monotonicity
-    H(nu_i^n | mu^n) <= H(nu_i | mu) (+APPROX_TOL).
+    H(nu_i^n | mu^n) <= H(nu_i | mu) (+APPROX_TOL).  A row holds when the
+    gap is >= -SUM_SLACK, P <= 1 and the Jensen certificate is <= log P +
+    SUM_SLACK.
     """
     rows = []
     for n in n_list:
@@ -391,7 +393,11 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
                 cont1=cont1,
                 jensen0_ok=None if cont0 is None else h0 <= cont0 + APPROX_TOL,
                 jensen1_ok=None if cont1 is None else h1 <= cont1 + APPROX_TOL,
-                holds=report.gap >= -SUM_SLACK,
+                holds=(
+                    report.gap >= -SUM_SLACK
+                    and report.ratio_sum <= 1
+                    and report.jensen_certificate <= report.log_ratio_sum + SUM_SLACK
+                ),
             )
         )
     return rows

@@ -27,6 +27,7 @@ cost and the monotone (north-west corner) coupling is an optimal plan
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -53,7 +54,11 @@ from .measures import (
 
 @dataclass(frozen=True)
 class LogWeights:
-    """Unnormalized log-mass on a contiguous window: mu(x) proportional to e^{weights[x-offset]}."""
+    """Unnormalized log-mass on a contiguous window: mu(x) proportional to e^{weights[x-offset]}.
+
+    The normalizer and the concavity witness are O(window) walks, computed
+    once per instance: check-te runs every trial against one reference.
+    """
 
     offset: int
     weights: tuple[Fraction, ...]
@@ -68,7 +73,16 @@ class LogWeights:
         return self.weights[i]
 
     def log_normalizer(self) -> float:
+        return self._log_normalizer
+
+    @functools.cached_property
+    def _log_normalizer(self) -> float:
         return logsumexp(self.weights)
+
+    @functools.cached_property
+    def concavity_witness(self) -> int | None:
+        """`weights_concavity_witness(self)`, computed once."""
+        return weights_concavity_witness(self)
 
 
 def geometric_weights(half_width: int) -> LogWeights:
@@ -352,7 +366,7 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
         for x in nu.support_points():
             if x not in window:
                 raise OutsidePositiveWindow(f"support point {x} outside positive window")
-    witness = weights_concavity_witness(mu) if isinstance(mu, LogWeights) else log_concavity_witness(mu)
+    witness = mu.concavity_witness if isinstance(mu, LogWeights) else log_concavity_witness(mu)
     if witness is None:
         pi = monotone_coupling(nu0, nu1)
         costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])

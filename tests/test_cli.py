@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import discretepl
-from discretepl import campaign, cli, displacement, transport
+from discretepl import campaign, cli, displacement, limits, transport
 from discretepl.campaign import CampaignConfig, run_campaign
 from discretepl.cli import main
 from discretepl.errors import ConfigError, ParseError
@@ -232,6 +233,14 @@ def test_cli_input_tokens_past_the_int_digit_limit_still_exit_two(tmp_path, caps
     assert capsys.readouterr().err.count("bad rational") == 2
 
 
+@digit_limit
+def test_cli_input_token_digit_limit_bounds_each_part(tmp_path, capsys):
+    # a p/q token with two 3,000-digit parts is within the limit, although the token is longer
+    part = "1" + "0" * 2999
+    nu = _write(tmp_path, "nu.txt", f"0; {part}/{part}\n")
+    assert main(["check-displacement", "--nu0", nu, "--nu1", nu]) == 0
+
+
 def test_cli_4ft_dimension_is_bounded_before_any_file_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     code = main(["check-4ft", "--dim", "13", "--f", missing, "--g", missing, "--h", missing, "--k", missing])
@@ -400,6 +409,20 @@ def test_cli_limit_exp_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [{"ratio_sum": F(2), "log_ratio_sum": math.log(2)}, {"jensen_certificate": 1.0}],
+    ids=["ratio-sum-above-one", "jensen-above-log-ratio-sum"],
+)
+def test_cli_limit_exp_disp_row_fails_on_its_ratio_sum_checks(monkeypatch, capsys, fault):
+    # a planted fault: the gap still holds, so only the P and Jensen checks of the row can fail it
+    exact = limits.displacement_gap
+    monkeypatch.setattr(limits, "displacement_gap", lambda nu0, nu1: dataclasses.replace(exact(nu0, nu1), **fault))
+    assert main(["limit-exp", "--kind", "disp", "--demo", "two-uniform", "--n", "8", "--json"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["gap"] >= 0 and row["holds"] is False
+
+
 def test_cli_limit_exp_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"F": "exp(-x*x)", "G": "exp(-x*x)", "H": "exp(-x*x)", "K": "exp(-x*x)", "N": 4.0}))
@@ -496,15 +519,64 @@ def test_cli_numeric_option_above_its_bound_exits_two(argv, message, capsys):
         ["campaign", "--trials", "1", "--csv", "{dir}"],
         ["limit-exp", "--kind", "disp", "--n", "8", "--csv", "{dir}"],
         ["check-displacement", "--nu0", "{latin1}", "--nu1", "{latin1}"],
+        ["check-displacement", "--nu0", "{pmf}", "--nu1", "{latin1}"],
+        ["check-4ft", "--dim", "1", "--f", "{one}", "--g", "{one}", "--h", "{one}", "--k", "{latin1}"],
+        ["transport-cost", "--cost-table", "{latin1}", "--nu0", "{pmf}", "--nu1", "{pmf}"],
+        ["check-te", "--mu", "{latin1}"],
+        ["limit-exp", "--kind", "pl", "--spec", "{latin1}", "--n", "8"],
+        ["limit-exp", "--kind", "pl", "--spec", "{deep}", "--n", "8"],
     ],
-    ids=["directory-as-pmf", "directory-as-spec", "directory-as-campaign-csv", "directory-as-rows-csv", "not-utf8"],
+    ids=[
+        "directory-as-pmf",
+        "directory-as-spec",
+        "directory-as-campaign-csv",
+        "directory-as-rows-csv",
+        "not-utf8",
+        "not-utf8-second-pmf",
+        "not-utf8-cube",
+        "not-utf8-cost-table",
+        "not-utf8-reference",
+        "not-utf8-spec",
+        "deeply-nested-spec",
+    ],
 )
 def test_cli_unreadable_path_exits_two(tmp_path, capsys, argv):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("0; 1 # \xe9t\xe9\n".encode("latin-1"))
-    assert main([arg.format(dir=tmp_path, latin1=latin1) for arg in argv]) == 2
+    paths = {
+        "dir": tmp_path,
+        "latin1": latin1,
+        "deep": _write(tmp_path, "deep.json", "[" * 100000),
+        "pmf": _write(tmp_path, "pmf.txt", "0; 1\n"),
+        "one": _write(tmp_path, "one.txt", "1\n1\n"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "internal error" not in err
+    bad = next(paths[name] for name in ("dir", "latin1", "deep") if f"{{{name}}}" in argv)
+    assert err.startswith("error: ") and "internal error" not in err and str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "argv, planted",
+    [
+        (["campaign", "--trials", "1000000", "--csv", "{dir}"], "run_campaign"),
+        (["limit-exp", "--kind", "disp", "--n", "8", "--csv", "{dir}"], "rescaled_displacement_experiment"),
+        (["campaign", "--trials", "1", "--csv", "{dir}/missing/out.csv"], "run_campaign"),
+    ],
+    ids=["campaign-directory", "rows-directory", "campaign-missing-folder"],
+)
+def test_cli_unwritable_csv_exits_two_before_any_work(tmp_path, capsys, monkeypatch, argv, planted):
+    monkeypatch.setattr(cli, planted, lambda *args, **kwargs: pytest.fail(f"{planted} ran before --csv was opened"))
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_cli_bad_campaign_option_opens_no_csv(tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    assert main(["campaign", "--trials", "0", "--csv", str(out_csv)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_cli_limit_exp_n_is_bounded_before_any_file_is_read(tmp_path, capsys):

@@ -36,8 +36,9 @@ def test_quantile_exact_crossing():
 
 
 def test_quantile_rejects_bad_level():
-    with pytest.raises(PreconditionViolated):
-        quantile(delta(0), F(0))
+    for t in (F(0), F(1), F(3, 2), F(-1, 2)):
+        with pytest.raises(PreconditionViolated):
+            quantile(delta(0), t)
 
 
 @given(pmf_strategy(), st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda t: 0 < t < 1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import allocated_block_growth, cpython_only, pmf_strategy
+from discretepl import displacement
 from discretepl.campaign import random_pmf
 from discretepl.coupling import coupling_from_atoms, monotone_coupling
 from discretepl.displacement import (
@@ -196,6 +197,16 @@ def test_floor_ceil_iffs_adjacent_odd():
 def test_floor_ceil_iffs_wide_gap():
     rec = floor_ceil_iffs(0, 0, 2, 2)
     assert rec.floor_gap >= 2 and not rec.ceil_equal and rec.item2_iff
+
+
+def test_floor_ceil_iffs_item2_fails_under_a_constant_ceiling(monkeypatch):
+    # a planted fault: every ceiling midpoint is equal, so item 2 must fail at a floor gap of 2,
+    # and at a floor gap of 1 between points that are not adjacent
+    monkeypatch.setattr(displacement, "m_plus", lambda x, y: 0)
+    wide = floor_ceil_iffs(0, 0, 2, 2)
+    assert wide.floor_gap == 2 and wide.ceil_equal and not wide.item2_iff
+    diagonal = floor_ceil_iffs(0, 0, 1, 1)
+    assert diagonal.floor_gap == 1 and not diagonal.adjacent_odd and not diagonal.item2_iff
 
 
 def test_floor_ceil_iffs_precondition():

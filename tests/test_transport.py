@@ -277,6 +277,35 @@ def test_transport_entropy_monotone_cost_matches_ssp_for_log_concave_pmfs(rng):
             assert transport_entropy_check(mu, nu0, nu1).lhs == pytest.approx(expected, abs=1e-12)
 
 
+class _CountingWeights(tuple):
+    """Log-weights that count every weight read, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for w in super().__iter__():
+            self.reads += 1
+            yield w
+
+
+def test_transport_entropy_walks_log_weights_once_per_reference():
+    weights = _CountingWeights(geometric_weights(1000).weights)
+    mu = transport.LogWeights(-1000, weights)
+    nu0, nu1 = uniform_on([-2, 0, 1]), uniform_on([3, 4])
+    first = transport_entropy_check(mu, nu0, nu1)
+    walked = weights.reads
+    assert walked > 2001  # the normalizer and the concavity witness read every weight once
+    assert transport_entropy_check(mu, nu0, nu1) == first
+    # a later check reads only the weights at the support points and their midpoints
+    assert weights.reads - walked < 50
+    assert mu.log_normalizer() == geometric_weights(1000).log_normalizer()
+    assert mu.concavity_witness is weights_concavity_witness(mu) is None
+
+
 def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
     # the optimal plan crosses to (0, 2), (2, 0); the monotone plan would cost 0
     mu = from_weights(0, [4, 1, 4])
