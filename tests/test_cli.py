@@ -294,8 +294,10 @@ def test_cli_transport_cost_table_without_a_cell_exits_two_without_a_line(tmp_pa
     [
         (["--demo", "gaussian"], "16172396477d12fe19053f408058682dfcc3be5780b9a188c18ea5c101f0939e"),
         (["--demo", "shifted-gaussian", "--n", "1024"], "bf2c854d902fffd9d480f4de15ac14600e8fdd7a274cee1080da331666900957"),
+        # odd and even n, each swept in many blocks of rows
+        (["--demo", "shifted-gaussian", "--n", "4095,4096"], "7ed15114cad54e69ff1e204b9c5343b6a28d5924e4885bf7a1f21f633ecc83c8"),
     ],
-    ids=["gaussian", "shifted-gaussian-1024"],
+    ids=["gaussian", "shifted-gaussian-1024", "shifted-gaussian-4095-4096"],
 )
 def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
     assert main(["limit-exp", "--kind", "pl", *argv, "--json"]) == 0
@@ -307,12 +309,32 @@ def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
     [
         (["--demo", "linear"], "db35ce4f43692515958d9f8414a0cde33e1a1888d3061772d608acaf1587a9af"),
         (["--demo", "quadratic", "--lambda", "4.0"], "65e4171fbf19eb2496a36dd431e917b74dca02ac244503f64771040a01d99ba4"),
+        # binomial tails that underflow to 0.0, odd and even n, and the --n cap
+        (["--demo", "quadratic", "--n", "3000,10000,16384"], "6cb7586a3ae9e48921b1a05176d2823413723eed21482a4fda743bb90aa5e3f9"),
     ],
-    ids=["linear", "quadratic-lambda-4"],
+    ids=["linear", "quadratic-lambda-4", "quadratic-3000-10000-16384"],
 )
 def test_cli_limit_exp_clt_json_is_byte_stable(argv, digest, capsys):
     assert main(["limit-exp", "--kind", "clt", *argv, "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: f(x)g(y) <= 1.5^2 except at x = 3, y = -3, grid indices 3072 and 1024 at n = 4096: the one
+#: violating pair lies far past the first block of rows that the sweep compares
+_LATE_WITNESS_PL_SPEC = {
+    "F": "1 + (1 - 1000*fabs(x - 3) + fabs(1 - 1000*fabs(x - 3)))/2",
+    "G": "1 + (1 - 1000*fabs(x + 3) + fabs(1 - 1000*fabs(x + 3)))/2",
+    "H": "1.5",
+    "K": "1.5",
+}
+
+
+def test_cli_limit_exp_pl_witness_in_a_late_block_exits_one(tmp_path, capsys):
+    path = _write(tmp_path, "spec.json", json.dumps(_LATE_WITNESS_PL_SPEC))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "4096"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid hypothesis fails at (i,j)=(3072, 1024) for n=4096\n"
 
 
 def test_cli_check_te_json_is_byte_stable(capsys):
