@@ -13,6 +13,7 @@ named below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +78,10 @@ class Pmf:
     first and last weights are strictly positive (zeros may occur inside),
     the weights are coprime and they sum to `total`, so equal measures
     compare and hash equal.  Instances are immutable; build them with
-    :func:`pmf` or :func:`from_weights`, which validate and trim.
+    :func:`pmf` or :func:`from_weights`, which validate and trim.  The two
+    O(window) facts that a transport reference is asked on every trial and
+    every cost cell, `gapless` and `concavity_witness`, are computed once per
+    instance.
     """
 
     offset: int
@@ -116,6 +120,23 @@ class Pmf:
     def __str__(self) -> str:
         body = " ".join([_ratio_str(w, self.total) for w in self.weights])
         return f"{self.offset}; {body}"
+
+    @functools.cached_property
+    def gapless(self) -> bool:
+        """No zero weight inside the window, so the positive support is the whole window."""
+        return all(self.weights)
+
+    @functools.cached_property
+    def concavity_witness(self) -> int | None:
+        """First x violating mu(x-1) mu(x+1) <= mu(x)^2, or None.
+
+        An interior zero between positive masses is a violation at that point.
+        """
+        w = self.weights
+        for i in range(1, len(w) - 1):
+            if w[i - 1] * w[i + 1] > w[i] ** 2:
+                return self.offset + i
+        return None
 
 
 def _ratio_str(n: int, d: int) -> str:

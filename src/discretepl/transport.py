@@ -102,7 +102,7 @@ def positive_window(mu: Pmf) -> range:
     Raises OutsidePositiveWindow when the positive support is not contiguous
     (curvature costs are only defined relative to a positive window).
     """
-    if not all(mu.weights):
+    if not mu.gapless:
         raise OutsidePositiveWindow("positive support is not contiguous")
     return mu.window()
 
@@ -152,16 +152,12 @@ def is_log_concave(mu: Pmf) -> bool:
 
 
 def log_concavity_witness(mu: Pmf) -> int | None:
-    """First x violating mu(x-1) mu(x+1) <= mu(x)^2, or None.
+    """First x violating mu(x-1) mu(x+1) <= mu(x)^2, or None (`Pmf.concavity_witness`, computed once).
 
     An interior zero between positive masses is a violation at that point; a
     zero outside the contiguous positive window is not.
     """
-    w = mu.weights
-    for i in range(1, len(w) - 1):
-        if w[i - 1] * w[i + 1] > w[i] ** 2:
-            return mu.offset + i
-    return None
+    return mu.concavity_witness
 
 
 def weights_concavity_witness(w: LogWeights) -> int | None:
@@ -366,8 +362,7 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
         for x in nu.support_points():
             if x not in window:
                 raise OutsidePositiveWindow(f"support point {x} outside positive window")
-    witness = mu.concavity_witness if isinstance(mu, LogWeights) else log_concavity_witness(mu)
-    if witness is None:
+    if mu.concavity_witness is None:
         pi = monotone_coupling(nu0, nu1)
         costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])
         lhs = float(Fraction(sum([c * w for c, (_, _, w) in zip(costs, pi.cells)]), cost_unit * pi.unit))

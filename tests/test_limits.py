@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -79,27 +80,88 @@ def test_grid_witness_takes_each_window_from_its_own_function():
     assert grid_hypothesis_witness(f, g, f, RealFn(0, (1, 0))) == (1, 0)
 
 
-def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng):
-    def value(fn, z):
-        return dict(zip(fn.window(), fn.values)).get(z, 0)
+def _first_violation(f, g, h, k):
+    """The first (x, y) in lexicographic order with f(x)g(y) > h(floor)k(ceil) of (x+y)/2, pair by pair in Python."""
+    hv, kv = dict(zip(h.window(), h.values)), dict(zip(k.window(), k.values))
+    for x, fx in zip(f.window(), f.values):
+        for y, gy in zip(g.window(), g.values):
+            if fx * gy > hv.get(math.floor((x + y) / 2), 0) * kv.get(math.ceil((x + y) / 2), 0):
+                return x, y
+    return None
 
-    # exact rationals run on object arrays, floats on float64 arrays: both must match Python's own products
-    for draw in (lambda: F(rng.randint(0, 4), rng.randint(1, 3)), lambda: rng.randint(0, 12) / 10):
-        found = 0
-        for _ in range(300):
-            f, g, h, k = (RealFn(rng.randint(-5, 5), tuple(draw() for _ in range(rng.randint(1, 7)))) for _ in range(4))
-            expected = next(
-                (
-                    (x, y)
-                    for x in f.window()
-                    for y in g.window()
-                    if value(f, x) * value(g, y) > value(h, math.floor((x + y) / 2)) * value(k, math.ceil((x + y) / 2))
-                ),
-                None,
-            )
-            assert grid_hypothesis_witness(f, g, h, k) == expected
-            found += expected is not None
-        assert 0 < found < 300
+
+def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng, monkeypatch):
+    # exact rationals run on object arrays, floats on float64 arrays: both must match Python's own products;
+    # blocks of 1, 3 and 10 pairs split one input's rows into several blocks, the last one often partial
+    specials = (math.nan, -0.0, -1.5, -0.3)
+    draws = (
+        lambda: F(rng.randint(0, 4), rng.randint(1, 3)),
+        lambda: rng.randint(0, 12) / 10,
+        lambda: rng.choice(specials) if rng.random() < 0.25 else rng.randint(0, 12) / 10,
+    )
+    for cells in (1, 3, 10, limits._SWEEP_CELLS):
+        monkeypatch.setattr(limits, "_SWEEP_CELLS", cells)
+        for draw in draws:
+            found = 0
+            for _ in range(300):
+                f, g, h, k = (RealFn(rng.randint(-5, 5), tuple(draw() for _ in range(rng.randint(1, 7)))) for _ in range(4))
+                expected = _first_violation(f, g, h, k)
+                assert grid_hypothesis_witness(f, g, h, k) == expected
+                found += expected is not None
+            assert 0 < found < 300
+
+
+def test_grid_witness_is_never_a_nan_pair(monkeypatch):
+    # row 0 is NaN on the left, and the right side is NaN at the sums 2 and 3; in blocks of two
+    # rows, the first pair that breaks the hypothesis is (2, 2), at the sum 4
+    monkeypatch.setattr(limits, "_SWEEP_CELLS", 6)
+    f, g = RealFn(0, (math.nan, 1.0, 2.0)), RealFn(0, (1.0, 1.0, 1.0))
+    h, k = RealFn(0, (1.0, math.nan, 1.0)), RealFn(0, (1.0, 1.0, 1.0))
+    assert grid_hypothesis_witness(f, g, h, k) == (2, 2) == _first_violation(f, g, h, k)
+
+
+def _planted_700(violations):
+    """f = g = 1 and h k = 1.5 on 0..699, except f(x) = g(y) = 1.25 at each planted pair (x, y)."""
+    f, g = [1.0] * 700, [1.0] * 700
+    for x, y in violations:
+        f[x] = g[y] = 1.25
+    return RealFn(0, tuple(f)), RealFn(0, tuple(g)), RealFn(0, (1.0,) * 700), RealFn(0, (1.5,) * 700)
+
+
+def test_grid_witness_in_the_last_row_of_700():
+    # 1.25 * 1.25 > 1.5 >= 1.25: the only violating pair is (699, 350), in the last block
+    quadruple = _planted_700([(699, 350)])
+    assert grid_hypothesis_witness(*quadruple) == (699, 350) == _first_violation(*quadruple)
+
+
+def test_grid_witness_in_the_first_row_of_a_later_block():
+    step = limits._SWEEP_CELLS // 700
+    assert step < 200  # the sweep compares several blocks of rows before row 3 * step
+    # planted pairs share their f and g values, so (3 step, 5) and (3 step + 1, 600) violate too
+    quadruple = _planted_700([(3 * step, 600), (3 * step + 1, 5), (5 * step, 0)])
+    assert grid_hypothesis_witness(*quadruple) == (3 * step, 0) == _first_violation(*quadruple)
+
+
+def test_binomial_weights_match_pascal_rows_for_every_n_up_to_1200():
+    for n, row in enumerate(oracles.pascal_rows(1200)):
+        assert [w.hex() for w in limits.binomial_weights(n)] == [oracles.scaled_binomial(c, n).hex() for c in row]
+
+
+@pytest.mark.parametrize("n", [3000, 3001, 10000, 16384])
+def test_binomial_weights_match_one_comb_per_weight(n):
+    # the first weight that does not underflow, found by bisection on math.comb alone
+    edge = bisect.bisect_left(range(n // 2 + 1), True, key=lambda k: math.comb(n, k).bit_length() - n >= -1080)
+    ks = {*range(0, n + 1, n // 40), *range(edge - 8, edge + 9), *range(n // 2 - 8, n // 2 + 9), n - edge, n - 1, n}
+    weights = limits.binomial_weights(n)
+    assert all(weights[k].hex() == w.hex() for k, w in oracles.binomial_weights(n, sorted(ks)).items())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1081, 1082, 1100, 1200])
+def test_binomial_weights_are_within_an_ulp_and_zero_far_below_the_subnormals(n):
+    tiny = Fraction(1, 2**1080)
+    for k, w in enumerate(limits.binomial_weights(n)):
+        exact = Fraction(math.comb(n, k), 2**n)
+        assert w == 0.0 if exact < tiny else abs(Fraction(w) - exact) <= math.ulp(w)
 
 
 def test_pl_finds_a_single_violating_pair_far_from_the_diagonal():

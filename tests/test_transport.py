@@ -16,7 +16,7 @@ from discretepl.campaign import (
 )
 from discretepl.errors import ConfigError, ConstraintViolated, OutsidePositiveWindow
 from discretepl.displacement import displacement_gap
-from discretepl.measures import SUM_SLACK, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
+from discretepl.measures import SUM_SLACK, Pmf, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
     closed_form_cost,
     cost_mu,
@@ -304,6 +304,20 @@ def test_transport_entropy_walks_log_weights_once_per_reference():
     assert weights.reads - walked < 50
     assert mu.log_normalizer() == geometric_weights(1000).log_normalizer()
     assert mu.concavity_witness is weights_concavity_witness(mu) is None
+
+
+def test_transport_entropy_walks_a_pmf_reference_once():
+    # the tent weights 1..1001..1 are concave, hence log-concave
+    tent = from_weights(-1000, [1001 - abs(x) for x in range(-1000, 1001)])
+    mu = Pmf(tent.offset, _CountingWeights(tent.weights), tent.total)
+    nu0, nu1 = uniform_on([-2, 0, 1]), uniform_on([3, 4])
+    first = transport_entropy_check(mu, nu0, nu1)
+    walked = mu.weights.reads
+    assert walked > 2 * 2001  # the gap test and the concavity witness read every weight once
+    assert transport_entropy_check(mu, nu0, nu1) == first
+    # a later check reads only the weights at the support points and their midpoints
+    assert mu.weights.reads - walked < 50
+    assert mu.gapless and mu.concavity_witness is log_concavity_witness(tent) is None
 
 
 def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
