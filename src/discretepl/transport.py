@@ -148,16 +148,8 @@ def closed_form_cost(kind: str, x: int, y: int) -> int:
 
 
 def is_log_concave(mu: Pmf) -> bool:
-    return log_concavity_witness(mu) is None
-
-
-def log_concavity_witness(mu: Pmf) -> int | None:
-    """First x violating mu(x-1) mu(x+1) <= mu(x)^2, or None (`Pmf.concavity_witness`, computed once).
-
-    An interior zero between positive masses is a violation at that point; a
-    zero outside the contiguous positive window is not.
-    """
-    return mu.concavity_witness
+    """mu(x-1) mu(x+1) <= mu(x)^2 everywhere (`Pmf.concavity_witness`, computed once)."""
+    return mu.concavity_witness is None
 
 
 def weights_concavity_witness(w: LogWeights) -> int | None:

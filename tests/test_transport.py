@@ -26,7 +26,6 @@ from discretepl.transport import (
     gaussian_weights,
     geometric_weights,
     is_log_concave,
-    log_concavity_witness,
     log_interpolant,
     ot_cost,
     positive_window,
@@ -92,11 +91,11 @@ def test_log_concavity_examples():
     assert is_log_concave(delta(0))
     assert is_log_concave(rational_log_concave_family("geometric-half", 10))
     bad = from_weights(0, [F(4), F(1), F(4)])
-    assert log_concavity_witness(bad) == 1
+    assert bad.concavity_witness == 1
 
 
 def test_log_concavity_interior_zero_is_witnessed():
-    assert log_concavity_witness(pmf(0, [F(1, 2), F(0), F(1, 2)])) == 1
+    assert pmf(0, [F(1, 2), F(0), F(1, 2)]).concavity_witness == 1
 
 
 def test_log_interpolant_values():
@@ -317,7 +316,7 @@ def test_transport_entropy_walks_a_pmf_reference_once():
     assert transport_entropy_check(mu, nu0, nu1) == first
     # a later check reads only the weights at the support points and their midpoints
     assert mu.weights.reads - walked < 50
-    assert mu.gapless and mu.concavity_witness is log_concavity_witness(tent) is None
+    assert mu.gapless and mu.concavity_witness is tent.concavity_witness is None
 
 
 def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
