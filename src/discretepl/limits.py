@@ -80,10 +80,10 @@ def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, grid: G
     return f, g, h, k
 
 
-#: pairs compared per numpy call in `grid_hypothesis_witness`.  A block of this many float pairs
-#: holds 0.6 MB of temporaries (the products and the comparison).  The sweep of one n = 4096 pl row
-#: took a median 9.9 ms at 2^16 and 9.5 ms at 2^17, against 13-14 ms at 2^14 and 2^18 and 22 ms
-#: row by row, and an n = 16384 row 147 ms (Python 3.11, numpy 2.4, 2 cores)
+#: pairs compared per numpy call in `grid_hypothesis_witness`.  The sweep of one gaussian pl grid
+#: took a median 10.2 ms at n = 4096 and 144 ms at n = 16384, and its temporaries raised the peak
+#: RSS by 1.1 and 2.4 MB; row by row it took 21 and 163 ms (+0.5 and +2.0 MB).  2^14 and 2^17
+#: pairs per block were 6-22% slower, 2^18 40-60% slower (Python 3.11, numpy 2.4, 2 cores)
 _SWEEP_CELLS = 1 << 16
 
 

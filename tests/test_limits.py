@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,15 @@ def test_grid_witness_is_never_a_nan_pair(monkeypatch):
     f, g = RealFn(0, (math.nan, 1.0, 2.0)), RealFn(0, (1.0, 1.0, 1.0))
     h, k = RealFn(0, (1.0, math.nan, 1.0)), RealFn(0, (1.0, 1.0, 1.0))
     assert grid_hypothesis_witness(f, g, h, k) == (2, 2) == _first_violation(f, g, h, k)
+
+
+def test_grid_witness_sweeps_overflowing_and_nan_products_without_a_warning():
+    # 1e200 * 1e200 overflows to inf on both sides, and inf * 0.0 is NaN; neither is a witness
+    big, zero = RealFn(0, (1e200, 1e200)), RealFn(0, (0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_hypothesis_witness(big, big, big, big) is None
+        assert grid_hypothesis_witness(zero, big, RealFn(0, (math.inf, math.inf)), zero) is None
 
 
 def _planted_700(violations):
