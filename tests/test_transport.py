@@ -14,7 +14,7 @@ from discretepl.campaign import (
     random_concave_weights,
     rational_log_concave_family,
 )
-from discretepl.errors import ConfigError, ConstraintViolated, OutsidePositiveWindow
+from discretepl.errors import ConfigError, ConstraintViolated, InfeasibleCost, OutsidePositiveWindow
 from discretepl.displacement import displacement_gap
 from discretepl.measures import SUM_SLACK, Pmf, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
@@ -422,6 +422,16 @@ def test_ot_cost_bounds_the_support_pairs_before_any_cost(monkeypatch):
         with pytest.raises(ConfigError, match=f"{side0} x {side1} support points exceed"):
             ot_cost(cost, uniform_on(range(side0)), uniform_on(range(side1)))
     assert evaluated == []
+
+
+@pytest.mark.parametrize("infinity", [math.inf, -math.inf])
+def test_ot_cost_names_an_infinite_cost_before_solving(monkeypatch, infinity):
+    calls = []
+    monkeypatch.setattr(transport, "_successive_shortest_paths", lambda *args: calls.append(args))
+    cost = lambda x, y: infinity if (x, y) == (2, 1) else F(x - y, 3)
+    with pytest.raises(InfeasibleCost, match=r"cost infinite at \(2,1\)"):
+        ot_cost(cost, uniform_on([0, 2, 3]), uniform_on([-1, 1]))
+    assert calls == []
 
 
 @cpython_only
