@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 from .coupling import Coupling, binary_lattice_couplings, check_marginals, monotone_coupling
 from .displacement import displacement_gap, level_sets, midpoint_measures, pair_ratio_sum
@@ -23,7 +22,7 @@ from .errors import ConfigError
 from .fourfunctions import check_4ft_conclusion, check_4ft_hypothesis, random_hypothesis_quadruple
 from .io import long_int_strings
 from .measures import Pmf, from_weights
-from .transport import LogWeights, transport_entropy_check
+from .transport import transport_entropy_check
 
 CHECKS = ("leq1", "displacement", "card", "4ft", "transport-lemma", "te")
 #: a million default trials take 1.3-4.2 min (transport-lemma 1.3, displacement 4.2, 4ft 3.2), timed over 5,000
@@ -120,14 +119,6 @@ def random_binary_pmf(rng: random.Random, resolution: int) -> Pmf:
     if w0 == 0 and w1 == 0:
         w1 = 1
     return from_weights(0, [w0, w1])
-
-
-def random_concave_weights(rng: random.Random, max_width: int) -> LogWeights:
-    """Concave integer log-weights: increments in [-4, 4] drawn non-increasing."""
-    width = rng.randint(2, max_width)
-    offset = rng.randint(-max_width, max_width // 2)
-    slopes = sorted((rng.randint(-4, 4) for _ in range(width - 1)), reverse=True)
-    return LogWeights(offset, tuple(map(Fraction, accumulate(slopes, initial=0))))
 
 
 #: log-concave reference families, in the order te trials draw them by index:

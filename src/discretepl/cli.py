@@ -51,7 +51,7 @@ from .transport import (
     gaussian_weights,
     geometric_weights,
     ot_cost,
-    reference_window,
+    positive_window,
     transport_entropy_check,
 )
 
@@ -223,7 +223,7 @@ def _cmd_transport_cost(args, files) -> tuple:
 
 def _cmd_check_te(args, files) -> tuple:
     mu = _reference_measure(args, files)
-    window = reference_window(mu)
+    window = positive_window(mu)
     rng = random.Random(args.seed)
     failures = []
     worst = math.inf

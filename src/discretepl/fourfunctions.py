@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from .limits import grid_hypothesis_witness
-from .measures import APPROX_TOL, RealFn, logsumexp, to_common_unit
+from .measures import APPROX_TOL, RealFn, left_sum, logsumexp, to_common_unit
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> Hypothes
 def check_4ft_conclusion(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn):
     """(lhs, rhs, holds) for (sum f)(sum g) <= (sum h)(sum k), exact sums."""
     _same_dimension(f, g, h, k)
-    lhs = sum(f.values) * sum(g.values)
-    rhs = sum(h.values) * sum(k.values)
+    lhs = left_sum(f.values) * left_sum(g.values)
+    rhs = left_sum(h.values) * left_sum(k.values)
     return lhs, rhs, lhs <= rhs
 
 
@@ -197,7 +197,7 @@ def log_mean_exp(h: CubeFn) -> float:
 
 
 def mean_value(h: CubeFn) -> float:
-    return sum(float(v) for v in h.values) / 2**h.n
+    return left_sum(float(v) for v in h.values) / 2**h.n
 
 
 def variance_band_functional(f: CubeFn):

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 from .displacement import displacement_gap
 from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
-from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, Pmf, RealFn, _canonical, delta, to_common_unit
+from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, Pmf, RealFn, _canonical, delta, left_sum, to_common_unit
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,8 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         scale = grid.step() ** 2
-        sums.append((n, scale * sum(f.values) * sum(g.values), scale * sum(h.values) * sum(k.values)))
+        lhs = scale * left_sum(f.values) * left_sum(g.values)
+        sums.append((n, lhs, scale * left_sum(h.values) * left_sum(k.values)))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)
     num, den = int_f * int_g, int_h * int_k
     target = num / den if den > 0 else math.nan
@@ -258,11 +259,11 @@ def binomial_weights(n: int) -> list[float]:
 
 
 def _weighted_exp(w: float, v: float) -> float:
-    """w e^v, also where e^v alone overflows: then e^(v + log w), or 0.0 for w = 0.0."""
+    """w e^v for w > 0, also where e^v alone overflows: then e^(v + log w)."""
     try:
         return w * math.exp(v)
     except OverflowError:
-        return math.exp(v + math.log(w)) if w else 0.0
+        return math.exp(v + math.log(w))
 
 
 def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Sequence[float], hv: Sequence[float]):
@@ -327,7 +328,10 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
     rows = []
     for n, values in grids:
         weights = binomial_weights(n)
-        ef, eg, eh = (sum(map(_weighted_exp, weights, vs)) for vs in values)
+        # only the weights that did not underflow: the zeros are the two tails, of equal length
+        tail = weights.count(0.0) // 2
+        kept = slice(tail, n + 1 - tail)
+        ef, eg, eh = (left_sum(map(_weighted_exp, weights[kept], vs[kept])) for vs in values)
         lhs, rhs = ef * eg, eh * eh
         rel_errs = (abs(e - t) / t for e, t in zip((ef, eg, eh), targets))
         rows.append(CltRow(n, ef, eg, eh, lhs, rhs, lhs <= rhs * (1 + INEQ_SLACK), *targets, *rel_errs))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -235,7 +236,7 @@ def counting_entropy(nu: Pmf) -> float:
     Always <= 0 because every atom is <= 1.  Invariant under translation.
     Each term is float(m) * log_of_fraction(m), formed from the weights.
     """
-    return sum([_mass_times_log(w, nu.total, w, nu.total) for w in nu.weights if w])
+    return left_sum([_mass_times_log(w, nu.total, w, nu.total) for w in nu.weights if w])
 
 
 def relative_entropy(nu: Pmf, mu: Pmf) -> float:
@@ -254,13 +255,23 @@ def relative_entropy(nu: Pmf, mu: Pmf) -> float:
     return acc
 
 
+def left_sum(values):
+    """The sum of the values, added left to right from an int 0 (which is returned for no values).
+
+    This is `sum` up to Python 3.11; from 3.12 `sum` compensates float
+    rounding, so the last bits of a float sum would depend on the
+    interpreter.  Every sum that can see floats goes through here.
+    """
+    return functools.reduce(operator.add, values, 0)
+
+
 def logsumexp(values) -> float:
     """log of sum e^v over the values, floated first; an infinite maximum is returned as is."""
     exponents = [float(v) for v in values]
     top = max(exponents)
     if math.isinf(top):
         return top
-    return top + math.log(sum(math.exp(e - top) for e in exponents))
+    return top + math.log(left_sum(math.exp(e - top) for e in exponents))
 
 
 def log_laplace(phi: RealFn, base: Pmf | None = None) -> float:
@@ -277,7 +288,7 @@ def log_laplace(phi: RealFn, base: Pmf | None = None) -> float:
 
 def expectation(phi: RealFn, nu: Pmf) -> float:
     """Integral of phi against nu (float)."""
-    return sum(w / nu.total * float(phi.value(x)) for x, w in enumerate(nu.weights, nu.offset) if w)
+    return left_sum(w / nu.total * float(phi.value(x)) for x, w in enumerate(nu.weights, nu.offset) if w)
 
 
 def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:

@@ -14,9 +14,10 @@ The transport cost T_c(nu0, nu1) = inf over couplings of the integral of c
 is a finite linear program, solved exactly by successive shortest paths
 with potentials.  It runs on ints: the masses are the two pmfs' integer
 weights, scaled to the unit 1 / (T0 T1) of their totals, and the rational
-costs are scaled to their common unit (`measures.to_common_unit`); the plan
-and the potentials are divided back once.  Returned dual potentials satisfy
-u(x) + v(y) <= c(x, y) with equality on the support of the optimal plan.
+costs are scaled to their common unit (`measures.to_common_unit`); the plan,
+its value and the potentials are divided back once.  Returned dual
+potentials satisfy u(x) + v(y) <= c(x, y) with equality on the support of
+the optimal plan.
 
 With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
 s(k) = w(floor(k/2)) + w(ceil(k/2)); the increments of s are those of w,
@@ -33,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .coupling import Coupling, _reduced, monotone_coupling
 from .displacement import m_minus, m_plus
@@ -41,11 +42,11 @@ from .errors import ConfigError, InfeasibleCost, ConstraintViolated, OutsidePosi
 from .measures import (
     INEQ_SLACK,
     SUM_SLACK,
-    ZERO,
     Pmf,
     RealFn,
     _log_ratio,
     as_fraction,
+    left_sum,
     logsumexp,
     relative_entropy,
     to_common_unit,
@@ -58,10 +59,13 @@ class LogWeights:
 
     The normalizer and the concavity witness are O(window) walks, computed
     once per instance: check-te runs every trial against one reference.
+    Every window point has a finite log-weight, so the whole window is the
+    positive window.
     """
 
     offset: int
     weights: tuple[Fraction, ...]
+    gapless = True
 
     def window(self) -> range:
         return range(self.offset, self.offset + len(self.weights))
@@ -72,17 +76,18 @@ class LogWeights:
             raise OutsidePositiveWindow(f"{x} outside window {self.window()}")
         return self.weights[i]
 
-    def log_normalizer(self) -> float:
-        return self._log_normalizer
-
     @functools.cached_property
-    def _log_normalizer(self) -> float:
+    def log_normalizer(self) -> float:
         return logsumexp(self.weights)
 
     @functools.cached_property
     def concavity_witness(self) -> int | None:
-        """`weights_concavity_witness(self)`, computed once."""
-        return weights_concavity_witness(self)
+        """First x with w(x-1) + w(x+1) > 2 w(x), or None; exact."""
+        w = self.weights
+        for i in range(1, len(w) - 1):
+            if w[i - 1] + w[i + 1] > 2 * w[i]:
+                return self.offset + i
+        return None
 
 
 def geometric_weights(half_width: int) -> LogWeights:
@@ -95,21 +100,17 @@ def gaussian_weights(half_width: int) -> LogWeights:
     return LogWeights(-half_width, tuple(Fraction(-2 * x * x) for x in range(-half_width, half_width + 1)))
 
 
-def positive_window(mu: Pmf) -> range:
+def positive_window(mu: Pmf | LogWeights) -> range:
     """Maximal contiguous window on which mu is strictly positive.
 
-    A canonical Pmf has positive end masses, so this is its whole window.
-    Raises OutsidePositiveWindow when the positive support is not contiguous
-    (curvature costs are only defined relative to a positive window).
+    A canonical Pmf has positive end masses, and log-weights are positive
+    everywhere, so this is the whole window.  Raises OutsidePositiveWindow
+    when the positive support is not contiguous (curvature costs are only
+    defined relative to a positive window).
     """
     if not mu.gapless:
         raise OutsidePositiveWindow("positive support is not contiguous")
     return mu.window()
-
-
-def reference_window(mu: Pmf | LogWeights) -> range:
-    """Window on which the curvature cost of mu is defined: the log-weight window or the positive window."""
-    return mu.window() if isinstance(mu, LogWeights) else positive_window(mu)
 
 
 #: a cost on Z^2: any callable (x, y) -> exact Fraction or float
@@ -122,7 +123,7 @@ def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
     if isinstance(mu, LogWeights):
         return mu.weight(lo_mid) + mu.weight(hi_mid) - mu.weight(x) - mu.weight(y)
     window = positive_window(mu)
-    for z in (x, y, lo_mid, hi_mid):
+    for z in (x, y):  # the window is contiguous, so it holds the midpoints too
         if z not in window:
             raise OutsidePositiveWindow(f"{z} outside positive window {window}")
     return _log_ratio(mu.weight(lo_mid) * mu.weight(hi_mid), mu.weight(x) * mu.weight(y))
@@ -152,15 +153,6 @@ def is_log_concave(mu: Pmf) -> bool:
     return mu.concavity_witness is None
 
 
-def weights_concavity_witness(w: LogWeights) -> int | None:
-    """First x with w(x-1) + w(x+1) > 2 w(x), or None; exact."""
-    win = w.window()
-    for x in range(win.start + 1, win.stop - 1):
-        if w.weight(x - 1) + w.weight(x + 1) > 2 * w.weight(x):
-            return x
-    return None
-
-
 def log_interpolant(mu: Pmf, t: float) -> float:
     """Piecewise-linear interpolation of log mu between floor(t) and ceil(t).
 
@@ -180,7 +172,7 @@ def log_interpolant(mu: Pmf, t: float) -> float:
 
 def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
     """Exhaustive exact check of c_mu >= 0 over the positive window."""
-    window = reference_window(mu)
+    window = positive_window(mu)
     if isinstance(mu, LogWeights):
         return all(cost_mu(mu, x, y) >= 0 for x in window for y in window)
     # exact integer form of the log-ratio sign: the totals cancel
@@ -205,28 +197,13 @@ class TransportPlanResult:
     dual_v: RealFn | None
 
 
-def _rational_cost_matrix(cost: Cost, xs: Sequence[int], ys: Sequence[int]) -> list[list[Fraction]]:
-    rows = []
-    for x in xs:
-        row = []
-        for y in ys:
-            value = cost(x, y)
-            if isinstance(value, float) and math.isinf(value):
-                raise InfeasibleCost(f"cost infinite at ({x},{y})")
-            row.append(as_fraction(value))
-        rows.append(row)
-    return rows
-
-
-def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[list[Fraction]]):
+def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[list[int]]):
     """Exact min-cost transportation by shortest augmenting paths with potentials.
 
     The int supplies and demands are masses in one unit, with equal sums;
-    they are used up in place.  The costs are scaled to another unit, so the
-    search, the potentials and the flows are all ints; scaling by a positive
-    constant keeps every comparison and heap order.  The flows (per sink)
-    are returned in the mass unit, and the potentials divided back to
-    Fractions.
+    they are used up in place.  The int costs are in another unit, so the
+    search, the potentials and the flows are all ints.  The flows (per sink)
+    are returned in the mass unit, the potentials in the cost unit.
 
     Nodes 0..m-1 are sources, m..m+n-1 sinks.  Forward arcs i -> m+j have
     infinite capacity; the backward arc m+j -> i exists while into[j][i], the
@@ -236,8 +213,6 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
     (d > dist[node]) and relaxes only on strict improvement.
     """
     m, n = len(supply), len(demand)
-    flat, cost_unit = to_common_unit([c for row in cost for c in row])
-    cost = [flat[i * n : (i + 1) * n] for i in range(m)]
     into: list[dict[int, int]] = [{} for _ in range(n)]
     # initial potentials: shortest one-arc distances from the active sources
     pot = [0] * m + [min(cost[i][j] for i in range(m)) for j in range(n)]
@@ -285,7 +260,7 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
         demand[target] -= amount
         for v in range(m + n):
             pot[v] += min(dist.get(v, d_target), d_target)
-    return into, [Fraction(p, cost_unit) for p in pot]
+    return into, pot
 
 
 def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
@@ -309,17 +284,26 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
     # the weights in the unit 1 / (T0 T1): both sides sum to T0 T1
     supply = [nu0.weight(x) * nu1.total for x in xs]
     demand = [nu1.weight(y) * nu0.total for y in ys]
-    rc = _rational_cost_matrix(cost, xs, ys)
-    into, pot = _successive_shortest_paths(supply, demand, rc)
+    values = []
+    for x in xs:
+        for y in ys:
+            value = cost(x, y)
+            if isinstance(value, float) and math.isinf(value):
+                raise InfeasibleCost(f"cost infinite at ({x},{y})")
+            values.append(value)
+    flat, cost_unit = to_common_unit(values)
+    n = len(ys)
+    rows = [flat[i * n : (i + 1) * n] for i in range(len(xs))]
+    into, pot = _successive_shortest_paths(supply, demand, rows)
     # the flows are already in the unit 1 / (T0 T1)
     unit = nu0.total * nu1.total
     flow = [(i, j, f) for j, row in enumerate(into) for i, f in row.items() if f > 0]
     plan = _reduced(sorted([(xs[i], ys[j], f) for i, j, f in flow]), unit, nu0, nu1)
-    exact = sum((rc[i][j] * f for i, j, f in flow), ZERO) / unit
+    exact = Fraction(sum([rows[i][j] * f for i, j, f in flow]), cost_unit * unit)
     dual_u = dual_v = None
     if want_duals:
-        u = {x: -pot[i] for i, x in enumerate(xs)}
-        v = {y: pot[len(xs) + j] for j, y in enumerate(ys)}
+        u = {x: Fraction(-pot[i], cost_unit) for i, x in enumerate(xs)}
+        v = {y: Fraction(pot[len(xs) + j], cost_unit) for j, y in enumerate(ys)}
         # Extend feasibly to the full windows: first u via the support v,
         # then v via the extended u; on the supports the originals are
         # reproduced (a complementary-slackness pair attains each min), and
@@ -349,7 +333,7 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
     mu the transport cost is the exact cost of the monotone coupling, which
     is optimal there; otherwise it is solved by `ot_cost`.
     """
-    window = reference_window(mu)
+    window = positive_window(mu)
     for nu in (nu0, nu1):
         for x in nu.support_points():
             if x not in window:
@@ -368,9 +352,11 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
 
 
 def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
-    log_z = mu.log_normalizer()
+    log_z = mu.log_normalizer
     t = nu.total
-    return sum(w / t * (_log_ratio(w, t) - float(mu.weight(x)) + log_z) for x, w in enumerate(nu.weights, nu.offset) if w)
+    return left_sum(
+        w / t * (_log_ratio(w, t) - float(mu.weight(x)) + log_z) for x, w in enumerate(nu.weights, nu.offset) if w
+    )
 
 
 def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn) -> float:
@@ -380,17 +366,17 @@ def dual_product_check(mu: Pmf | LogWeights, u: RealFn, v: RealFn) -> float:
     ConstraintViolated with a witness), then returns the product, which is
     <= 1 + SUM_SLACK for any feasible pair.
     """
-    window = reference_window(mu)
+    window = positive_window(mu)
     for x in window:
         for y in window:
             excess = float(u.value(x)) + float(v.value(y)) - float(cost_mu(mu, x, y))
             if excess > INEQ_SLACK:
                 raise ConstraintViolated(x, y, excess)
     if isinstance(mu, LogWeights):
-        log_z = mu.log_normalizer()
+        log_z = mu.log_normalizer
         log_mass = {x: float(mu.weight(x)) - log_z for x in window}
     else:
         log_mass = {x: _log_ratio(mu.weight(x), mu.total) for x in window}
-    int_u = sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
-    int_v = sum(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
+    int_u = left_sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
+    int_v = left_sum(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
     return int_u * int_v

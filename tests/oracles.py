@@ -17,6 +17,14 @@ from functools import lru_cache
 ZERO = Fraction(0)
 
 
+def sum_left_to_right(values):
+    """The values added one plain + at a time from 0: sum() up to Python 3.11 (3.12's sum compensates floats)."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 @lru_cache(maxsize=None)
 def spanning_tree_edge_sets(m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All spanning trees of the complete bipartite graph K_{m,n}, as cell sets."""

@@ -292,7 +292,7 @@ def test_ratio_sum_matches_the_fraction_oracle(pair):
 
 
 def _fraction_counting_entropy(nu):
-    return sum(float(m) * log_of_fraction(m) for _, m in nu.support())
+    return oracles.sum_left_to_right(float(m) * log_of_fraction(m) for _, m in nu.support())
 
 
 def _fraction_relative_entropy(nu, mu):

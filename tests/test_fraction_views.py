@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 from discretepl import campaign
 from discretepl.coupling import Coupling, quantile
 from discretepl.fourfunctions import random_hypothesis_quadruple
@@ -86,7 +87,7 @@ def _log_laplace_fraction(phi, base):
 
 
 def _expectation_fraction(phi, nu):
-    return sum(float(m) * float(phi.value(x)) for x, m in nu.support())
+    return oracles.sum_left_to_right(float(m) * float(phi.value(x)) for x, m in nu.support())
 
 
 def _gibbs_fraction(phi, base):
@@ -111,15 +112,15 @@ def _log_interpolant_fraction(mu, t):
 
 
 def _relative_entropy_logweights_fraction(nu, mu):
-    log_z = mu.log_normalizer()
-    return sum(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+    log_z = mu.log_normalizer
+    return oracles.sum_left_to_right(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
 
 
 def _dual_product_fraction(mu, u, v):
     window = mu.window()
     log_mass = {x: log_of_fraction(mu.mass(x)) for x in window}
-    int_u = sum(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
-    int_v = sum(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
+    int_u = oracles.sum_left_to_right(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
+    int_v = oracles.sum_left_to_right(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
     return int_u * int_v
 
 

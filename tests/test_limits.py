@@ -334,12 +334,14 @@ def test_interval_integral_fails_on_an_overflowing_integrand():
         interval_integral(lambda x: math.exp(1000 * x), 0.0, 1.0)
 
 
-def test_clt_expectation_survives_grid_values_beyond_the_exp_range():
-    # f(t_0) = 1024 at n = 4096: e^1024 overflows, its binomial weight underflows to 0.0
+def test_clt_expectation_survives_grid_values_beyond_the_exp_range(monkeypatch):
+    # f(t_0) = 1024 at n = 4096: e^1024 overflows, its binomial weight underflows to 0.0 and is skipped
+    weighted_exp, weights_seen = limits._weighted_exp, []
+    monkeypatch.setattr(limits, "_weighted_exp", lambda w, v: weights_seen.append(w) or weighted_exp(w, v))
     quarter = lambda x: x * x / 4
     rows = clt_experiment(quarter, quarter, quarter, [64, 4096])
     assert rows[-1].value_f == pytest.approx(math.sqrt(2), rel=1e-3)
-    assert limits._weighted_exp(0.0, 1000.0) == 0.0
+    assert min(weights_seen) > 0.0 and len(weights_seen) < 3 * (65 + 4097)
     assert limits._weighted_exp(2.0**-1070, 800.0) == pytest.approx(math.exp(800.0 - 1070 * math.log(2)))
 
 

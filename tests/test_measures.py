@@ -18,6 +18,7 @@ from discretepl.measures import (
     expectation,
     from_weights,
     gibbs_optimizer,
+    left_sum,
     log_laplace,
     pmf,
     relative_entropy,
@@ -26,6 +27,15 @@ from discretepl.measures import (
 )
 
 F = Fraction
+
+
+def test_left_sum_adds_left_to_right_on_every_interpreter():
+    # Python 3.12's sum() compensates the rounding and gives 1.0 here
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1] * 10)) == 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1 + 0.1
+    empty = left_sum([])
+    assert empty == 0 and type(empty) is int
+    assert left_sum([F(1, 3), F(2, 3)]) == 1
 
 
 def test_pmf_point_mass():

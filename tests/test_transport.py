@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -11,7 +12,6 @@ from discretepl import transport
 from discretepl.campaign import (
     LOG_CONCAVE_FAMILIES,
     _pmf_in_window,
-    random_concave_weights,
     rational_log_concave_family,
 )
 from discretepl.errors import ConfigError, ConstraintViolated, InfeasibleCost, OutsidePositiveWindow
@@ -30,10 +30,17 @@ from discretepl.transport import (
     ot_cost,
     positive_window,
     transport_entropy_check,
-    weights_concavity_witness,
 )
 
 F = Fraction
+
+
+def random_concave_weights(rng: random.Random, max_width: int) -> transport.LogWeights:
+    """Concave integer log-weights: increments in [-4, 4] drawn non-increasing."""
+    width = rng.randint(2, max_width)
+    offset = rng.randint(-max_width, max_width // 2)
+    slopes = sorted((rng.randint(-4, 4) for _ in range(width - 1)), reverse=True)
+    return transport.LogWeights(offset, tuple(map(Fraction, accumulate(slopes, initial=0))))
 
 
 def test_cost_vanishes_on_diagonal_and_neighbours():
@@ -87,6 +94,17 @@ def test_cost_outside_window():
     assert cost_mu(uniform_on([0, 1]), 0, 1) == 0.0
 
 
+@pytest.mark.parametrize("x, y, outside", [(-1, 1, -1), (1, 3, 3)])
+def test_cost_outside_a_gapless_pmf_window_names_the_point(x, y, outside):
+    mu = from_weights(0, [1, 2, 1])  # both midpoints of (x, y) lie in the window 0..2
+    with pytest.raises(OutsidePositiveWindow, match=rf"^{outside} outside positive window"):
+        cost_mu(mu, x, y)
+
+
+def test_positive_window_of_log_weights_is_their_window():
+    assert positive_window(geometric_weights(3)) == range(-3, 4)
+
+
 def test_log_concavity_examples():
     assert is_log_concave(delta(0))
     assert is_log_concave(rational_log_concave_family("geometric-half", 10))
@@ -130,7 +148,7 @@ def test_cost_nonnegativity():
 def test_log_concave_weights_yield_nonnegative_costs(rng):
     for _ in range(1000):
         w = random_concave_weights(rng, 10)
-        assert weights_concavity_witness(w) is None
+        assert w.concavity_witness is None
         assert cost_nonnegativity_check(w)
 
 
@@ -301,8 +319,8 @@ def test_transport_entropy_walks_log_weights_once_per_reference():
     assert transport_entropy_check(mu, nu0, nu1) == first
     # a later check reads only the weights at the support points and their midpoints
     assert weights.reads - walked < 50
-    assert mu.log_normalizer() == geometric_weights(1000).log_normalizer()
-    assert mu.concavity_witness is weights_concavity_witness(mu) is None
+    assert mu.log_normalizer == geometric_weights(1000).log_normalizer
+    assert mu.concavity_witness is geometric_weights(1000).concavity_witness is None
 
 
 def test_transport_entropy_walks_a_pmf_reference_once():
