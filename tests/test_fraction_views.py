@@ -113,7 +113,8 @@ def _log_interpolant_fraction(mu, t):
 
 def _relative_entropy_logweights_fraction(nu, mu):
     log_z = mu.log_normalizer
-    return oracles.sum_left_to_right(float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+    terms = (float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+    return oracles.sum_left_to_right(terms)
 
 
 def _dual_product_fraction(mu, u, v):

@@ -341,7 +341,7 @@ def test_clt_expectation_survives_grid_values_beyond_the_exp_range(monkeypatch):
     quarter = lambda x: x * x / 4
     rows = clt_experiment(quarter, quarter, quarter, [64, 4096])
     assert rows[-1].value_f == pytest.approx(math.sqrt(2), rel=1e-3)
-    assert min(weights_seen) > 0.0 and len(weights_seen) < 3 * (65 + 4097)
+    assert min(weights_seen) > 0.0
     assert limits._weighted_exp(2.0**-1070, 800.0) == pytest.approx(math.exp(800.0 - 1070 * math.log(2)))
 
 

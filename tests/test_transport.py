@@ -92,16 +92,12 @@ def test_cost_outside_window():
     with pytest.raises(OutsidePositiveWindow):
         cost_mu(pmf(0, [F(1, 2), F(0), F(1, 2)]), 0, 2)
     assert cost_mu(uniform_on([0, 1]), 0, 1) == 0.0
-
-
-@pytest.mark.parametrize("x, y, outside", [(-1, 1, -1), (1, 3, 3)])
-def test_cost_outside_a_gapless_pmf_window_names_the_point(x, y, outside):
-    mu = from_weights(0, [1, 2, 1])  # both midpoints of (x, y) lie in the window 0..2
-    with pytest.raises(OutsidePositiveWindow, match=rf"^{outside} outside positive window"):
-        cost_mu(mu, x, y)
-
-
-def test_positive_window_of_log_weights_is_their_window():
+    # the gapless window 0..2 holds both midpoints of (-1, 1) and of (1, 3); the point outside is named
+    tent = from_weights(0, [1, 2, 1])
+    with pytest.raises(OutsidePositiveWindow, match=r"^-1 outside positive window"):
+        cost_mu(tent, -1, 1)
+    with pytest.raises(OutsidePositiveWindow, match=r"^3 outside positive window"):
+        cost_mu(tent, 1, 3)
     assert positive_window(geometric_weights(3)) == range(-3, 4)
 
 
