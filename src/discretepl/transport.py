@@ -59,13 +59,11 @@ class LogWeights:
 
     The normalizer and the concavity witness are O(window) walks, computed
     once per instance: check-te runs every trial against one reference.
-    Every window point has a finite log-weight, so the whole window is the
-    positive window.
     """
 
     offset: int
     weights: tuple[Fraction, ...]
-    gapless = True
+    gapless = True  # every window point has a finite log-weight, so a positive mass
 
     def window(self) -> range:
         return range(self.offset, self.offset + len(self.weights))
