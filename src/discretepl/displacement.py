@@ -30,7 +30,7 @@ from itertools import groupby
 
 from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
 from .errors import NotMonotone, PreconditionViolated
-from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _mass_times_log, counting_entropy, log_of_fraction
+from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _log_ratio, _mass_times_log, counting_entropy
 
 
 def m_minus(x: int, y: int) -> int:
@@ -108,7 +108,7 @@ def midpoint_ratio_sum(nu0: Pmf, nu1: Pmf) -> Fraction:
 
 
 def _jensen_certificate(pair: MidpointPair, factors: list[tuple[int, int, int]]) -> float:
-    """The float sum over atoms of float(pi(x,y)) * log_of_fraction(ratio), formed from the cell factors."""
+    """The float sum over atoms of float(pi(x,y)) * log(ratio), formed from the cell factors."""
     nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
     scale_num, scale_den, unit = nu0.total * nu1.total, lo.total * hi.total, pair.pi.unit
     certificate = 0.0
@@ -164,7 +164,7 @@ def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:
         gap=h0 + h1 - hm - hp,
         jensen_certificate=_jensen_certificate(pair, factors),
         ratio_sum=p_sum,
-        log_ratio_sum=log_of_fraction(p_sum) if p_sum > 0 else -math.inf,
+        log_ratio_sum=_log_ratio(p_sum.numerator, p_sum.denominator) if p_sum > 0 else -math.inf,
     )
 
 

@@ -274,7 +274,9 @@ def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Seq
     p = |x^y| the pair allows, all of them <= min(a, b).  When hv is convex,
     hv[p] + hv[a + b - p] does not increase as p grows toward (a + b)/2, so
     the comparable pair x <= y (p = min(a, b)) binds, and the hypothesis is
-    max_a (fv - hv)[a] + max_b (gv - hv)[b] <= 0.  Convexity is checked first
+    max_a (fv - hv)[a] + max_b (gv - hv)[b] <= 0.  A +inf value of hv raises
+    ConfigError: E[e^{H_n}] is then infinite, and an infinite second
+    difference would pass.  Convexity is checked next
     (ConvexityWitnessFailed), then that sum (HypothesisFailedOnGrid), both up
     to APPROX_TOL and in O(n); a NaN fails either check.
     """
@@ -282,6 +284,10 @@ def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Seq
 
     n = len(points) - 1
     f, g, h = (np.array(values, dtype=float) for values in (fv, gv, hv))
+    infinite = np.flatnonzero(h == math.inf)
+    if infinite.size:
+        k = int(infinite[0])
+        raise ConfigError(f"h is +inf on the grid at k={k}, t_k={points[k]} for n={n}")
     bent = np.flatnonzero(~(h[:-2] + h[2:] - 2 * h[1:-1] >= -APPROX_TOL))
     if bent.size:
         k = int(bent[0]) + 1

@@ -64,13 +64,6 @@ def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int]
     return [q.numerator * (scale // q.denominator) for q in qs], scale
 
 
-def log_of_fraction(q: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerators/denominators."""
-    if q <= 0:
-        raise ValueError("log of a non-positive rational")
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function stored on a contiguous window of Z.
@@ -79,10 +72,9 @@ class Pmf:
     first and last weights are strictly positive (zeros may occur inside),
     the weights are coprime and they sum to `total`, so equal measures
     compare and hash equal.  Instances are immutable; build them with
-    :func:`pmf` or :func:`from_weights`, which validate and trim.  The two
-    O(window) facts that a transport reference is asked on every trial and
-    every cost cell, `gapless` and `concavity_witness`, are computed once per
-    instance.
+    :func:`pmf` or :func:`from_weights`, which validate and trim.  `gapless`
+    (asked of a transport reference on every trial and every cost cell) and
+    `concavity_witness` are O(window) walks, computed once per instance.
     """
 
     offset: int
@@ -147,13 +139,13 @@ def _ratio_str(n: int, d: int) -> str:
 
 
 def _log_ratio(n: int, d: int) -> float:
-    """log_of_fraction(Fraction(n, d)) for positive ints, on ints: the logs of the reduced n and d."""
+    """log(n / d) for positive ints, safe for huge ones: the difference of the logs of the reduced n and d."""
     g = math.gcd(n, d)
     return math.log(n // g) - math.log(d // g)
 
 
 def _mass_times_log(w: int, unit: int, n: int, d: int) -> float:
-    """float(Fraction(w, unit)) * log_of_fraction(Fraction(n, d)) for positive ints, on ints.
+    """float(Fraction(w, unit)) * _log_ratio(n, d) for positive ints, on ints.
 
     w / unit is correctly rounded, as the float of a Fraction is, so the
     float is the same.
@@ -234,7 +226,7 @@ def counting_entropy(nu: Pmf) -> float:
     """Entropy relative to counting measure: sum nu(x) log nu(x) over the support.
 
     Always <= 0 because every atom is <= 1.  Invariant under translation.
-    Each term is float(m) * log_of_fraction(m), formed from the weights.
+    Each term is float(m) * log m, formed from the weights.
     """
     return left_sum([_mass_times_log(w, nu.total, w, nu.total) for w in nu.weights if w])
 
@@ -243,7 +235,7 @@ def relative_entropy(nu: Pmf, mu: Pmf) -> float:
     """sum nu(x) log(nu(x)/mu(x)); +inf when nu charges a mu-null point.
 
     Non-negative by Jensen; exactly 0.0 when nu == mu.  Each term is
-    float(m) * log_of_fraction(m / q), formed from the weights.
+    float(m) * log(m / q), formed from the weights.
     """
     acc = 0.0
     for x, w in enumerate(nu.weights, nu.offset):

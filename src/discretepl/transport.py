@@ -23,7 +23,11 @@ With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
 s(k) = w(floor(k/2)) + w(ceil(k/2)); the increments of s are those of w,
 each repeated twice.  So for log-concave mu, s is concave, c_mu is a Monge
 cost and the monotone (north-west corner) coupling is an optimal plan
-(Hoffman 1963); the transport-entropy check then reads its cost off that plan.
+(Hoffman 1963).  The transport-entropy check reads its cost off that plan for
+every mu positive on a window holding both supports: along the plan pi,
+H(nu0|mu) + H(nu1|mu) = int c_mu dpi + gap + H(nu-|mu) + H(nu+|mu), where
+every term after int c_mu dpi is >= 0 (gap is the `displacement` check's
+entropy gap), so the check is a theorem and int c_mu dpi >= T_{c_mu}.
 """
 
 from __future__ import annotations
@@ -57,18 +61,19 @@ from .measures import (
 class LogWeights:
     """Unnormalized log-mass on a contiguous window: mu(x) proportional to e^{weights[x-offset]}.
 
-    The normalizer and the concavity witness are O(window) walks, computed
-    once per instance: check-te runs every trial against one reference.
+    The weights are ints or Fractions, so every curvature cost is exact.  The
+    normalizer is an O(window) walk, computed once per instance: check-te runs
+    every trial against one reference.
     """
 
     offset: int
-    weights: tuple[Fraction, ...]
+    weights: tuple[int | Fraction, ...]
     gapless = True  # every window point has a finite log-weight, so a positive mass
 
     def window(self) -> range:
         return range(self.offset, self.offset + len(self.weights))
 
-    def weight(self, x: int) -> Fraction:
+    def weight(self, x: int) -> int | Fraction:
         i = x - self.offset
         if not 0 <= i < len(self.weights):
             raise OutsidePositiveWindow(f"{x} outside window {self.window()}")
@@ -78,24 +83,15 @@ class LogWeights:
     def log_normalizer(self) -> float:
         return logsumexp(self.weights)
 
-    @functools.cached_property
-    def concavity_witness(self) -> int | None:
-        """First x with w(x-1) + w(x+1) > 2 w(x), or None; exact."""
-        w = self.weights
-        for i in range(1, len(w) - 1):
-            if w[i - 1] + w[i + 1] > 2 * w[i]:
-                return self.offset + i
-        return None
-
 
 def geometric_weights(half_width: int) -> LogWeights:
     """w(x) = -|x| on [-K, K]: two-sided geometric-type weights."""
-    return LogWeights(-half_width, tuple(Fraction(-abs(x)) for x in range(-half_width, half_width + 1)))
+    return LogWeights(-half_width, tuple(-abs(x) for x in range(-half_width, half_width + 1)))
 
 
 def gaussian_weights(half_width: int) -> LogWeights:
     """w(x) = -2 x^2 on [-K, K]: Gaussian-type weights."""
-    return LogWeights(-half_width, tuple(Fraction(-2 * x * x) for x in range(-half_width, half_width + 1)))
+    return LogWeights(-half_width, tuple(-2 * x * x for x in range(-half_width, half_width + 1)))
 
 
 def positive_window(mu: Pmf | LogWeights) -> range:
@@ -116,7 +112,7 @@ Cost = Callable[[int, int], "Fraction | float"]
 
 
 def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
-    """Curvature cost at (x, y): exact Fraction for log-weights, float for a rational Pmf."""
+    """Curvature cost at (x, y): exact int or Fraction for log-weights, float for a rational Pmf."""
     lo_mid, hi_mid = m_minus(x, y), m_plus(x, y)
     if isinstance(mu, LogWeights):
         return mu.weight(lo_mid) + mu.weight(hi_mid) - mu.weight(x) - mu.weight(y)
@@ -319,29 +315,27 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
 
 @dataclass(frozen=True)
 class TransportEntropyCheck:
-    lhs: float  # transport cost
+    lhs: float  # c_mu-cost of the monotone coupling: T_{c_mu} for log-concave mu, else an upper bound on it
     rhs: float  # H(nu0|mu) + H(nu1|mu)
     holds: bool
 
 
 def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> TransportEntropyCheck:
-    """T_{c_mu}(nu0, nu1) <= H(nu0|mu) + H(nu1|mu), with SUM_SLACK.
+    """int c_mu dpi <= H(nu0|mu) + H(nu1|mu) along the monotone coupling pi, with SUM_SLACK.
 
-    Both supports must live inside the positive window of mu.  For log-concave
-    mu the transport cost is the exact cost of the monotone coupling, which
-    is optimal there; otherwise it is solved by `ot_cost`.
+    Both supports must live inside the positive window of mu.  The lhs is the
+    exact cost of pi, which is T_{c_mu}(nu0, nu1) for log-concave mu (pi is
+    optimal there) and an upper bound on it otherwise; the inequality holds
+    for every mu positive on the window (see the module docstring).
     """
     window = positive_window(mu)
     for nu in (nu0, nu1):
         for x in nu.support_points():
             if x not in window:
                 raise OutsidePositiveWindow(f"support point {x} outside positive window")
-    if mu.concavity_witness is None:
-        pi = monotone_coupling(nu0, nu1)
-        costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])
-        lhs = float(Fraction(sum([c * w for c, (_, _, w) in zip(costs, pi.cells)]), cost_unit * pi.unit))
-    else:
-        lhs = ot_cost(curvature_cost(mu), nu0, nu1).cost
+    pi = monotone_coupling(nu0, nu1)
+    costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])
+    lhs = float(Fraction(sum([c * w for c, (_, _, w) in zip(costs, pi.cells)]), cost_unit * pi.unit))
     if isinstance(mu, LogWeights):
         rhs = _relative_entropy_logweights(nu0, mu) + _relative_entropy_logweights(nu1, mu)
     else:

@@ -25,6 +25,12 @@ def sum_left_to_right(values):
     return total
 
 
+def log_fraction(q: Fraction) -> float:
+    """Natural log of a positive rational: the difference of the logs of its (reduced) numerator and denominator."""
+    assert q > 0
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 @lru_cache(maxsize=None)
 def spanning_tree_edge_sets(m: int, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All spanning trees of the complete bipartite graph K_{m,n}, as cell sets."""

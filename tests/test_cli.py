@@ -338,7 +338,8 @@ def test_cli_limit_exp_pl_witness_in_a_late_block_exits_one(tmp_path, capsys):
 
 
 def test_cli_check_te_json_is_byte_stable(capsys):
-    # the check-te report is a user-facing contract: pinned from the exact SSP solver
+    # the check-te report is a user-facing contract: pinned from the exact SSP solver, which the
+    # monotone plan's cost reproduces under this log-concave reference
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
     out = capsys.readouterr().out
     assert code == 0
@@ -718,6 +719,15 @@ def test_cli_limit_exp_clt_target_that_fails_exits_two(tmp_path, capsys, spec, m
     assert main(["limit-exp", "--kind", "clt", "--spec", path, "--n", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
+def test_cli_limit_exp_clt_infinite_h_exits_two_before_any_row(tmp_path, capsys):
+    # h = +inf only within 0.001 of t_0 = -64, a grid point at n = 4096 and not at n = 64
+    spike = "x*x/4 + 1e300*(1e300*(0.001 - fabs(x+64) + fabs(0.001 - fabs(x+64))))"
+    path = _write(tmp_path, "spec.json", json.dumps({"f": "0", "g": "0", "h": spike}))
+    assert main(["limit-exp", "--kind", "clt", "--spec", path, "--n", "64,4096"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: h is +inf on the grid at k=0, t_k=-64.0 for n=4096") and captured.out == ""
 
 
 def test_cli_limit_exp_clt_nan_prints_only_its_error_line(tmp_path):

@@ -13,7 +13,7 @@ from discretepl import campaign
 from discretepl.coupling import Coupling, quantile
 from discretepl.fourfunctions import random_hypothesis_quadruple
 from discretepl.limits import DISP_DEMOS, PointMass, UniformInterval, rescaled_displacement_experiment
-from discretepl.measures import Pmf, RealFn, expectation, from_weights, gibbs_optimizer, log_laplace, log_of_fraction, logsumexp
+from discretepl.measures import Pmf, RealFn, expectation, from_weights, gibbs_optimizer, log_laplace, logsumexp
 from discretepl.transport import (
     LogWeights,
     _relative_entropy_logweights,
@@ -83,7 +83,7 @@ def test_no_checker_reads_a_fraction_view(monkeypatch):
 
 
 def _log_laplace_fraction(phi, base):
-    return logsumexp(float(phi.value(x)) + log_of_fraction(m) for x, m in base.support())
+    return logsumexp(float(phi.value(x)) + oracles.log_fraction(m) for x, m in base.support())
 
 
 def _expectation_fraction(phi, nu):
@@ -91,7 +91,7 @@ def _expectation_fraction(phi, nu):
 
 
 def _gibbs_fraction(phi, base):
-    log_base = {x: log_of_fraction(base.mass(x)) for x, _ in base.support()}
+    log_base = {x: oracles.log_fraction(base.mass(x)) for x, _ in base.support()}
     shift = max(float(phi.value(x)) + log_base[x] for x in log_base)
     lo, hi = min(log_base), max(log_base)
     return from_weights(
@@ -101,25 +101,25 @@ def _gibbs_fraction(phi, base):
 
 def _cost_fraction(mu, x, y):
     lo, hi = (x + y) // 2, -((-x - y) // 2)
-    return log_of_fraction(mu.mass(lo) * mu.mass(hi) / (mu.mass(x) * mu.mass(y)))
+    return oracles.log_fraction(mu.mass(lo) * mu.mass(hi) / (mu.mass(x) * mu.mass(y)))
 
 
 def _log_interpolant_fraction(mu, t):
     lo, hi = math.floor(t), math.ceil(t)
     if lo == hi:
-        return log_of_fraction(mu.mass(lo))
-    return (1 - (t - lo)) * log_of_fraction(mu.mass(lo)) + (t - lo) * log_of_fraction(mu.mass(hi))
+        return oracles.log_fraction(mu.mass(lo))
+    return (1 - (t - lo)) * oracles.log_fraction(mu.mass(lo)) + (t - lo) * oracles.log_fraction(mu.mass(hi))
 
 
 def _relative_entropy_logweights_fraction(nu, mu):
     log_z = mu.log_normalizer
-    terms = (float(m) * (log_of_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
+    terms = (float(m) * (oracles.log_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
     return oracles.sum_left_to_right(terms)
 
 
 def _dual_product_fraction(mu, u, v):
     window = mu.window()
-    log_mass = {x: log_of_fraction(mu.mass(x)) for x in window}
+    log_mass = {x: oracles.log_fraction(mu.mass(x)) for x in window}
     int_u = oracles.sum_left_to_right(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
     int_v = oracles.sum_left_to_right(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
     return int_u * int_v

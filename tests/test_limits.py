@@ -249,6 +249,15 @@ def test_clt_hypothesis_fails_on_a_single_nan_value():
         _check_cube_hypothesis(range(9), [0.0] * 9, gv, [0.0] * 9)
 
 
+def test_clt_rejects_an_infinite_h_at_an_end_grid_point():
+    # the second differences at k = 1 are +inf and would pass the convexity test, while E[e^{H_n}] is +inf
+    t0 = (0 - 8 / 2) / (math.sqrt(8) / 2)
+    zero = lambda x: 0.0
+    spiked = lambda x: math.inf if x == t0 else x * x
+    with pytest.raises(ConfigError, match=r"h is \+inf on the grid at k=0, t_k=-2\.828.* for n=8"):
+        clt_experiment(zero, zero, spiked, [8])
+
+
 def test_clt_hypothesis_check_matches_the_exhaustive_additive_4ft(rng):
     # functions of |x| on {0,1}^n with h convex: the O(n) check against the sweep over all pairs
     verdicts = []

@@ -16,7 +16,7 @@ from discretepl.campaign import (
 )
 from discretepl.errors import ConfigError, ConstraintViolated, InfeasibleCost, OutsidePositiveWindow
 from discretepl.displacement import displacement_gap
-from discretepl.measures import SUM_SLACK, Pmf, RealFn, delta, from_weights, log_of_fraction, pmf, relative_entropy, uniform_on
+from discretepl.measures import SUM_SLACK, Pmf, RealFn, delta, from_weights, pmf, relative_entropy, uniform_on
 from discretepl.transport import (
     closed_form_cost,
     cost_mu,
@@ -114,8 +114,8 @@ def test_log_concavity_interior_zero_is_witnessed():
 
 def test_log_interpolant_values():
     mu = rational_log_concave_family("geometric-half", 6)
-    assert log_interpolant(mu, 2.0) == pytest.approx(log_of_fraction(mu.mass(2)), abs=1e-14)
-    mid = (log_of_fraction(mu.mass(2)) + log_of_fraction(mu.mass(3))) / 2
+    assert log_interpolant(mu, 2.0) == pytest.approx(oracles.log_fraction(mu.mass(2)), abs=1e-14)
+    mid = (oracles.log_fraction(mu.mass(2)) + oracles.log_fraction(mu.mass(3))) / 2
     assert log_interpolant(mu, 2.5) == pytest.approx(mid, abs=1e-14)
 
 
@@ -143,9 +143,7 @@ def test_cost_nonnegativity():
 
 def test_log_concave_weights_yield_nonnegative_costs(rng):
     for _ in range(1000):
-        w = random_concave_weights(rng, 10)
-        assert w.concavity_witness is None
-        assert cost_nonnegativity_check(w)
+        assert cost_nonnegativity_check(random_concave_weights(rng, 10))
 
 
 def test_ot_diagonal_is_free():
@@ -243,7 +241,7 @@ def test_transport_entropy_dirac_pair_closed_form():
     a, b = -3, 5
     check = transport_entropy_check(mu, delta(a), delta(b))
     assert check.lhs == pytest.approx(closed_form_cost("geometric", a, b) * math.log(2), abs=1e-9)
-    assert check.rhs == pytest.approx(-log_of_fraction(mu.mass(a)) - log_of_fraction(mu.mass(b)), abs=1e-9)
+    assert check.rhs == pytest.approx(-oracles.log_fraction(mu.mass(a)) - oracles.log_fraction(mu.mass(b)), abs=1e-9)
     assert check.holds
 
 
@@ -311,12 +309,11 @@ def test_transport_entropy_walks_log_weights_once_per_reference():
     nu0, nu1 = uniform_on([-2, 0, 1]), uniform_on([3, 4])
     first = transport_entropy_check(mu, nu0, nu1)
     walked = weights.reads
-    assert walked > 2001  # the normalizer and the concavity witness read every weight once
+    assert walked > 2001  # the normalizer reads every weight once
     assert transport_entropy_check(mu, nu0, nu1) == first
     # a later check reads only the weights at the support points and their midpoints
     assert weights.reads - walked < 50
     assert mu.log_normalizer == geometric_weights(1000).log_normalizer
-    assert mu.concavity_witness is geometric_weights(1000).concavity_witness is None
 
 
 def test_transport_entropy_walks_a_pmf_reference_once():
@@ -326,7 +323,7 @@ def test_transport_entropy_walks_a_pmf_reference_once():
     nu0, nu1 = uniform_on([-2, 0, 1]), uniform_on([3, 4])
     first = transport_entropy_check(mu, nu0, nu1)
     walked = mu.weights.reads
-    assert walked > 2 * 2001  # the gap test and the concavity witness read every weight once
+    assert walked > 2001  # the gap test reads every weight once
     assert transport_entropy_check(mu, nu0, nu1) == first
     # a later check reads only the weights at the support points and their midpoints
     assert mu.weights.reads - walked < 50
@@ -334,10 +331,13 @@ def test_transport_entropy_walks_a_pmf_reference_once():
 
 
 def test_transport_entropy_without_log_concavity_solves_the_transport_problem():
-    # the optimal plan crosses to (0, 2), (2, 0); the monotone plan would cost 0
+    # the check reads the monotone plan, which costs 0; the optimal plan crosses to (0, 2), (2, 0)
     mu = from_weights(0, [4, 1, 4])
     nu = uniform_on([0, 2])
-    assert transport_entropy_check(mu, nu, nu).lhs == -math.log(16)
+    check = transport_entropy_check(mu, nu, nu)
+    assert check.lhs == 0.0
+    assert ot_cost(curvature_cost(mu), nu, nu).cost == -math.log(16) < check.lhs
+    assert check.holds
 
 
 def test_refined_transport_entropy_slack_is_the_displacement_gap(rng):
@@ -359,6 +359,26 @@ def test_refined_transport_entropy_slack_is_the_displacement_gap(rng):
             - cost
         )
         assert refined == pytest.approx(report.gap, abs=SUM_SLACK)
+        _assert_te_reads_the_monotone_plan(mu, nu0, nu1, cost)
+    # the same check under log-weights, most of them not concave
+    log_refs, bent = [], 0
+    for _ in range(200):
+        w = [F(rng.randint(-30, 5), rng.randint(1, 6)) for _ in range(rng.randint(3, 10))]
+        bent += any(w[i - 1] + w[i + 1] > 2 * w[i] for i in range(1, len(w) - 1))
+        log_refs.append(transport.LogWeights(rng.randint(-6, 0), tuple(w)))
+    assert bent >= 150
+    for mu in log_refs:
+        nu0, nu1 = _pmf_with_gaps_in(rng, mu.window()), _pmf_with_gaps_in(rng, mu.window())
+        cost = sum(float(p) * float(cost_mu(mu, x, y)) for x, y, p in displacement_gap(nu0, nu1).pair.pi.atoms)
+        _assert_te_reads_the_monotone_plan(mu, nu0, nu1, cost)
+
+
+def _assert_te_reads_the_monotone_plan(mu, nu0, nu1, monotone_cost):
+    """The check holds, its lhs is the monotone plan's cost, and the exact optimum lies at or below it."""
+    check = transport_entropy_check(mu, nu0, nu1)
+    assert check.holds
+    assert check.lhs == pytest.approx(monotone_cost, abs=1e-12)
+    assert ot_cost(curvature_cost(mu), nu0, nu1).cost <= check.lhs
 
 
 def test_transport_entropy_window_violation():
