@@ -207,6 +207,28 @@ def test_ot_plans_and_duals_under_tied_costs_are_pinned():
     assert digest == "588f26b23ab2d74e7332251aeb85514fda1bd8cf6f5709c0776d3834d3795a48"
 
 
+def test_ot_plans_and_duals_up_to_12_by_12_are_pinned():
+    # supports up to 12 x 12 in [-12, 12]: even problems take the float curvature cost of a pmf
+    # reference that is not log-concave, odd ones a rational cost table
+    rng = random.Random(20261019)
+    lines = []
+    for index in range(200):
+        nu0 = _pmf_in_window(rng, range(-12, 13), 64, 12)
+        nu1 = _pmf_in_window(rng, range(-12, 13), 64, 12)
+        if index % 2 == 0:
+            mu = from_weights(-12, [rng.randint(1, 64) for _ in range(25)])
+            assert not is_log_concave(mu)
+            cost = curvature_cost(mu)
+        else:
+            table = {(x, y): F(rng.randint(0, 100), rng.randint(1, 12)) for x in nu0.window() for y in nu1.window()}
+            cost = lambda x, y, table=table: table[(x, y)]
+        result = ot_cost(cost, nu0, nu1, want_duals=True)
+        plan = [(x, y, str(p)) for x, y, p in result.plan.atoms]
+        lines.append(repr((plan, result.dual_u.values, result.dual_v.values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bea05b1c00e9626024c4748be0973489a813cb9edff164ad4af628e44a7797ec"
+
+
 def test_ot_symmetry_and_zero_self_cost(rng):
     mu = rational_log_concave_family("uniform", 6)
     cost = curvature_cost(mu)
