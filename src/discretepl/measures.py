@@ -51,17 +51,25 @@ def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int]
     """(ints, scale) with values[i] == ints[i] / scale exactly; scale is the lcm of the denominators.
 
     Ints and Fractions are used as they are, floats at their exact binary
-    value.  With `max_bits`, a scale longer than that many bits gives None
-    before any value is scaled.  The lcm's arguments come from a list, not
-    a generator: a tuple built from a generator is allocated at one size
-    and freed at another, which strands a small tuple on CPython's free
-    lists on every call.
+    value, read off `float.as_integer_ratio` (what `Fraction(float)` calls,
+    without building the Fraction).  With `max_bits`, a scale longer than
+    that many bits gives None before any value is scaled.  The lcm's
+    arguments come from a list, not a generator: a tuple built from a
+    generator is allocated at one size and freed at another, which strands a
+    small tuple on CPython's free lists on every call.
     """
-    qs = [v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in values]
-    scale = math.lcm(*[q.denominator for q in qs])
+    ratios = [
+        (v.numerator, v.denominator)
+        if isinstance(v, (int, Fraction))
+        else v.as_integer_ratio()
+        if isinstance(v, float)
+        else as_fraction(v).as_integer_ratio()
+        for v in values
+    ]
+    scale = math.lcm(*[q for _, q in ratios])
     if max_bits is not None and scale.bit_length() > max_bits:
         return None
-    return [q.numerator * (scale // q.denominator) for q in qs], scale
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ is a finite linear program, solved exactly by successive shortest paths
 with potentials.  It runs on ints: the masses are the two pmfs' integer
 weights, scaled to the unit 1 / (T0 T1) of their totals, and the rational
 costs are scaled to their common unit (`measures.to_common_unit`); the plan,
-its value and the potentials are divided back once.  Returned dual
-potentials satisfy u(x) + v(y) <= c(x, y) with equality on the support of
-the optimal plan.
+its value and the potentials are divided back once.  Each augmentation's
+Dijkstra search stops once every node at distance D has been settled, D
+being the distance of the nearest sink with demand: the nodes left over
+are at distance > D and would gain D in potential anyway, so the flows and
+potentials are those of a full search.  Returned dual potentials satisfy
+u(x) + v(y) <= c(x, y) with equality on the support of the optimal plan.
 
 With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
 s(k) = w(floor(k/2)) + w(ceil(k/2)); the increments of s are those of w,
@@ -175,10 +178,11 @@ def cost_nonnegativity_check(mu: Pmf | LogWeights) -> bool:
     )
 
 
-#: one exact solve on 50 x 50 support points takes at most 2.5 s on a cost table whose entries have
-#: distinct 6-7 digit prime denominators, so that the cost unit runs to about 50,000 bits, and 16 s
-#: on such a 75 x 75 table.  Random pmf references, small-denominator tables and the geometric
-#: reference take at most 0.22 s on 50 x 50 (Python 3.11, 2 cores)
+#: one exact solve with duals on 50 x 50 support points takes 0.80-1.02 s on a cost table whose
+#: entries have distinct 6-digit prime denominators, so that the cost unit runs to about 50,000
+#: bits, and 7.4 s on such a 75 x 75 table; a random pmf reference that is not log-concave takes
+#: 0.06-0.08 s on 50 x 50 (Python 3.11.7, 2 cores; before each search stopped at the nearest
+#: sink with demand: 1.21-1.34 s, 11.9 s and 0.10 s)
 MAX_OT_CELLS = 2_500
 
 
@@ -205,6 +209,15 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
     potentials keep every residual reduced cost non-negative, so a popped node
     never improves: Dijkstra, keyed (dist, counter, node), skips stale entries
     (d > dist[node]) and relaxes only on strict improvement.
+
+    Each search stops once every node at distance D has been popped, D being
+    the distance of the first sink with demand to be popped: it breaks at
+    the first live entry past D.  The target is the lowest-index sink with
+    demand at D, and every node gains min(dist, D) in potential (D if not
+    reached).  A full search gives the same flows and potentials: the
+    unsettled nodes have distance > D, so they gain D either way, and every
+    node at distance D is settled before the stop, so the target and the
+    `prev` arcs of its path are the same.
     """
     m, n = len(supply), len(demand)
     into: list[dict[int, int]] = [{} for _ in range(n)]
@@ -212,36 +225,46 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
     pot = [0] * m + [min(cost[i][j] for i in range(m)) for j in range(n)]
     counter = itertools.count()
     while any(supply):
-        dist = {i: 0 for i in range(m) if supply[i] > 0}
-        heap = [(0, next(counter), i) for i in dist]  # sorted, hence a heap
-        prev: dict[int, tuple[int, int]] = {}  # node -> the arc (i, j) that reached it
+        dist: list[int | None] = [None] * (m + n)  # None: not reached
+        prev: list[tuple[int, int] | None] = [None] * (m + n)  # the arc (i, j) that reached each node
+        heap = []
+        for i in range(m):
+            if supply[i] > 0:
+                dist[i] = 0
+                heap.append((0, next(counter), i))  # sorted, hence a heap
+        d_target = None  # D, once a sink with demand is popped
         while heap:
             d, _, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
+            if d_target is not None and d > d_target:
+                break
             base = d + pot[node]
             if node < m:
+                row = cost[node]
                 for j in range(n):
-                    nd = base + cost[node][j] - pot[m + j]
-                    if m + j not in dist or nd < dist[m + j]:
+                    nd = base + row[j] - pot[m + j]
+                    old = dist[m + j]
+                    if old is None or nd < old:
                         dist[m + j], prev[m + j] = nd, (node, j)
                         heapq.heappush(heap, (nd, next(counter), m + j))
             else:
                 j = node - m
+                if d_target is None and demand[j] > 0:
+                    d_target = d
                 for i, f in into[j].items():
                     if f > 0:
                         nd = base - cost[i][j] - pot[i]
-                        if i not in dist or nd < dist[i]:
+                        old = dist[i]
+                        if old is None or nd < old:
                             dist[i], prev[i] = nd, (i, j)
                             heapq.heappush(heap, (nd, next(counter), i))
-        sinks = [j for j in range(n) if demand[j] > 0 and m + j in dist]
-        if not sinks:
+        if d_target is None:
             raise InfeasibleCost("no augmenting path to a sink with remaining demand")
-        target = min(sinks, key=lambda j: dist[m + j])
-        d_target = dist[m + target]
+        target = next(j for j in range(n) if demand[j] > 0 and dist[m + j] == d_target)
         # walk back to the source: the arcs alternate forward (into a sink) and backward
         arcs, node = [], m + target
-        while node in prev:
+        while prev[node] is not None:
             i, j = prev[node]
             arcs.append((i, j))
             node = i if node >= m else m + j
@@ -253,7 +276,8 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
         supply[node] -= amount
         demand[target] -= amount
         for v in range(m + n):
-            pot[v] += min(dist.get(v, d_target), d_target)
+            dv = dist[v]
+            pot[v] += d_target if dv is None or dv > d_target else dv
     return into, pot
 
 
