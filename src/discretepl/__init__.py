@@ -3,11 +3,9 @@
 from .coupling import (
     Coupling,
     binary_lattice_couplings,
-    coupling_from_atoms,
     is_staircase,
     monotone_coupling,
     pushforward,
-    quantile,
 )
 from .displacement import (
     DisplacementReport,
@@ -19,7 +17,6 @@ from .displacement import (
     m_minus,
     m_plus,
     midpoint_measures,
-    midpoint_ratio_sum,
 )
 from .fourfunctions import (
     CubeFn,
@@ -27,11 +24,8 @@ from .fourfunctions import (
     check_4ft_conclusion,
     check_4ft_hypothesis,
     functional_power,
-    join,
     log_mean_exp,
-    meet,
     restrict_to_binary_cube,
-    variance_band_functional,
 )
 from .measures import (
     Pmf,
@@ -50,13 +44,9 @@ from .transport import (
     LogWeights,
     closed_form_cost,
     cost_mu,
-    cost_nonnegativity_check,
     curvature_cost,
-    dual_product_check,
     gaussian_weights,
     geometric_weights,
-    is_log_concave,
-    log_interpolant,
     ot_cost,
     transport_entropy_check,
 )

@@ -5,12 +5,14 @@ limit-exp, campaign.  Exit codes: 0 all checks pass, 1 an inequality check
 failed (an implementation-bug signal, since the inequalities are theorems)
 or a user-supplied instance violates a hypothesis, 2 usage or parse errors,
 including a numeric option outside its bounds (0 <= --K <= 100000;
-1 <= --trials <= 1000000; --width >= 1; 1 <= --resolution <= 10^9;
-1 <= --n <= 16384; finite --lambda > 0; 1 <= --support-width <= 20000), a
-path that cannot be read or written, more than 2500 support
-pairs in one exact transport solve, and a pl or clt target whose
-quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when standard
-output was closed early by its reader.
+1 <= --trials <= 1000000; --width >= 1; 1 <= --resolution <= 10^9, and
+>= 2 for campaign; 1 <= --n <= 16384; finite --lambda > 0;
+1 <= --support-width <= 20000), no reference or more than one (--mu,
+--mu-kind and, for transport-cost, --cost-table), a path that cannot be
+read or written, more than 2500 support pairs in one exact transport
+solve, a NaN grid value of a pl or clt function, and a pl or clt target
+whose quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when
+standard output was closed early by its reader.
 `--json` switches to machine output everywhere.
 
 Each `_cmd_*` maps the options and parsed input files, with no I/O, to
@@ -346,8 +348,15 @@ def _check_options(args) -> None:
     for name, (low, high) in _BOUNDS.get(args.command, {}).items():
         if not low <= getattr(args, name) <= high:
             raise ConfigError(f"--{name} must be >= {low}" + (f" and <= {high}" if high < math.inf else ""))
-    if args.command in ("transport-cost", "check-te") and not (args.mu or args.mu_kind or getattr(args, "cost_table", None)):
-        raise ConfigError("need --mu or --mu-kind")
+    if args.command in ("transport-cost", "check-te"):
+        references = {"--mu": args.mu, "--mu-kind": args.mu_kind}
+        if args.command == "transport-cost":
+            references["--cost-table"] = args.cost_table
+        given = [option for option, value in references.items() if value]
+        if not given:
+            raise ConfigError("need --mu or --mu-kind")
+        if len(given) > 1:
+            raise ConfigError(f"{' and '.join(given)} exclude each other; give one of {', '.join(references)}")
     # the 4FT sweep visits 4^dim pairs; at dim 12 it takes 4 s on small-denominator rationals, 3 s on floats
     # and 100 s on rationals with thousands of distinct large denominators, swept as Fractions
     if args.command == "check-4ft" and not 1 <= args.dim <= 12:

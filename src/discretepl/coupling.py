@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import Callable, Iterable
 
-from .errors import PreconditionViolated, SupportNotBinary
-from .measures import ZERO, Pmf, _canonical, to_common_unit
+from .errors import SupportNotBinary
+from .measures import ZERO, Pmf, _canonical
 
 Atom = tuple[int, int, Fraction]
 #: (x, y, w): mass w / unit at (x, y)
@@ -85,20 +85,6 @@ def _from_cells(cells: Iterable[Cell], unit: int) -> Coupling:
     return _reduced(merged, unit, _axis_sum(merged, 0, unit), _axis_sum(merged, 1, unit))
 
 
-def coupling_from_atoms(atoms: Iterable[tuple[int, int, Fraction]]) -> Coupling:
-    """Build a coupling from (x, y, mass) triples, merging cells and dropping zeros.
-
-    Marginals are derived from row/column sums and validated (they must be
-    probability vectors, i.e. the atom masses must sum to 1).
-    """
-    triples = list(atoms)
-    for x, y, p in triples:
-        if p < 0:
-            raise ValueError(f"negative coupling mass at ({x},{y})")
-    weights, unit = to_common_unit([p for _, _, p in triples])
-    return _from_cells([(x, y, w) for (x, y, _), w in zip(triples, weights)], unit)
-
-
 def _image(points: Iterable[tuple[int, int]], unit: int) -> Pmf:
     """Pmf of the (point, weight) pairs over `unit`, merging weights that land on the same point."""
     acc: dict[int, int] = {}
@@ -124,19 +110,6 @@ def is_staircase(c: Coupling) -> bool:
     from one cell to the next.
     """
     return all(a[1] <= b[1] for a, b in pairwise(c.cells))
-
-
-def quantile(nu: Pmf, t: Fraction) -> int:
-    """Generalized inverse CDF: the smallest x with F(x) >= t, exact: cumulative weights are compared with t in ints."""
-    t = Fraction(t)
-    if not 0 < t < 1:
-        raise PreconditionViolated("quantile level must lie in (0,1)")
-    acc = 0
-    for x, w in enumerate(nu.weights, nu.offset):
-        acc += w
-        if acc * t.denominator >= t.numerator * nu.total:
-            return x
-    raise AssertionError("unreachable: masses sum to 1")
 
 
 def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:

@@ -102,11 +102,6 @@ def pair_ratio_sum(pair: MidpointPair) -> Fraction:
     return _ratio_sum(pair, _cell_factors(pair))
 
 
-def midpoint_ratio_sum(nu0: Pmf, nu1: Pmf) -> Fraction:
-    """Exact rational P; always <= 1.  Off-support terms never arise (0/0 is never formed)."""
-    return pair_ratio_sum(midpoint_measures(nu0, nu1))
-
-
 def _jensen_certificate(pair: MidpointPair, factors: list[tuple[int, int, int]]) -> float:
     """The float sum over atoms of float(pi(x,y)) * log(ratio), formed from the cell factors."""
     nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus

@@ -45,15 +45,6 @@ class InfeasibleCost(DiscretePLError):
     pass
 
 
-class ConstraintViolated(DiscretePLError):
-    """Dual constraint u(x)+v(y) <= c(x,y) fails; carries a witness pair."""
-
-    def __init__(self, x, y, excess):
-        super().__init__(f"u({x})+v({y}) exceeds the cost by {excess}")
-        self.witness = (x, y)
-        self.excess = excess
-
-
 class HypothesisFailedOnGrid(DiscretePLError):
     pass
 

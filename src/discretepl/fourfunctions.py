@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from .limits import grid_hypothesis_witness
@@ -46,20 +46,6 @@ class CubeFn:
 
 def bits_of(index: int, n: int) -> tuple[int, ...]:
     return tuple([(index >> i) & 1 for i in range(n)])
-
-
-def meet(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise min; meet(x,y) + join(x,y) = x + y componentwise."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} != {len(y)}")
-    return tuple(min(a, b) for a, b in zip(x, y))
-
-
-def join(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """Componentwise max."""
-    if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} != {len(y)}")
-    return tuple(max(a, b) for a, b in zip(x, y))
 
 
 def _same_dimension(*fns: CubeFn) -> int:
@@ -179,12 +165,10 @@ def functional_power(phi: Callable[[float, float], float], h: CubeFn) -> float:
     """Tensorized value: apply the two-point functional phi(u0, u1) recursively over the last coordinate.
 
     phi must be monotone in each of its two values: that is what lets the
-    recursive tensorization propagate the lattice hypothesis.  The built-ins
-    are log-mean-exp (`PHI_ENTROPY`), the mean (`PHI_MEAN`) and the
-    variance-band functional (`PHI_QUADRATIC`); each is a sup of affine maps
-    with non-negative coefficients, hence monotone.  For PHI_ENTROPY the value
-    is log int e^h dm_n over the uniform measure m_n, and for PHI_MEAN it is
-    the plain mean.
+    recursive tensorization propagate the lattice hypothesis.  The one
+    built-in is log-mean-exp (`PHI_ENTROPY`), a sup of affine maps with
+    non-negative coefficients, hence monotone; its value is
+    log int e^h dm_n over the uniform measure m_n.
     """
     if h.n == 1:
         return phi(h.values[0], h.values[1])
@@ -196,39 +180,8 @@ def log_mean_exp(h: CubeFn) -> float:
     return logsumexp(h.values) - h.n * math.log(2)
 
 
-def mean_value(h: CubeFn) -> float:
-    return left_sum(float(v) for v in h.values) / 2**h.n
-
-
-def variance_band_functional(f: CubeFn):
-    """sup over probabilities (p, 1-p) of  int f dnu - int (density^2)/2 dm_1.
-
-    Writing d = f(0) - f(1), the optimizer p* = (d+2)/4 is interior exactly
-    when d lies in [-2, 2], giving mean(f) + d^2/8 - 1/2; outside the band
-    the sup sits at a vertex and equals max(f) - 1.  Exact for rational
-    values.  (Equivalently Var(f)/2 + mean(f) - 1/2 inside the band, which
-    is continuous across the band edge, unlike the variant without the 1/2
-    factor on the variance.)
-    """
-    if f.n != 1:
-        raise ValueError("variance-band functional is defined on two-point functions")
-    f0, f1 = f.values
-    d = f0 - f1
-    if -2 <= d <= 2:
-        return (f0 + f1) / 2 + d * d / 8 - Fraction(1, 2)
-    return max(f0, f1) - 1
-
-
 def PHI_ENTROPY(u0, u1) -> float:
     return logsumexp((u0, u1)) - math.log(2)
-
-
-def PHI_MEAN(u0, u1) -> float:
-    return (float(u0) + float(u1)) / 2
-
-
-def PHI_QUADRATIC(u0, u1) -> float:
-    return variance_band_functional(CubeFn(1, (float(u0), float(u1))))
 
 
 @dataclass(frozen=True)

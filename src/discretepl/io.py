@@ -81,10 +81,6 @@ def parse_pmf_text(text: str) -> Pmf:
     raise ParseError(0, "empty pmf file")
 
 
-def emit_pmf(nu: Pmf) -> str:
-    return str(nu) + "\n"
-
-
 def parse_cubefn_text(text: str, n: int) -> CubeFn:
     values = []
     for line_no, line in _data_lines(text):
@@ -101,10 +97,6 @@ def parse_cubefn_text(text: str, n: int) -> CubeFn:
     if len(values) != 2**n:
         raise ParseError(0, f"expected 2^{n} = {2**n} values, found {len(values)}")
     return CubeFn(n, tuple(values))
-
-
-def emit_cubefn(fn: CubeFn) -> str:
-    return "\n".join(str(v) for v in fn.values) + "\n"
 
 
 def parse_cost_table_text(text: str) -> Cost:

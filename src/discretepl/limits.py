@@ -174,8 +174,10 @@ def interval_integral(fn: FloatFn, a: float, b: float) -> float:
 def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_width: float, n_list: Sequence[int]):
     """Riemann-scaled product inequality along a refining grid.
 
-    For each n, the discretized quadruple must satisfy the line hypothesis
-    at every pair of grid points (a failure raises HypothesisFailedOnGrid);
+    For each n, a NaN value of the discretized quadruple raises ConfigError
+    naming the function and the grid index (it is found through the sums the
+    row needs anyway), and the quadruple must satisfy the line hypothesis at
+    every pair of grid points (a failure raises HypothesisFailedOnGrid);
     every grid is checked before any quadrature runs, and a failed target
     quadrature raises QuadratureFailed naming F, G, H or K.  The row records
 
@@ -187,13 +189,19 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     sums = []
     for n in n_list:
         grid = GridSpec(half_width, n)
-        f, g, h, k = discretize_quadruple(F, G, H, K, grid)
-        witness = grid_hypothesis_witness(f, g, h, k)
+        fns = discretize_quadruple(F, G, H, K, grid)
+        totals = [left_sum(fn.values) for fn in fns]
+        for name, fn, total in zip("FGHK", fns, totals):
+            if math.isnan(total):  # only now find the NaN: a valid grid gets no per-value pass
+                i = next((i for i, v in enumerate(fn.values) if math.isnan(v)), None)
+                where = f"is NaN on the grid at i={i}" if i is not None else "sums to NaN on the grid (+inf and -inf)"
+                raise ConfigError(f"{name} {where} for n={n}")
+        witness = grid_hypothesis_witness(*fns)
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         scale = grid.step() ** 2
-        lhs = scale * left_sum(f.values) * left_sum(g.values)
-        sums.append((n, lhs, scale * left_sum(h.values) * left_sum(k.values)))
+        sf, sg, sh, sk = totals
+        sums.append((n, scale * sf * sg, scale * sh * sk))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)
     num, den = int_f * int_g, int_h * int_k
     target = num / den if den > 0 else math.nan
@@ -274,16 +282,21 @@ def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Seq
     p = |x^y| the pair allows, all of them <= min(a, b).  When hv is convex,
     hv[p] + hv[a + b - p] does not increase as p grows toward (a + b)/2, so
     the comparable pair x <= y (p = min(a, b)) binds, and the hypothesis is
-    max_a (fv - hv)[a] + max_b (gv - hv)[b] <= 0.  A +inf value of hv raises
-    ConfigError: E[e^{H_n}] is then infinite, and an infinite second
-    difference would pass.  Convexity is checked next
-    (ConvexityWitnessFailed), then that sum (HypothesisFailedOnGrid), both up
-    to APPROX_TOL and in O(n); a NaN fails either check.
+    max_a (fv - hv)[a] + max_b (gv - hv)[b] <= 0.  A NaN value raises
+    ConfigError, and so does a +inf value of hv: E[e^{H_n}] is then
+    infinite, and an infinite second difference would pass.  Convexity is
+    checked next (ConvexityWitnessFailed), then that sum
+    (HypothesisFailedOnGrid), both up to APPROX_TOL and in O(n).
     """
     import numpy as np  # not at module level: cli imports this module, and most commands never run an experiment
 
     n = len(points) - 1
     f, g, h = (np.array(values, dtype=float) for values in (fv, gv, hv))
+    for name, values in zip("fgh", (f, g, h)):
+        nan = np.flatnonzero(np.isnan(values))
+        if nan.size:
+            k = int(nan[0])
+            raise ConfigError(f"{name} is NaN on the grid at k={k}, t_k={points[k]} for n={n}")
     infinite = np.flatnonzero(h == math.inf)
     if infinite.size:
         k = int(infinite[0])

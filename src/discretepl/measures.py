@@ -81,8 +81,8 @@ class Pmf:
     the weights are coprime and they sum to `total`, so equal measures
     compare and hash equal.  Instances are immutable; build them with
     :func:`pmf` or :func:`from_weights`, which validate and trim.  `gapless`
-    (asked of a transport reference on every trial and every cost cell) and
-    `concavity_witness` are O(window) walks, computed once per instance.
+    (asked of a transport reference on every trial and every cost cell) is
+    an O(window) walk, computed once per instance.
     """
 
     offset: int
@@ -126,18 +126,6 @@ class Pmf:
     def gapless(self) -> bool:
         """No zero weight inside the window, so the positive support is the whole window."""
         return all(self.weights)
-
-    @functools.cached_property
-    def concavity_witness(self) -> int | None:
-        """First x violating mu(x-1) mu(x+1) <= mu(x)^2, or None.
-
-        An interior zero between positive masses is a violation at that point.
-        """
-        w = self.weights
-        for i in range(1, len(w) - 1):
-            if w[i - 1] * w[i + 1] > w[i] ** 2:
-                return self.offset + i
-        return None
 
 
 def _ratio_str(n: int, d: int) -> str:

@@ -346,3 +346,12 @@ def pascal_rows(last: int):
     for _ in range(last + 1):
         yield row
         row = [1, *map(int.__add__, row, row[1:]), 1]
+
+
+def is_log_concave(nu) -> bool:
+    """nu(x-1) nu(x+1) <= nu(x)^2 at every interior point of the window, on the Fraction masses.
+
+    An interior zero between positive masses fails.
+    """
+    m = nu.masses
+    return all(m[i - 1] * m[i + 1] <= m[i] ** 2 for i in range(1, len(m) - 1))

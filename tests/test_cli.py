@@ -18,13 +18,11 @@ from discretepl.errors import ConfigError, ParseError
 from discretepl.fourfunctions import CubeFn
 from discretepl.io import (
     emit_coupling,
-    emit_cubefn,
-    emit_pmf,
     parse_cost_table_text,
     parse_cubefn_text,
     parse_pmf_text,
 )
-from discretepl.coupling import binary_lattice_couplings, coupling_from_atoms, monotone_coupling
+from discretepl.coupling import _from_cells, binary_lattice_couplings, monotone_coupling
 from discretepl.measures import pmf, uniform_on
 
 F = Fraction
@@ -59,15 +57,15 @@ def test_parse_pmf_missing_separator():
 
 def test_pmf_round_trip():
     nu = pmf(-3, [F(1, 6), F(0), F(1, 3), F(1, 2)])
-    assert parse_pmf_text(emit_pmf(nu)) == nu
-    # emitting a parsed file reproduces the canonical text
-    text = "-3; 1/6 0 1/3 1/2\n"
-    assert emit_pmf(parse_pmf_text(text)) == text
+    assert parse_pmf_text(str(nu)) == nu
+    # the text of a parsed file is the canonical text
+    text = "-3; 1/6 0 1/3 1/2"
+    assert str(parse_pmf_text(text + "\n")) == text
 
 
 def test_cubefn_round_trip():
     fn = CubeFn(2, (F(1), F(1, 2), F(3), F(2, 7)))
-    assert parse_cubefn_text(emit_cubefn(fn), 2) == fn
+    assert parse_cubefn_text("".join(f"{v}\n" for v in fn.values), 2) == fn
 
 
 def test_cubefn_accepts_floats():
@@ -652,16 +650,58 @@ def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, kind, spec, me
     [
         ("pl", {"F": "1", "G": "1", "H": "0.5", "K": "0.5"}, "grid hypothesis fails at (i,j)=(0, 0) for n=8"),
         ("clt", _CLT_SPEC, "h is not convex on the grid at k=1"),
-        # inf - inf: every value of f is NaN, and a NaN fails the check instead of passing it
-        ("clt", {**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}, "cube hypothesis"),
     ],
-    ids=["pl", "clt-concave-h", "clt-nan"],
+    ids=["pl", "clt-concave-h"],
 )
 def test_cli_limit_exp_failed_hypothesis_exits_one(tmp_path, capsys, kind, spec, message):
     path = _write(tmp_path, "spec.json", json.dumps(spec))
     assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
+
+
+#: +inf within 0.001 of x = -6, the first pl grid point, and 0 elsewhere; quadrature never samples it
+_SPIKE = "1e300*(1e300*(0.001 - fabs(x+6) + fabs(0.001 - fabs(x+6))))"
+
+
+@pytest.mark.parametrize(
+    "kind, spec, message",
+    [
+        # inf - inf: F is NaN at x_0 = -6 only, so every sum but F's is finite
+        ("pl", {**_PL_SPEC, "F": f"{_SPIKE} - {_SPIKE} + exp(-x*x)", "N": 6.0}, "F is NaN on the grid at i=0 for n=8"),
+        # inf - inf: every value of f is NaN
+        ("clt", {**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}, "f is NaN on the grid at k=0, t_k=-2.828"),
+    ],
+    ids=["pl-endpoint-nan", "clt-nan"],
+)
+def test_cli_limit_exp_nan_grid_value_exits_two(tmp_path, capsys, kind, spec, message):
+    # a NaN grid value is bad input, not a failed hypothesis or a row that fails
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "8,64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["transport-cost", "--mu", "{mu}", "--mu-kind", "geometric"], "--mu and --mu-kind"),
+        (["transport-cost", "--cost-table", "{cost}", "--mu-kind", "geometric"], "--mu-kind and --cost-table"),
+        (["transport-cost", "--mu", "{mu}", "--cost-table", "{cost}"], "--mu and --cost-table"),
+        (["check-te", "--mu", "{mu}", "--mu-kind", "gaussian"], "--mu and --mu-kind"),
+    ],
+    ids=["mu-and-mu-kind", "mu-kind-and-cost-table", "mu-and-cost-table", "te-mu-and-mu-kind"],
+)
+def test_cli_takes_exactly_one_reference(tmp_path, capsys, argv, given):
+    # the reference files are missing: the options are rejected before any file is read
+    mu, cost = str(tmp_path / "missing-mu.txt"), str(tmp_path / "missing-cost.txt")
+    nu = _write(tmp_path, "nu.txt", "0; 1/2 1/2\n")
+    argv = [arg.format(mu=mu, cost=cost) for arg in argv]
+    if argv[0] == "transport-cost":
+        argv += ["--nu0", nu, "--nu1", nu]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {given} exclude each other; give one of --mu, --mu-kind" in captured.err
 
 
 def test_cli_missing_reference_is_an_option_error_without_a_line(capsys):
@@ -691,7 +731,7 @@ def test_cli_closed_stdout_exits_141_quietly():
 
 def test_cli_broken_card_lemma_is_a_failed_trial(monkeypatch, capsys):
     # a planted coupling whose atoms (0,0), (0,1) and (1,0) all fall in level 0
-    planted = coupling_from_atoms([(0, 0, F(1, 3)), (0, 1, F(1, 3)), (1, 0, F(1, 3))])
+    planted = _from_cells([(0, 0, 1), (0, 1, 1), (1, 0, 1)], 3)
     monkeypatch.setattr(campaign, "monotone_coupling", lambda nu0, nu1: planted)
     monkeypatch.setattr(displacement, "is_staircase", lambda pi: True)
     assert main(["campaign", "--check", "card", "--trials", "2", "--json"]) == 1
@@ -741,8 +781,8 @@ def test_cli_limit_exp_clt_nan_prints_only_its_error_line(tmp_path):
         env=env,
         timeout=60,
     )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: cube hypothesis") and proc.stderr.count("\n") == 1
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: f is NaN on the grid") and proc.stderr.count("\n") == 1
 
 
 def test_cli_lemma_couplings_of_the_swapped_pair_fail_every_trial(monkeypatch, capsys):

@@ -3,55 +3,29 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from conftest import pmf_strategy
 from discretepl.coupling import (
+    _from_cells,
     binary_lattice_couplings,
     check_marginals,
-    coupling_from_atoms,
     is_staircase,
     meet_join_pushforward,
     monotone_coupling,
     pushforward,
-    quantile,
 )
 from discretepl.displacement import m_minus, m_plus
-from discretepl.errors import PreconditionViolated, SupportNotBinary
+from discretepl.errors import SupportNotBinary
 from discretepl.measures import delta, from_weights, pmf, uniform_on
 from discretepl.transport import ot_cost
 
 F = Fraction
 
 
-def test_quantile_point_mass():
-    assert quantile(delta(5), F(1, 2)) == 5
-
-
-def test_quantile_exact_crossing():
-    nu = uniform_on([0, 1])
-    assert quantile(nu, F(1, 2)) == 0  # F(0) = 1/2 >= 1/2, inf attained
-    assert quantile(nu, F(1, 2) + F(1, 1000)) == 1
-
-
-def test_quantile_rejects_bad_level():
-    for t in (F(0), F(1), F(3, 2), F(-1, 2)):
-        with pytest.raises(PreconditionViolated):
-            quantile(delta(0), t)
-
-
-@given(pmf_strategy(), st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda t: 0 < t < 1))
-@settings(max_examples=200, deadline=None)
-def test_quantile_is_the_smallest_point_whose_cdf_reaches_the_level(nu, t):
-    cdf, acc = {}, F(0)
-    for z in nu.window():
-        acc += nu.mass(z)
-        cdf[z] = acc
-    # the levels the cdf attains are the ties, so they are checked besides t
-    for level in {t, *[c for c in cdf.values() if c < 1]}:
-        x = quantile(nu, level)
-        assert cdf[x] >= level and all(cdf[z] < level for z in cdf if z < x)
+def _vertex_coupling(vertex, xs, ys, unit):
+    """The coupling of a transport vertex: its Fraction flows as int cells over `unit`, a common multiple."""
+    return _from_cells([(xs[i], ys[j], int(f * unit)) for (i, j), f in vertex.items()], unit)
 
 
 def test_monotone_coupling_of_diracs():
@@ -74,7 +48,7 @@ def test_monotone_coupling_is_the_unique_staircase_vertex():
     for vertex in vertices:
         atoms = tuple(sorted((xs[i], ys[j], f) for (i, j), f in vertex.items()))
         # transport_vertices drops zero flows, so no cell is lost here
-        c = coupling_from_atoms(atoms)
+        c = _vertex_coupling(vertex, xs, ys, nu0.total * nu1.total)
         assert (c.marginal0, c.marginal1) == (nu0, nu1)
         if is_staircase(c):
             staircase.append(atoms)
@@ -189,7 +163,7 @@ def test_is_staircase_matches_the_pairwise_definition(rng):
     for _ in range(400):
         cells = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))}
         atoms = tuple(sorted((x, y, F(1, len(cells))) for x, y in cells))
-        c = coupling_from_atoms(atoms)
+        c = _from_cells([(x, y, 1) for x, y in cells], len(cells))
         expected = all(y1 <= y2 for x1, y1, _ in atoms for x2, y2, _ in atoms if x1 < x2)
         assert is_staircase(c) == expected
         verdicts.add(expected)
@@ -202,14 +176,15 @@ def test_uniqueness_of_staircase_vertex_small_supports(rng):
         nu1 = from_weights(rng.randint(-3, 3), [rng.randint(1, 9) for _ in range(rng.randint(1, 3))])
         xs, ys = nu0.support_points(), nu1.support_points()
         vertices = oracles.transport_vertices([nu0.mass(x) for x in xs], [nu1.mass(y) for y in ys])
-        staircase = [v for v in vertices if is_staircase(coupling_from_atoms((xs[i], ys[j], f) for (i, j), f in v.items()))]
+        unit = nu0.total * nu1.total
+        staircase = [v for v in vertices if is_staircase(_vertex_coupling(v, xs, ys, unit))]
         assert len(staircase) == 1
         atoms = tuple(sorted((xs[i], ys[j], f) for (i, j), f in staircase[0].items()))
         assert atoms == monotone_coupling(nu0, nu1).atoms
 
 
 def test_pushforward_floor_and_ceiling():
-    pi = coupling_from_atoms([(0, 1, F(1))])
+    pi = _from_cells([(0, 1, 1)], 1)
     assert pushforward(pi, m_minus) == delta(0)
     assert pushforward(pi, m_plus) == delta(1)
 
@@ -225,10 +200,10 @@ def test_pushforward_two_atoms():
 def test_equal_couplings_compare_and_hash_equal_from_every_constructor(nu0, nu1):
     pi = monotone_coupling(nu0, nu1)
     # split every atom in two, so the merge and the gcd reduction both have work to do
-    halves = [(x, y, p / 2) for x, y, p in pi.atoms] * 2
+    halves = list(pi.cells) * 2
     # (x - y)^2 is strictly Monge, so the monotone coupling is the only optimal plan
     plan = ot_cost(lambda x, y: (x - y) ** 2, nu0, nu1).plan
-    for other in (coupling_from_atoms(pi.atoms), coupling_from_atoms(reversed(halves)), plan):
+    for other in (_from_cells(pi.cells, pi.unit), _from_cells(reversed(halves), 2 * pi.unit), plan):
         assert other == pi
         assert hash(other) == hash(pi)
     assert math.gcd(pi.unit, *[w for _, _, w in pi.cells]) == 1

@@ -10,7 +10,7 @@ import oracles
 from conftest import allocated_block_growth, cpython_only, pmf_strategy
 from discretepl import displacement
 from discretepl.campaign import random_pmf
-from discretepl.coupling import coupling_from_atoms, monotone_coupling
+from discretepl.coupling import _from_cells, monotone_coupling
 from discretepl.displacement import (
     LevelSet,
     chain_diagnostics,
@@ -20,7 +20,6 @@ from discretepl.displacement import (
     m_minus,
     m_plus,
     midpoint_measures,
-    midpoint_ratio_sum,
     pair_ratio_sum,
 )
 from discretepl.errors import NotMonotone, PreconditionViolated
@@ -73,18 +72,18 @@ def test_midpoints_worked_instance():
 
 
 def test_ratio_sum_single_atom():
-    assert midpoint_ratio_sum(delta(0), delta(0)) == 1
+    assert pair_ratio_sum(midpoint_measures(delta(0), delta(0))) == 1
 
 
 def test_ratio_sum_worked_instance():
-    assert midpoint_ratio_sum(uniform_on([0, 2]), delta(1)) == F(1, 2)
+    assert pair_ratio_sum(midpoint_measures(uniform_on([0, 2]), delta(1))) == F(1, 2)
 
 
 def test_ratio_sum_against_brute_force(rng):
     for _ in range(300):
         nu0 = random_pmf(rng, 15, 24)
         nu1 = random_pmf(rng, 15, 24)
-        p = midpoint_ratio_sum(nu0, nu1)
+        p = pair_ratio_sum(midpoint_measures(nu0, nu1))
         assert p == brute_force_ratio_sum(nu0, nu1)
         assert displacement_gap(nu0, nu1).ratio_sum == p
         assert p <= 1
@@ -94,7 +93,7 @@ def test_ratio_sum_equality_for_identical_unit_support(rng):
     for _ in range(100):
         width = rng.randint(1, 12)
         nu = from_weights(rng.randint(-6, 6), [rng.randint(1, 9) for _ in range(width)])
-        assert midpoint_ratio_sum(nu, nu) == 1
+        assert pair_ratio_sum(midpoint_measures(nu, nu)) == 1
 
 
 def test_gap_zero_for_shifted_diracs():
@@ -135,18 +134,18 @@ def test_displacement_properties(nu0, nu1):
 
 
 def test_level_sets_single_atom():
-    sets = level_sets(coupling_from_atoms([(0, 1, F(1))]))
+    sets = level_sets(_from_cells([(0, 1, 1)], 1))
     assert len(sets) == 1 and sets[0].a == 0 and sets[0].pairs == ((0, 1),)
 
 
 def test_level_sets_two_atom_level():
-    pi = coupling_from_atoms([(0, 0, F(1, 2)), (0, 1, F(1, 2))])
+    pi = _from_cells([(0, 0, 1), (0, 1, 1)], 2)
     sets = level_sets(pi)
     assert len(sets) == 1 and sets[0].pairs == ((0, 0), (0, 1))
 
 
 def test_level_sets_singletons():
-    pi = coupling_from_atoms([(0, 0, F(1, 2)), (2, 2, F(1, 2))])
+    pi = _from_cells([(0, 0, 1), (2, 2, 1)], 2)
     assert [ls.a for ls in level_sets(pi)] == [0, 2]
     assert all(len(ls.pairs) == 1 for ls in level_sets(pi))
 
@@ -168,7 +167,7 @@ def test_level_set_card_lemma_predicate(pairs, holds):
 
 
 def test_level_sets_reject_non_monotone():
-    pi = coupling_from_atoms([(0, 1, F(1, 2)), (1, 0, F(1, 2))])
+    pi = _from_cells([(0, 1, 1), (1, 0, 1)], 2)
     with pytest.raises(NotMonotone):
         level_sets(pi)
 

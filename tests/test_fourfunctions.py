@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -11,8 +10,6 @@ from discretepl.campaign import CampaignConfig, _fourfn_trial
 from discretepl.errors import DimensionMismatch, LengthMismatch, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
-    PHI_MEAN,
-    PHI_QUADRATIC,
     MAX_UNIT_BITS,
     CubeFn,
     HypothesisCheck,
@@ -21,34 +18,13 @@ from discretepl.fourfunctions import (
     check_4ft_conclusion,
     check_4ft_hypothesis,
     functional_power,
-    join,
     log_mean_exp,
-    mean_value,
-    meet,
     random_hypothesis_quadruple,
     restrict_to_binary_cube,
-    variance_band_functional,
 )
 from discretepl.measures import APPROX_TOL, RealFn, logsumexp
 
 F = Fraction
-
-
-def test_meet_join_examples():
-    assert meet((0, 1), (1, 0)) == (0, 0)
-    assert join((0, 1), (1, 0)) == (1, 1)
-    assert meet((0, 1, 1), (1, 0, 1)) == (0, 0, 1)
-    assert join((0, 1, 1), (1, 0, 1)) == (1, 1, 1)
-
-
-def test_meet_join_idempotent():
-    x = (1, 0, 1, 1)
-    assert meet(x, x) == x and join(x, x) == x
-
-
-def test_meet_join_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        meet((0, 1), (0, 1, 1))
 
 
 def test_cube_function_needs_two_to_the_n_values():
@@ -58,17 +34,12 @@ def test_cube_function_needs_two_to_the_n_values():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_laws_exhaustive(n):
-    points = list(itertools.product((0, 1), repeat=n))
-    for x in points:
-        for y in points:
-            assert meet(x, y) == meet(y, x)
-            assert join(x, y) == join(y, x)
-            assert tuple(a + b for a, b in zip(meet(x, y), join(x, y))) == tuple(a + b for a, b in zip(x, y))
-            assert meet(x, join(x, y)) == x  # absorption
-            assert join(x, meet(x, y)) == x
-            for z in points:
-                assert meet(meet(x, y), z) == meet(x, meet(y, z))
-                assert join(join(x, y), z) == join(x, join(y, z))
+    # the sweeps take x & y and x | y of the indices as the meet and join of the points bits_of reports
+    for x in range(2**n):
+        for y in range(2**n):
+            bx, by, low, high = bits_of(x, n), bits_of(y, n), bits_of(x & y, n), bits_of(x | y, n)
+            assert low == tuple(map(min, bx, by)) and high == tuple(map(max, bx, by))
+            assert tuple(map(sum, zip(low, high))) == tuple(map(sum, zip(bx, by)))
 
 
 def test_hypothesis_all_ones():
@@ -285,11 +256,15 @@ def test_functional_power_zero():
         assert functional_power(PHI_ENTROPY, CubeFn(n, (0.0,) * 2**n)) == pytest.approx(0.0, abs=1e-14)
 
 
+def _phi_mean(u0, u1) -> float:
+    """The mean, a two-point functional that is monotone in both values."""
+    return (float(u0) + float(u1)) / 2
+
+
 def test_functional_power_mean_indicator():
     # indicator of the all-ones corner under the product uniform measure
     ind = CubeFn(2, (0.0, 0.0, 0.0, 1.0))
-    assert functional_power(PHI_MEAN, ind) == pytest.approx(0.25, abs=1e-15)
-    assert mean_value(ind) == 0.25
+    assert functional_power(_phi_mean, ind) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_log_sum_exp_of_an_infinite_value_is_infinite():
@@ -302,66 +277,16 @@ def test_functional_power_matches_direct_log_mean_exp(rng):
         for _ in range(20):
             h = CubeFn(n, tuple(rng.uniform(-3, 3) for _ in range(2**n)))
             assert functional_power(PHI_ENTROPY, h) == pytest.approx(log_mean_exp(h), abs=1e-9)
-            assert functional_power(PHI_MEAN, h) == pytest.approx(mean_value(h), abs=1e-12)
-
-
-def _variance_band_oracle(f0: float, f1: float) -> float:
-    # direct 1-parameter maximization over nu(0) = p
-    best = -math.inf
-    steps = 4000
-    for i in range(steps + 1):
-        p = i / steps
-        best = max(best, p * f0 + (1 - p) * f1 - p * p - (1 - p) * (1 - p))
-    # golden-section refinement around the best grid point
-    lo = max(0.0, best_p(f0, f1) - 1e-3)
-    hi = min(1.0, best_p(f0, f1) + 1e-3)
-    for _ in range(200):
-        m1 = lo + (hi - lo) * 0.382
-        m2 = lo + (hi - lo) * 0.618
-        v1 = m1 * f0 + (1 - m1) * f1 - m1 * m1 - (1 - m1) * (1 - m1)
-        v2 = m2 * f0 + (1 - m2) * f1 - m2 * m2 - (1 - m2) * (1 - m2)
-        if v1 < v2:
-            lo = m1
-        else:
-            hi = m2
-    p = (lo + hi) / 2
-    return max(best, p * f0 + (1 - p) * f1 - p * p - (1 - p) * (1 - p))
-
-
-def best_p(f0, f1):
-    return min(1.0, max(0.0, (f0 - f1 + 2) / 4))
-
-
-def test_variance_band_constant():
-    assert variance_band_functional(CubeFn(1, (F(3), F(3)))) == F(5, 2)
-
-
-def test_variance_band_boundary_pair():
-    # |f(0)-f(1)| = 2 sits on the band edge; the sup is attained at p = 1
-    assert variance_band_functional(CubeFn(1, (F(1), F(-1)))) == 0
-    assert _variance_band_oracle(1.0, -1.0) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_variance_band_outside_band():
-    assert variance_band_functional(CubeFn(1, (F(3), F(0)))) == 2
-    assert _variance_band_oracle(3.0, 0.0) == pytest.approx(2.0, abs=1e-8)
-
-
-def test_variance_band_matches_oracle(rng):
-    for _ in range(120):
-        f0 = rng.uniform(-4, 4)
-        f1 = rng.uniform(-4, 4)
-        got = variance_band_functional(CubeFn(1, (f0, f1)))
-        assert got == pytest.approx(_variance_band_oracle(f0, f1), abs=1e-8)
+            assert functional_power(_phi_mean, h) == pytest.approx(math.fsum(h.values) / 2**n, abs=1e-12)
 
 
 def test_monotone_functionals_propagate_the_inequality(rng):
-    # Phi^n(h1) + Phi^n(h2) <= Phi^n(h3) + Phi^n(h4) for every built-in
+    # Phi^n(h1) + Phi^n(h2) <= Phi^n(h3) + Phi^n(h4) for the built-in and the mean
     for n in (1, 2, 3):
         for _ in range(40):
             f, g, h, k = random_hypothesis_quadruple(rng, n, 16)
             logs = [CubeFn(n, tuple(math.log(float(v)) for v in fn.values)) for fn in (f, g, h, k)]
-            for phi in (PHI_ENTROPY, PHI_MEAN, PHI_QUADRATIC):
+            for phi in (PHI_ENTROPY, _phi_mean):
                 lhs = functional_power(phi, logs[0]) + functional_power(phi, logs[1])
                 rhs = functional_power(phi, logs[2]) + functional_power(phi, logs[3])
                 assert lhs <= rhs + 1e-9, (phi.__name__, lhs, rhs)

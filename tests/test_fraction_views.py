@@ -10,17 +10,11 @@ from fractions import Fraction
 
 import oracles
 from discretepl import campaign
-from discretepl.coupling import Coupling, quantile
+from discretepl.coupling import Coupling
 from discretepl.fourfunctions import random_hypothesis_quadruple
 from discretepl.limits import DISP_DEMOS, PointMass, UniformInterval, rescaled_displacement_experiment
 from discretepl.measures import Pmf, RealFn, expectation, from_weights, gibbs_optimizer, log_laplace, logsumexp
-from discretepl.transport import (
-    LogWeights,
-    _relative_entropy_logweights,
-    cost_mu,
-    dual_product_check,
-    log_interpolant,
-)
+from discretepl.transport import LogWeights, _relative_entropy_logweights, cost_mu
 
 F = Fraction
 
@@ -33,32 +27,20 @@ def _random_log_weights(rng, window):
     return LogWeights(window.start, tuple([F(rng.randint(-30, 5), rng.randint(1, 6)) for _ in window]))
 
 
-def _feasible_duals(rng, mu):
-    """u, v on the window of mu with u(x) + v(y) <= c_mu(x, y) everywhere, with room to spare."""
-    window = mu.window()
-    low = min(float(cost_mu(mu, x, y)) for x in window for y in window) / 2 - 1e-3
-    return [RealFn(window.start, tuple([low - rng.uniform(0, 1) for _ in window])) for _ in range(2)]
-
-
 def _converted_calls(rng):
     """One call of each function that reads the int weights where it once read Fractions."""
     nu = from_weights(-2, [rng.randint(1, 40) for _ in range(rng.randint(1, 9))])
     phi = _random_phi(rng, nu.window())
     lw = _random_log_weights(rng, nu.window())
-    u, v = _feasible_duals(rng, nu)
     return [
         lambda: UniformInterval(F(-1, 3), F(5, 7)).cell_masses(64, 1),
         lambda: PointMass(F(-2, 3)).cell_masses(64, 1),
         lambda: random_hypothesis_quadruple(rng, 3, 64),
-        lambda: quantile(nu, F(1, 3)),
         lambda: log_laplace(phi, nu),
         lambda: expectation(phi, nu),
         lambda: gibbs_optimizer(phi, nu),
         lambda: cost_mu(nu, nu.offset, nu.window().stop - 1),
-        lambda: log_interpolant(nu, nu.offset + 0.5),
         lambda: _relative_entropy_logweights(nu, lw),
-        lambda: dual_product_check(nu, u, v),
-        lambda: dual_product_check(lw, *_feasible_duals(rng, lw)),
     ]
 
 
@@ -104,25 +86,10 @@ def _cost_fraction(mu, x, y):
     return oracles.log_fraction(mu.mass(lo) * mu.mass(hi) / (mu.mass(x) * mu.mass(y)))
 
 
-def _log_interpolant_fraction(mu, t):
-    lo, hi = math.floor(t), math.ceil(t)
-    if lo == hi:
-        return oracles.log_fraction(mu.mass(lo))
-    return (1 - (t - lo)) * oracles.log_fraction(mu.mass(lo)) + (t - lo) * oracles.log_fraction(mu.mass(hi))
-
-
 def _relative_entropy_logweights_fraction(nu, mu):
     log_z = mu.log_normalizer
     terms = (float(m) * (oracles.log_fraction(m) - float(mu.weight(x)) + log_z) for x, m in nu.support())
     return oracles.sum_left_to_right(terms)
-
-
-def _dual_product_fraction(mu, u, v):
-    window = mu.window()
-    log_mass = {x: oracles.log_fraction(mu.mass(x)) for x in window}
-    int_u = oracles.sum_left_to_right(math.exp(float(u.value(x)) + log_mass[x]) for x in window)
-    int_v = oracles.sum_left_to_right(math.exp(float(v.value(y)) + log_mass[y]) for y in window)
-    return int_u * int_v
 
 
 def test_float_readers_equal_their_fraction_formulas_bit_for_bit(rng):
@@ -138,10 +105,6 @@ def test_float_readers_equal_their_fraction_formulas_bit_for_bit(rng):
         for x in base.window():
             for y in base.window():
                 assert cost_mu(base, x, y) == _cost_fraction(base, x, y)
-        for t in (base.offset, rng.uniform(base.offset, base.window().stop - 1)):
-            assert log_interpolant(base, t) == _log_interpolant_fraction(base, t)
         lw = _random_log_weights(rng, wide)
         assert _relative_entropy_logweights(nu, lw) == _relative_entropy_logweights_fraction(nu, lw)
-        u, v = _feasible_duals(rng, base)
-        assert dual_product_check(base, u, v) == _dual_product_fraction(base, u, v)
 

@@ -241,12 +241,23 @@ def test_clt_rejects_a_triple_whose_cube_hypothesis_fails():
         clt_experiment(shifted, shifted, lambda x: x, [8])
 
 
-def test_clt_hypothesis_fails_on_a_single_nan_value():
+def test_clt_rejects_a_single_nan_value():
     # one NaN among the values of g, which a maximum taken by comparisons would skip
     gv = [0.0] * 9
     gv[4] = math.nan
-    with pytest.raises(HypothesisFailedOnGrid, match=r"\(a,b\)=\(0, 4\)"):
+    with pytest.raises(ConfigError, match=r"^g is NaN on the grid at k=4, t_k=4 for n=8$"):
         _check_cube_hypothesis(range(9), [0.0] * 9, gv, [0.0] * 9)
+
+
+def test_pl_rejects_a_nan_grid_value_before_any_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(limits, "interval_integral", lambda *args: calls.append(args))
+    bump = lambda x: math.exp(-x * x)
+    nan_at_3 = lambda x: math.nan if x == 3.0 else bump(x)  # the grid point i = 7 of n = 8 on [-4, 4]
+    for fns, name in (((nan_at_3, bump, bump, bump), "F"), ((bump, bump, bump, nan_at_3), "K")):
+        with pytest.raises(ConfigError, match=rf"^{name} is NaN on the grid at i=7 for n=8$"):
+            pl_limit_experiment(*fns, 4.0, [4, 8])
+    assert calls == []
 
 
 def test_clt_rejects_an_infinite_h_at_an_end_grid_point():

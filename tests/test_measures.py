@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import pmf_strategy
-from discretepl.coupling import coupling_from_atoms, pushforward
+from discretepl.coupling import _from_cells, pushforward
 from discretepl.errors import NegativeMass, NotNormalized
 from discretepl.measures import (
     Pmf,
@@ -57,16 +57,17 @@ def test_every_builder_gives_the_canonical_form(offset, values):
     expected = oracles.normalized_window(offset, values)
     total = sum(map(F, values))
     # the second marginal spreads each mass over two columns, so it differs from the first
-    atoms = [(offset + i, c, F(v) / total / 2) for i, v in enumerate(values) for c in (i % 3, i * i % 5)]
-    pi = coupling_from_atoms(atoms)
+    ints, _ = to_common_unit(values)
+    cells = [(offset + i, c, w) for i, w in enumerate(ints) for c in (i % 3, i * i % 5)]
+    pi = _from_cells(cells, 2 * sum(ints))
     built = [from_weights(offset, values), pmf(offset, [F(v) / total for v in values]), pi.marginal0]
     for nu in built:
         _assert_canonical(nu)
         assert (nu.offset, nu.masses) == expected
     _assert_canonical(pi.marginal1)
-    sums: dict[int, F] = {}
-    for _, y, p in atoms:
-        sums[y] = sums.get(y, F(0)) + p
+    sums: dict[int, int] = {}
+    for _, y, w in cells:
+        sums[y] = sums.get(y, 0) + w
     assert (pi.marginal1.offset, pi.marginal1.masses) == oracles.normalized_window(0, [sums.get(y, 0) for y in range(5)])
 
 
@@ -78,8 +79,8 @@ def test_equal_measures_built_different_ways_compare_and_hash_equal():
         from_weights(0, [0, 0, 7, 0, 14, 0]),
         pmf(2, [F(1, 3), 0, F(2, 3)]),
         pmf(0, [0, 0, "1/3", 0, "2/3", 0]),
-        coupling_from_atoms([(2, 0, F(1, 3)), (4, 0, F(1, 6)), (4, 1, F(1, 2))]).marginal0,
-        pushforward(coupling_from_atoms([(1, 1, F(1, 3)), (2, 2, F(2, 3))]), lambda x, y: x + y),
+        _from_cells([(2, 0, 2), (4, 0, 1), (4, 1, 3)], 6).marginal0,
+        pushforward(_from_cells([(1, 1, 1), (2, 2, 2)], 3), lambda x, y: x + y),
         from_weights(-1, [1, 0, 2]).translate(3),
     ]
     assert all(nu == Pmf(2, (1, 0, 2), 3) for nu in built)
@@ -106,7 +107,7 @@ def test_pmf_reads_its_weights_over_the_total():
         (lambda: pmf(0, [F(1, 3), F(1, 3), F(1, 4)]), NotNormalized, "masses sum to 1 - (1/12); deficit 1/12"),
         (lambda: from_weights(0, [1, -1]), NotNormalized, "masses sum to 1 - (1); deficit 1"),
         (lambda: pmf(0, []), NotNormalized, "masses sum to 1 - (1); deficit 1"),
-        (lambda: coupling_from_atoms([(0, 0, F(1, 2)), (1, 0, F(1, 3))]), NotNormalized, "masses sum to 1 - (1/6); deficit 1/6"),
+        (lambda: _from_cells([(0, 0, 3), (1, 0, 2)], 6), NotNormalized, "masses sum to 1 - (1/6); deficit 1/6"),
     ],
 )
 def test_builders_keep_their_error_texts(build, error, text):
