@@ -206,6 +206,31 @@ def test_ot_plans_and_duals_up_to_12_by_12_are_pinned():
     assert digest == "bea05b1c00e9626024c4748be0973489a813cb9edff164ad4af628e44a7797ec"
 
 
+def test_ot_duals_extended_across_gapped_windows_are_pinned():
+    # about half the weights are zero, so every problem has window points off a support, where the
+    # duals come from the extension by min formulas; even problems take the float curvature cost of a
+    # pmf reference, odd ones a rational cost table
+    rng = random.Random(20261020)
+    lines, gapped = [], 0
+    for index in range(300):
+        nu0, nu1 = (
+            from_weights(rng.randint(-10, 0), [rng.choice((0, rng.randint(1, 32))) for _ in range(10)] + [1])
+            for _ in range(2)
+        )
+        gapped += not (nu0.gapless and nu1.gapless)
+        if index % 2 == 0:
+            cost = curvature_cost(from_weights(-10, [rng.randint(1, 64) for _ in range(21)]))
+        else:
+            table = {(x, y): F(rng.randint(-20, 100), rng.randint(1, 12)) for x in nu0.window() for y in nu1.window()}
+            cost = lambda x, y, table=table: table[(x, y)]
+        result = ot_cost(cost, nu0, nu1, want_duals=True)
+        plan = [(x, y, str(p)) for x, y, p in result.plan.atoms]
+        lines.append(repr((plan, result.dual_u.values, result.dual_v.values)))
+    assert gapped == 300
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "48103a5cdc7cc79089faee1db63306858a894da75e71c1a0afdf13dd948b8682"
+
+
 def test_ot_symmetry_and_zero_self_cost(rng):
     mu = rational_log_concave_family("uniform", 6)
     cost = curvature_cost(mu)
