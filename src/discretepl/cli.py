@@ -8,11 +8,13 @@ including a numeric option outside its bounds (0 <= --K <= 100000;
 1 <= --trials <= 1000000; --width >= 1; 1 <= --resolution <= 10^9, and
 >= 2 for campaign; 1 <= --n <= 16384; finite --lambda > 0;
 1 <= --support-width <= 20000), no reference or more than one (--mu,
---mu-kind and, for transport-cost, --cost-table), a path that cannot be
-read or written, more than 2500 support pairs in one exact transport
-solve, a NaN grid value of a pl or clt function, and a pl or clt target
-whose quadrature fails, 3 an internal error, 141 (128 + SIGPIPE) when
-standard output was closed early by its reader.
+--mu-kind and, for transport-cost, --cost-table), an option that would be
+ignored (--K without --mu-kind, --lambda without --kind clt, --demo with
+--spec), a path that cannot be read or written, more than 2500 support
+pairs in one exact transport solve, a NaN grid value of a pl or clt
+function, and a pl or clt target whose quadrature fails, 3 an internal
+error, 141 (128 + SIGPIPE) when standard output was closed early by its
+reader.
 `--json` switches to machine output everywhere.
 
 Each `_cmd_*` maps the options and parsed input files, with no I/O, to
@@ -65,8 +67,9 @@ def _int_list(text: str) -> list[int]:
 #: at --K 100000 building mu's 2K+1 int weights takes 25 ms, a first check-te trial walks them in
 #: 50-70 ms, and a later one takes 0.07-0.12 ms (Python 3.11, 2 cores)
 MAX_K = 100_000
-#: --mu-kind: name -> log-weights on [-K, K]
+#: --mu-kind: name -> log-weights on [-K, K]; subcommand -> --K when it is not given
 _MU_KINDS = {"geometric": geometric_weights, "gaussian": gaussian_weights}
+_DEFAULT_K = {"transport-cost": 50, "check-te": 12}
 
 
 #: subcommand -> option -> inclusive (low, high) bounds
@@ -98,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport-cost", help="exact optimal transport cost under a curvature cost")
     p.add_argument("--mu")
     p.add_argument("--mu-kind", choices=_MU_KINDS)
-    p.add_argument("--K", type=int, default=50, help="truncation half-width for --mu-kind")
+    p.add_argument("--K", type=int, help="truncation half-width for --mu-kind (default 50)")
     p.add_argument("--cost-table", help="explicit cost table file instead of a curvature cost")
     p.add_argument("--nu0", required=True)
     p.add_argument("--nu1", required=True)
@@ -108,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-te", help="random transport-entropy checks under a reference measure")
     p.add_argument("--mu")
     p.add_argument("--mu-kind", choices=_MU_KINDS)
-    p.add_argument("--K", type=int, default=12)
+    p.add_argument("--K", type=int, help="truncation half-width for --mu-kind (default 12)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--width", type=int, default=8, help="max support width of the random pmfs")
@@ -120,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", help=f"pl: {','.join(PL_DEMOS)}; clt: {','.join(CLT_DEMOS)}; disp: {','.join(DISP_DEMOS)}")
     p.add_argument("--spec", help="JSON file with expression strings (see README)")
     p.add_argument("--n", type=_int_list, default=[64, 256, 1024, 4096])
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="argument rescaling for clt")
+    p.add_argument("--lambda", dest="lam", type=float, help="argument rescaling for clt (default 1.0)")
     p.add_argument("--csv", help="write rows to this CSV file")
     p.add_argument("--json", action="store_true")
 
@@ -202,7 +205,7 @@ def _cmd_check_4ft(args, files) -> tuple:
 
 
 def _reference_measure(args, files):
-    return files["mu"] if args.mu else _MU_KINDS[args.mu_kind](args.K)
+    return files["mu"] if args.mu else _MU_KINDS[args.mu_kind](_DEFAULT_K[args.command] if args.K is None else args.K)
 
 
 def _cmd_transport_cost(args, files) -> tuple:
@@ -313,7 +316,7 @@ def _cmd_limit_exp(args, files) -> tuple:
     if args.kind == "pl":
         rows = pl_limit_experiment(*inputs, args.n)
     elif args.kind == "clt":
-        rows = clt_experiment(*inputs, args.n, lam=args.lam)
+        rows = clt_experiment(*inputs, args.n, lam=1.0 if args.lam is None else args.lam)
     else:
         rows = rescaled_displacement_experiment(*inputs, args.n)
     dicts = [{k: str(v) if isinstance(v, Fraction) else v for k, v in vars(row).items()} for row in rows]
@@ -346,7 +349,7 @@ _COMMANDS = {
 def _check_options(args) -> None:
     """Reject a bad option before any file is read or opened; a campaign's options become `args.config`."""
     for name, (low, high) in _BOUNDS.get(args.command, {}).items():
-        if not low <= getattr(args, name) <= high:
+        if (value := getattr(args, name)) is not None and not low <= value <= high:  # None: the default applies
             raise ConfigError(f"--{name} must be >= {low}" + (f" and <= {high}" if high < math.inf else ""))
     if args.command in ("transport-cost", "check-te"):
         references = {"--mu": args.mu, "--mu-kind": args.mu_kind}
@@ -357,6 +360,8 @@ def _check_options(args) -> None:
             raise ConfigError("need --mu or --mu-kind")
         if len(given) > 1:
             raise ConfigError(f"{' and '.join(given)} exclude each other; give one of {', '.join(references)}")
+        if args.K is not None and not args.mu_kind:
+            raise ConfigError(f"--K applies only to --mu-kind, not to {given[0]}")
     # the 4FT sweep visits 4^dim pairs; at dim 12 it takes 4 s on small-denominator rationals, 3 s on floats
     # and 100 s on rationals with thousands of distinct large denominators, swept as Fractions
     if args.command == "check-4ft" and not 1 <= args.dim <= 12:
@@ -366,11 +371,15 @@ def _check_options(args) -> None:
         # with its imports and quadrature (Python 3.11, 2 cores)
         if not args.n or min(args.n) < 1 or max(args.n) > 16384:
             raise ConfigError("--n must list integers >= 1 and <= 16384")
-        if not 0 < args.lam < math.inf:  # false for NaN too
+        if args.lam is not None and args.kind != "clt":
+            raise ConfigError(f"--lambda applies only to --kind clt, not to --kind {args.kind}")
+        if args.lam is not None and not 0 < args.lam < math.inf:  # false for NaN too
             raise ConfigError("--lambda must be > 0 and finite")
+        if args.spec and args.demo:
+            raise ConfigError("--demo and --spec exclude each other")
         if args.spec and args.kind not in _SPEC_KEYS:
             raise ConfigError("--spec for disp experiments is not supported; use --demo")
-        if not args.spec and args.demo and args.demo not in _DEMOS[args.kind]:
+        if args.demo and args.demo not in _DEMOS[args.kind]:
             raise ConfigError(f"unknown demo {args.demo!r}; choose from {list(_DEMOS[args.kind])}")
     if args.command == "campaign":
         args.config = CampaignConfig(args.seed, args.trials, args.support_width, args.resolution, args.check)

@@ -15,14 +15,13 @@ ints, and the `Fraction` atoms are built only when asked for.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from typing import Callable, Iterable
 
 from .errors import SupportNotBinary
-from .measures import ZERO, Pmf, _canonical
+from .measures import Pmf, _canonical
 
 Atom = tuple[int, int, Fraction]
 #: (x, y, w): mass w / unit at (x, y)
@@ -50,15 +49,6 @@ class Coupling:
     def atoms(self) -> tuple[Atom, ...]:
         """The (x, y, mass) triples with Fraction masses, built on each access."""
         return tuple([(x, y, Fraction(w, self.unit)) for x, y, w in self.cells])
-
-    def mass(self, x: int, y: int) -> Fraction:
-        i = bisect_left(self.cells, (x, y))  # (x, y) sorts just before (x, y, w)
-        if i < len(self.cells) and self.cells[i][:2] == (x, y):
-            return Fraction(self.cells[i][2], self.unit)
-        return ZERO
-
-    def total(self) -> Fraction:
-        return Fraction(sum([w for _, _, w in self.cells]), self.unit)
 
 
 def _reduced(cells: list[Cell], unit: int, marginal0: Pmf, marginal1: Pmf) -> Coupling:

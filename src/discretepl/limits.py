@@ -28,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap
@@ -35,49 +36,33 @@ from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid,
 from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, Pmf, RealFn, _canonical, delta, left_sum, to_common_unit
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid x_i = -N + 2iN/n, i = 0..n, on [-N, N]."""
-
-    half_width: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.half_width <= 0:
-            raise ConfigError("need n >= 1 and a positive half-width")
-
-    def point(self, i: int) -> float:
-        return -self.half_width + 2 * i * self.half_width / self.n
-
-    def points(self) -> list[float]:
-        half_width, n = self.half_width, self.n
-        return [-half_width + 2 * i * half_width / n for i in range(n + 1)]  # `point(i)` for each i
-
-    def step(self) -> float:
-        return 2 * self.half_width / self.n
-
-
 FloatFn = Callable[[float], float]  # a closed-form function on R
 
 
-def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, grid: GridSpec):
-    """Grid restriction: f(i)=F(x_i), g(i)=G(x_i), and the shifted maxima
+def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_width: float, n: int):
+    """Grid restriction to x_i = -N + 2iN/n, i = 0..n: f(i)=F(x_i), g(i)=G(x_i), and the shifted maxima
 
         h(i) = max(H(x_i), H(x_i + N/n)),  k(i) = max(K(x_i), K(x_i - N/n)),
 
     all zero outside {0..n}.  The half-step shifts absorb the parity error
     x_i/2 + x_j/2 = x_{floor((i+j)/2)} + (0 or N/n), so the line midpoint
     hypothesis on indices follows from the continuous one.  Each function is
-    called once per point, in index order.
+    called once per point, in index order, H and K at x_i and then at its
+    shift.  A NaN shifted sample, which `max` would drop, raises ConfigError;
+    it is looked for only when their sum is NaN.
     """
-    half_step = grid.half_width / grid.n
-    points = grid.points()
-    up, down = [x + half_step for x in points], [x - half_step for x in points]
-    f = RealFn(0, tuple(map(F, points)))
-    g = RealFn(0, tuple(map(G, points)))
-    h = RealFn(0, tuple(map(max, map(H, points), map(H, up))))
-    k = RealFn(0, tuple(map(max, map(K, points), map(K, down))))
-    return f, g, h, k
+    if n < 1 or half_width <= 0:
+        raise ConfigError("need n >= 1 and a positive half-width")
+    points = [-half_width + 2 * i * half_width / n for i in range(n + 1)]
+    fns = [RealFn(0, tuple(map(F, points))), RealFn(0, tuple(map(G, points)))]
+    for name, fn, shift in (("H", H, half_width / n), ("K", K, -half_width / n)):
+        values = list(map(fn, chain.from_iterable(zip(points, [x + shift for x in points]))))
+        off = values[1::2]
+        if math.isnan(left_sum(off)):  # +inf and -inf sum to NaN too, and max keeps them
+            if (i := next((i for i, v in enumerate(off) if math.isnan(v)), None)) is not None:
+                raise ConfigError(f"{name} is NaN at x_i {'+' if shift > 0 else '-'} N/n for i={i} and n={n}")
+        fns.append(RealFn(0, tuple(map(max, values[0::2], off))))
+    return tuple(fns)
 
 
 #: pairs compared per numpy call in `grid_hypothesis_witness`.  The sweep of one gaussian pl grid
@@ -174,12 +159,13 @@ def interval_integral(fn: FloatFn, a: float, b: float) -> float:
 def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_width: float, n_list: Sequence[int]):
     """Riemann-scaled product inequality along a refining grid.
 
-    For each n, a NaN value of the discretized quadruple raises ConfigError
-    naming the function and the grid index (it is found through the sums the
-    row needs anyway), and the quadruple must satisfy the line hypothesis at
-    every pair of grid points (a failure raises HypothesisFailedOnGrid);
-    every grid is checked before any quadrature runs, and a failed target
-    quadrature raises QuadratureFailed naming F, G, H or K.  The row records
+    For each n, a NaN value of the discretized quadruple (or of its shifted
+    samples) raises ConfigError naming the function and the grid index (it
+    is found through the sums the row needs anyway), and the quadruple must
+    satisfy the line hypothesis at every pair of grid points (a failure
+    raises HypothesisFailedOnGrid); every grid is checked before any
+    quadrature runs, and a failed target quadrature raises QuadratureFailed
+    naming F, G, H or K.  The row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 
@@ -188,8 +174,7 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     """
     sums = []
     for n in n_list:
-        grid = GridSpec(half_width, n)
-        fns = discretize_quadruple(F, G, H, K, grid)
+        fns = discretize_quadruple(F, G, H, K, half_width, n)
         totals = [left_sum(fn.values) for fn in fns]
         for name, fn, total in zip("FGHK", fns, totals):
             if math.isnan(total):  # only now find the NaN: a valid grid gets no per-value pass
@@ -199,7 +184,7 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         witness = grid_hypothesis_witness(*fns)
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
-        scale = grid.step() ** 2
+        scale = (2 * half_width / n) ** 2
         sf, sg, sh, sk = totals
         sums.append((n, scale * sf * sg, scale * sh * sk))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import NegativeMass, NotNormalized
 
@@ -38,34 +38,19 @@ SUM_SLACK = 1e-10
 APPROX_TOL = 1e-9
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4' and floats (exact binary value) to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str, float)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
-
-
 def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int] | None:
     """(ints, scale) with values[i] == ints[i] / scale exactly; scale is the lcm of the denominators.
 
-    Ints and Fractions are used as they are, floats at their exact binary
-    value, read off `float.as_integer_ratio` (what `Fraction(float)` calls,
-    without building the Fraction).  With `max_bits`, a scale longer than
-    that many bits gives None before any value is scaled.  The lcm's
-    arguments come from a list, not a generator: a tuple built from a
-    generator is allocated at one size and freed at another, which strands a
-    small tuple on CPython's free lists on every call.
+    Ints and Fractions are used as they are, and any other value (a float)
+    at its exact value, read off its `as_integer_ratio` (what
+    `Fraction(float)` calls, without building the Fraction).  With
+    `max_bits`, a scale longer than that many bits gives None before any
+    value is scaled.  The lcm's arguments come from a list, not a
+    generator: a tuple built from a generator is allocated at one size and
+    freed at another, which strands a small tuple on CPython's free lists on
+    every call.
     """
-    ratios = [
-        (v.numerator, v.denominator)
-        if isinstance(v, (int, Fraction))
-        else v.as_integer_ratio()
-        if isinstance(v, float)
-        else as_fraction(v).as_integer_ratio()
-        for v in values
-    ]
+    ratios = [(v.numerator, v.denominator) if isinstance(v, (int, Fraction)) else v.as_integer_ratio() for v in values]
     scale = math.lcm(*[q for _, q in ratios])
     if max_bits is not None and scale.bit_length() > max_bits:
         return None
@@ -104,19 +89,8 @@ class Pmf:
     def mass(self, x: int) -> Fraction:
         return Fraction(self.weight(x), self.total)
 
-    def support(self) -> Iterator[tuple[int, Fraction]]:
-        for i, w in enumerate(self.weights):
-            if w:
-                yield self.offset + i, Fraction(w, self.total)
-
     def support_points(self) -> list[int]:
         return [self.offset + i for i, w in enumerate(self.weights) if w]
-
-    def mean(self) -> Fraction:
-        return Fraction(sum(x * w for x, w in enumerate(self.weights, self.offset)), self.total)
-
-    def translate(self, t: int) -> "Pmf":
-        return Pmf(self.offset + t, self.weights, self.total)
 
     def __str__(self) -> str:
         body = " ".join([_ratio_str(w, self.total) for w in self.weights])
@@ -262,16 +236,9 @@ def logsumexp(values) -> float:
     return top + math.log(left_sum(math.exp(e - top) for e in exponents))
 
 
-def log_laplace(phi: RealFn, base: Pmf | None = None) -> float:
-    """log of sum e^{phi(x)} base(x); `base=None` means counting weight 1 per window point.
-
-    The two base conventions (counting window vs. probability base) are
-    deliberately kept separate and are never mixed: pair this with
-    :func:`counting_entropy` or :func:`relative_entropy` accordingly.
-    """
-    if base is None:
-        return logsumexp(phi.values)
-    return logsumexp(float(phi.value(x)) + _log_ratio(w, base.total) for x, w in enumerate(base.weights, base.offset) if w)
+def log_laplace(phi: RealFn) -> float:
+    """log of sum e^{phi(x)} over the window of phi (counting weight 1 per point)."""
+    return logsumexp(phi.values)
 
 
 def expectation(phi: RealFn, nu: Pmf) -> float:
@@ -279,25 +246,19 @@ def expectation(phi: RealFn, nu: Pmf) -> float:
     return left_sum(w / nu.total * float(phi.value(x)) for x, w in enumerate(nu.weights, nu.offset) if w)
 
 
-def gibbs_optimizer(phi: RealFn, base: Pmf | None = None) -> Pmf:
-    """The maximizer of nu -> int phi dnu - H(nu|base): nu*(x) proportional to e^{phi(x)} base(x).
+def gibbs_optimizer(phi: RealFn) -> Pmf:
+    """nu* proportional to e^phi on the window: the maximizer of nu -> int phi dnu - H(nu), H the counting entropy.
 
-    Weights are exponentiated in float then normalized exactly, so the
-    result is a valid Pmf with rational masses; the dual gap
-    log_laplace(phi) - (int phi dnu* - H(nu*|base)) vanishes to EQ_TOL.
+    The values minus their maximum are exponentiated in float, then
+    normalized exactly, so nu* is a valid Pmf with rational masses; the dual
+    gap log_laplace(phi) - (int phi dnu* - H(nu*)) vanishes to EQ_TOL.
     """
-    if base is None:
-        log_base = dict.fromkeys(phi.window(), 0.0)
-    else:
-        log_base = {x: _log_ratio(w, base.total) for x, w in enumerate(base.weights, base.offset) if w}
-    shift = max(float(phi.value(x)) + log_base[x] for x in log_base)
-    lo, hi = min(log_base), max(log_base)
-    weights = [math.exp(float(phi.value(x)) + log_base[x] - shift) if x in log_base else 0.0 for x in range(lo, hi + 1)]
-    return from_weights(lo, weights)
+    values = [float(v) for v in phi.values]
+    shift = max(values)
+    return from_weights(phi.offset, [math.exp(v - shift) for v in values])
 
 
-def dual_gap(phi: RealFn, base: Pmf | None = None) -> float:
-    """log_laplace(phi, base) minus the variational value at the Gibbs optimizer."""
-    nu = gibbs_optimizer(phi, base)
-    ent = counting_entropy(nu) if base is None else relative_entropy(nu, base)
-    return log_laplace(phi, base) - (expectation(phi, nu) - ent)
+def dual_gap(phi: RealFn) -> float:
+    """log_laplace(phi) minus the variational value at the Gibbs optimizer."""
+    nu = gibbs_optimizer(phi)
+    return log_laplace(phi) - (expectation(phi, nu) - counting_entropy(nu))

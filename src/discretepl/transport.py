@@ -51,7 +51,6 @@ from .measures import (
     Pmf,
     RealFn,
     _log_ratio,
-    as_fraction,
     left_sum,
     logsumexp,
     relative_entropy,
@@ -294,10 +293,10 @@ def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> Transpo
         # u(x)+v(y) <= c(x,y) holds on the whole window product.
         for x in nu0.window():
             if x not in u:
-                u[x] = min(as_fraction(cost(x, y)) - v[y] for y in ys)
+                u[x] = min(Fraction(cost(x, y)) - v[y] for y in ys)
         for y in nu1.window():
             if y not in v:
-                v[y] = min(as_fraction(cost(x, y)) - u[x] for x in nu0.window())
+                v[y] = min(Fraction(cost(x, y)) - u[x] for x in nu0.window())
         dual_u = RealFn(nu0.offset, tuple([float(u[x]) for x in nu0.window()]))
         dual_v = RealFn(nu1.offset, tuple([float(v[y]) for y in nu1.window()]))
     return TransportPlanResult(float(exact), exact, plan, dual_u, dual_v)

@@ -25,6 +25,11 @@ def sum_left_to_right(values):
     return total
 
 
+def support(nu) -> list[tuple[int, Fraction]]:
+    """The (point, mass) pairs of a Pmf with positive mass, in increasing order, read off its int weights."""
+    return [(x, Fraction(w, nu.total)) for x, w in enumerate(nu.weights, nu.offset) if w]
+
+
 def log_fraction(q: Fraction) -> float:
     """Natural log of a positive rational: the difference of the logs of its (reduced) numerator and denominator."""
     assert q > 0
@@ -287,7 +292,7 @@ def ratio_sum_fraction(nu0, nu1) -> Fraction:
 
     def intervals(nu):
         out, start = [], ZERO
-        for x, m in nu.support():
+        for x, m in support(nu):
             out.append((x, start, start + m))
             start += m
         return out

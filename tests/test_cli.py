@@ -662,6 +662,8 @@ def test_cli_limit_exp_failed_hypothesis_exits_one(tmp_path, capsys, kind, spec,
 
 #: +inf within 0.001 of x = -6, the first pl grid point, and 0 elsewhere; quadrature never samples it
 _SPIKE = "1e300*(1e300*(0.001 - fabs(x+6) + fabs(0.001 - fabs(x+6))))"
+#: the same spike at x = -5.25, half a step right of x_0 = -6 for N = 6 and n = 8
+_HALF_STEP_SPIKE = _SPIKE.replace("x+6", "x+5.25")
 
 
 @pytest.mark.parametrize(
@@ -671,8 +673,14 @@ _SPIKE = "1e300*(1e300*(0.001 - fabs(x+6) + fabs(0.001 - fabs(x+6))))"
         ("pl", {**_PL_SPEC, "F": f"{_SPIKE} - {_SPIKE} + exp(-x*x)", "N": 6.0}, "F is NaN on the grid at i=0 for n=8"),
         # inf - inf: every value of f is NaN
         ("clt", {**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}, "f is NaN on the grid at k=0, t_k=-2.828"),
+        # inf - inf: H is NaN at -5.25 only, which h(0) = max(H(x_0), H(x_0 + N/n)) reads
+        (
+            "pl",
+            {**_PL_SPEC, "H": f"{_HALF_STEP_SPIKE} - {_HALF_STEP_SPIKE} + exp(-x*x)", "N": 6.0},
+            "H is NaN at x_i + N/n for i=0 and n=8",
+        ),
     ],
-    ids=["pl-endpoint-nan", "clt-nan"],
+    ids=["pl-endpoint-nan", "clt-nan", "pl-half-step-nan"],
 )
 def test_cli_limit_exp_nan_grid_value_exits_two(tmp_path, capsys, kind, spec, message):
     # a NaN grid value is bad input, not a failed hypothesis or a row that fails
@@ -702,6 +710,45 @@ def test_cli_takes_exactly_one_reference(tmp_path, capsys, argv, given):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"error: {given} exclude each other; give one of --mu, --mu-kind" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transport-cost", "--mu", "{missing}", "--K", "3", "--nu0", "{nu}", "--nu1", "{nu}"], "--K applies only to --mu-kind, not to --mu"),
+        (
+            ["transport-cost", "--cost-table", "{missing}", "--K", "3", "--nu0", "{nu}", "--nu1", "{nu}"],
+            "--K applies only to --mu-kind, not to --cost-table",
+        ),
+        (["check-te", "--mu", "{missing}", "--K", "12"], "--K applies only to --mu-kind, not to --mu"),
+        (["limit-exp", "--kind", "pl", "--lambda", "1.0", "--n", "8"], "--lambda applies only to --kind clt, not to --kind pl"),
+        (["limit-exp", "--kind", "disp", "--lambda", "2.0", "--n", "8"], "--lambda applies only to --kind clt, not to --kind disp"),
+        (["limit-exp", "--kind", "pl", "--demo", "gaussian", "--spec", "{missing}", "--n", "8"], "--demo and --spec exclude each other"),
+    ],
+    ids=["K-with-mu", "K-with-cost-table", "te-K-with-mu", "lambda-with-pl", "lambda-with-disp", "demo-with-spec"],
+)
+def test_cli_rejects_an_option_it_would_ignore(tmp_path, capsys, argv, message):
+    # the given value would change nothing, even when it equals the default; the files named are
+    # missing, so the option is rejected before any file is read
+    nu = _write(tmp_path, "nu.txt", "0; 1/2 1/2\n")
+    argv = [arg.format(missing=str(tmp_path / "missing.txt"), nu=nu) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_cli_defaults_apply_where_the_option_takes_effect(tmp_path, monkeypatch, capsys):
+    # --K is 50 for transport-cost and 12 for check-te, and --lambda 1.0 for clt, when not given
+    widths, lams = [], []
+    monkeypatch.setitem(cli._MU_KINDS, "geometric", lambda K: widths.append(K) or transport.geometric_weights(K))
+    real_clt = cli.clt_experiment
+    monkeypatch.setattr(cli, "clt_experiment", lambda *args, lam: lams.append(lam) or real_clt(*args, lam=lam))
+    nu = _write(tmp_path, "nu.txt", "0; 1/2 1/2\n")
+    assert main(["transport-cost", "--mu-kind", "geometric", "--nu0", nu, "--nu1", nu]) == 0
+    assert main(["check-te", "--mu-kind", "geometric", "--trials", "1"]) == 0
+    assert main(["limit-exp", "--kind", "clt", "--demo", "linear", "--n", "8"]) == 0
+    assert widths == [50, 12] and lams == [1.0]
+    capsys.readouterr()
 
 
 def test_cli_missing_reference_is_an_option_error_without_a_line(capsys):

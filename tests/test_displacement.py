@@ -130,7 +130,11 @@ def test_displacement_properties(nu0, nu1):
     assert report.jensen_certificate <= report.log_ratio_sum + 1e-10
     # mass centers are conserved exactly
     pair = report.pair
-    assert pair.nu_minus.mean() + pair.nu_plus.mean() == nu0.mean() + nu1.mean()
+    assert _mean(pair.nu_minus) + _mean(pair.nu_plus) == _mean(nu0) + _mean(nu1)
+
+
+def _mean(nu):
+    return sum((x * m for x, m in oracles.support(nu)), ZERO)
 
 
 def test_level_sets_single_atom():
@@ -290,12 +294,12 @@ def test_ratio_sum_matches_the_fraction_oracle(pair):
 
 
 def _fraction_counting_entropy(nu):
-    return oracles.sum_left_to_right(float(m) * oracles.log_fraction(m) for _, m in nu.support())
+    return oracles.sum_left_to_right(float(m) * oracles.log_fraction(m) for _, m in oracles.support(nu))
 
 
 def _fraction_relative_entropy(nu, mu):
     acc = 0.0
-    for x, m in nu.support():
+    for x, m in oracles.support(nu):
         q = mu.mass(x)
         if q == 0:
             return math.inf

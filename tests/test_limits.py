@@ -1,5 +1,6 @@
 import bisect
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from discretepl.limits import (
     CLT_DEMOS,
     DISP_DEMOS,
     PL_DEMOS,
-    GridSpec,
     PointMass,
     UniformInterval,
     _check_cube_hypothesis,
@@ -30,20 +30,28 @@ from discretepl.measures import RealFn
 F = Fraction
 
 
+def _grid_point(half_width, n, i):
+    """x_i = -N + 2iN/n."""
+    return -half_width + 2 * i * half_width / n
+
+
 def test_grid_points():
-    grid = GridSpec(1.0, 2)
-    assert grid.points() == [-1.0, 0.0, 1.0]
-    assert grid.step() == 1.0
+    inc = lambda x: x
+    f, g, h, k = discretize_quadruple(inc, inc, inc, inc, 1.0, 2)
+    assert f.values == g.values == k.values == (-1.0, 0.0, 1.0)
+    assert h.values == (-0.5, 0.5, 1.5)  # the step is 1.0, so H is read half a step right
 
 
 def test_grid_rejects_bad_spec():
-    with pytest.raises(ConfigError):
-        GridSpec(1.0, 0)
+    one = lambda x: 1.0
+    for half_width, n in ((1.0, 0), (0.0, 4), (-1.0, 4)):
+        with pytest.raises(ConfigError, match="need n >= 1 and a positive half-width"):
+            discretize_quadruple(one, one, one, one, half_width, n)
 
 
 def test_discretize_constants():
     one = lambda x: 1.0
-    f, g, h, k = discretize_quadruple(one, one, one, one, GridSpec(1.0, 2))
+    f, g, h, k = discretize_quadruple(one, one, one, one, 1.0, 2)
     assert f.values == (1.0, 1.0, 1.0)
     assert h.values == (1.0, 1.0, 1.0)
     assert k.values == (1.0, 1.0, 1.0)
@@ -51,16 +59,44 @@ def test_discretize_constants():
 
 def test_discretize_monotone_takes_shifted_value():
     inc = lambda x: x
-    grid = GridSpec(1.0, 4)
-    _, _, h, _ = discretize_quadruple(inc, inc, inc, inc, grid)
-    half_step = grid.half_width / grid.n
-    assert h.values == tuple(grid.point(i) + half_step for i in range(5))
+    _, _, h, _ = discretize_quadruple(inc, inc, inc, inc, 1.0, 4)
+    half_step = 1.0 / 4
+    assert h.values == tuple(_grid_point(1.0, 4, i) + half_step for i in range(5))
+
+
+def test_discretize_calls_each_function_once_per_point_in_index_order():
+    calls = {name: [] for name in "FGHK"}
+    fns = [lambda x, name=name: calls[name].append(x) or 1.0 for name in "FGHK"]
+    discretize_quadruple(*fns, 6.0, 8)
+    points = [_grid_point(6.0, 8, i) for i in range(9)]
+    assert calls["F"] == calls["G"] == points
+    # H and K at x_i and then at its shift x_i +- N/n, before x_{i+1}
+    assert calls["H"] == [z for x in points for z in (x, x + 0.75)]
+    assert calls["K"] == [z for x in points for z in (x, x - 0.75)]
+
+
+def test_discretize_rejects_a_nan_at_a_half_step_point():
+    # max(H(x_i), NaN) would keep H(x_i): the NaN is named, with the function, i and n
+    bump = lambda x: math.exp(-x * x)
+    nan_at = lambda z: lambda x: math.nan if x == z else bump(x)
+    cases = (
+        ((bump, bump, nan_at(-5.25), bump), r"^H is NaN at x_i \+ N/n for i=0 and n=8$"),
+        ((bump, bump, bump, nan_at(5.25)), r"^K is NaN at x_i - N/n for i=8 and n=8$"),
+        ((bump, bump, nan_at(0.75), nan_at(0.75)), r"^H is NaN at x_i \+ N/n for i=4 and n=8$"),
+    )
+    for fns, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            discretize_quadruple(*fns, 6.0, 8)
+    # a +inf and a -inf also sum to NaN, but neither is dropped by max: no error
+    signs = lambda x: math.inf if x == -5.25 else -math.inf if x == 5.25 else bump(x)
+    _, _, h, _ = discretize_quadruple(bump, bump, signs, bump, 6.0, 8)
+    assert h.values[0] == math.inf and h.values[7] == bump(4.5)
 
 
 def test_discretized_gaussian_quadruple_satisfies_grid_hypothesis():
     F_, G_, H_, K_, N = PL_DEMOS["gaussian"]
     for n in (8, 33, 64):
-        f, g, h, k = discretize_quadruple(F_, G_, H_, K_, GridSpec(N, n))
+        f, g, h, k = discretize_quadruple(F_, G_, H_, K_, N, n)
         assert grid_hypothesis_witness(f, g, h, k) is None
 
 
@@ -176,9 +212,8 @@ def test_binomial_weights_are_within_an_ulp_and_zero_far_below_the_subnormals(n)
 
 def test_pl_finds_a_single_violating_pair_far_from_the_diagonal():
     # only f(900)g(100) = 4 > h(500)k(500) = 2 breaks the hypothesis, on a grid of 1025^2 pairs
-    grid = GridSpec(1.0, 1024)
-    F_ = lambda x: 2.0 if x == grid.point(900) else 1.0
-    G_ = lambda x: 2.0 if x == grid.point(100) else 1.0
+    F_ = lambda x: 2.0 if x == _grid_point(1.0, 1024, 900) else 1.0
+    G_ = lambda x: 2.0 if x == _grid_point(1.0, 1024, 100) else 1.0
     HK = lambda x: math.sqrt(2)
     with pytest.raises(HypothesisFailedOnGrid, match=r"\(900, 100\)"):
         pl_limit_experiment(F_, G_, HK, HK, 1.0, [1024])
@@ -254,9 +289,15 @@ def test_pl_rejects_a_nan_grid_value_before_any_quadrature(monkeypatch):
     monkeypatch.setattr(limits, "interval_integral", lambda *args: calls.append(args))
     bump = lambda x: math.exp(-x * x)
     nan_at_3 = lambda x: math.nan if x == 3.0 else bump(x)  # the grid point i = 7 of n = 8 on [-4, 4]
-    for fns, name in (((nan_at_3, bump, bump, bump), "F"), ((bump, bump, bump, nan_at_3), "K")):
-        with pytest.raises(ConfigError, match=rf"^{name} is NaN on the grid at i=7 for n=8$"):
-            pl_limit_experiment(*fns, 4.0, [4, 8])
+    cases = (
+        ((nan_at_3, bump, bump, bump), [4, 8], "F is NaN on the grid at i=7 for n=8"),
+        ((bump, bump, bump, nan_at_3), [8], "K is NaN on the grid at i=7 for n=8"),
+        # for n = 4, 3 = x_4 - N/n is the point K is read at half a step left of x_4
+        ((bump, bump, bump, nan_at_3), [4, 8], "K is NaN at x_i - N/n for i=4 and n=4"),
+    )
+    for fns, n_list, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            pl_limit_experiment(*fns, 4.0, n_list)
     assert calls == []
 
 
@@ -398,7 +439,7 @@ def test_interval_integral_oracle():
 def test_uniform_interval_cells_exact():
     cells = UniformInterval(F(0), F(1)).cell_masses(4, 1)
     assert cells.support_points() == [0, 1, 2, 3]
-    assert all(m == F(1, 4) for _, m in cells.support())
+    assert cells.masses == (F(1, 4),) * 4
     offset_cells = UniformInterval(F(-1, 2), F(1, 2)).cell_masses(4, 1)
     assert offset_cells.support_points() == [-2, -1, 0, 1]
 

@@ -157,8 +157,8 @@ def test_ot_strong_duality_and_slackness(rng):
         nu1 = _pmf_in_window(rng, range(-7, 8), 12, 5)
         result = ot_cost(cost, nu0, nu1, want_duals=True)
         u, v = result.dual_u, result.dual_v
-        dual_value = sum(float(m) * u.value(x) for x, m in nu0.support()) + sum(
-            float(m) * v.value(y) for y, m in nu1.support()
+        dual_value = sum(float(m) * u.value(x) for x, m in oracles.support(nu0)) + sum(
+            float(m) * v.value(y) for y, m in oracles.support(nu1)
         )
         assert dual_value == pytest.approx(result.cost, abs=1e-10)
         for x in nu0.window():
