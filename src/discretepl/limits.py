@@ -161,11 +161,11 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
 
     For each n, a NaN value of the discretized quadruple (or of its shifted
     samples) raises ConfigError naming the function and the grid index (it
-    is found through the sums the row needs anyway), and the quadruple must
-    satisfy the line hypothesis at every pair of grid points (a failure
-    raises HypothesisFailedOnGrid); every grid is checked before any
-    quadrature runs, and a failed target quadrature raises QuadratureFailed
-    naming F, G, H or K.  The row records
+    is looked for only when a sum is NaN), and the quadruple must satisfy
+    the line hypothesis at every pair of grid points (a failure raises
+    HypothesisFailedOnGrid); every grid is checked before any quadrature
+    runs, and a failed target quadrature raises QuadratureFailed naming F,
+    G, H or K.  The row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 

@@ -737,7 +737,7 @@ def test_cli_rejects_an_option_it_would_ignore(tmp_path, capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_cli_defaults_apply_where_the_option_takes_effect(tmp_path, monkeypatch, capsys):
+def test_cli_defaults_apply_where_the_option_takes_effect(tmp_path, monkeypatch):
     # --K is 50 for transport-cost and 12 for check-te, and --lambda 1.0 for clt, when not given
     widths, lams = [], []
     monkeypatch.setitem(cli._MU_KINDS, "geometric", lambda K: widths.append(K) or transport.geometric_weights(K))
@@ -748,7 +748,6 @@ def test_cli_defaults_apply_where_the_option_takes_effect(tmp_path, monkeypatch,
     assert main(["check-te", "--mu-kind", "geometric", "--trials", "1"]) == 0
     assert main(["limit-exp", "--kind", "clt", "--demo", "linear", "--n", "8"]) == 0
     assert widths == [50, 12] and lams == [1.0]
-    capsys.readouterr()
 
 
 def test_cli_missing_reference_is_an_option_error_without_a_line(capsys):
