@@ -367,7 +367,7 @@ def _check_options(args) -> None:
     if args.command == "check-4ft" and not 1 <= args.dim <= 12:
         raise ConfigError("--dim must be in 1..12")
     if args.command == "limit-exp":
-        # a pl row checks all (n+1)^2 pairs: 0.17-0.19 s at 16384, and the whole limit-exp run 0.9-1.0 s
+        # a pl row checks all (n+1)^2 pairs: 0.17-0.19 s at 16384, and the whole limit-exp run 0.3-0.45 s
         # with its imports and quadrature (Python 3.11, 2 cores)
         if not args.n or min(args.n) < 1 or max(args.n) > 16384:
             raise ConfigError("--n must list integers >= 1 and <= 16384")

@@ -18,14 +18,17 @@ CSV export:
   (index arithmetic reduces it to the Z machinery), and compare discrete
   relative entropies against their continuous counterparts.
 
-Continuous targets come from an adaptive-quadrature oracle (scipy) at
-EQ_TOL accuracy, independent of the experiment code paths.
+Continuous targets come from an adaptive-quadrature oracle at EQ_TOL
+accuracy (`interval_integral`: QUADPACK's 7-15 point Gauss-Kronrod pair,
+written with the standard library), independent of the experiment code
+paths.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -136,32 +139,96 @@ def _targets(names: str, fns: Sequence[FloatFn], integral: Callable[..., float],
     return targets
 
 
-def interval_integral(fn: FloatFn, a: float, b: float) -> float:
-    """Adaptive quadrature at EQ_TOL target accuracy (the target oracle).
+#: QUADPACK's qk15 (Piessens et al., 1983) on [-1, 1] from -1 to 0, as (node, weight of the 15-point
+#: Kronrod rule, weight of the 7-point Gauss rule on every second node); the rule is symmetric about 0
+_QK15_HALF = (
+    (-0.9914553711208126, 0.022935322010529224, 0.0),
+    (-0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (-0.8648644233597691, 0.10479001032225019, 0.0),
+    (-0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (-0.5860872354676911, 0.1690047266392679, 0.0),
+    (-0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (-0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+)
+_NODES, _KRONROD, _GAUSS = zip(*_QK15_HALF, *((-x, k, g) for x, k, g in reversed(_QK15_HALF[:-1])))
+#: the most intervals one quadrature may bisect its range into (QUADPACK's `limit`)
+_MAX_INTERVALS = 500
 
-    Raises QuadratureFailed when the quadrature warns (a divergent or slowly
-    converging integral, round-off), when the integrand overflows, or when
-    the value is not finite.
+
+def _kronrod(fn: FloatFn, a: float, b: float) -> tuple[float, float]:
+    """The 15-point Kronrod value of the integral of fn over [a, b] and QUADPACK's estimate of its error.
+
+    The estimate scales the distance to the 7-point Gauss value on the same
+    nodes by the spread of fn about its mean, and is at least 50 ulps of
+    the integral of |fn|.  A value that is not finite raises QuadratureFailed.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    center, half = (a + b) / 2, (b - a) / 2
+    values = [fn(center + half * x) for x in _NODES]
+    kronrod = gauss = size = spread = 0.0  # sums from left to right, as `left_sum` adds, but without its calls
+    for k, g, v in zip(_KRONROD, _GAUSS, values):
+        kronrod, gauss, size = kronrod + k * v, gauss + g * v, size + k * abs(v)
+    if not math.isfinite(kronrod * half):
+        raise QuadratureFailed(f"quadrature gave {kronrod * half}")
+    for k, v in zip(_KRONROD, values):
+        spread += k * abs(v - kronrod / 2)
+    error, spread = abs(kronrod - gauss) * half, spread * half
+    if spread and error:
+        error = spread * min(1.0, (200 * error / spread) ** 1.5)
+    return kronrod * half, max(50 * sys.float_info.epsilon * size * half, error)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            value, _ = quad(fn, a, b, epsabs=EQ_TOL, epsrel=EQ_TOL, limit=500)
-        except (IntegrationWarning, OverflowError) as exc:
-            raise QuadratureFailed(f"quadrature failed ({type(exc).__name__}: {exc})") from None
-    if not math.isfinite(value):
-        raise QuadratureFailed(f"quadrature gave {value}")
-    return value
+
+def interval_integral(fn: FloatFn, a: float, b: float) -> float:
+    """Integral of fn over [a, b], a < b, to EQ_TOL absolute or relative accuracy (the target oracle).
+
+    Global adaptive bisection with QUADPACK's 7-15 point Gauss-Kronrod pair
+    (qk15, without the extrapolation of its qags): the interval with the
+    largest error estimate is halved until the estimates sum to at most
+    EQ_TOL max(1, |value|), and the value is the exactly rounded sum over
+    the intervals.  a and b are finite, or -inf and inf, a range mapped
+    onto (-1, 1) by x = t/(1 - t^2).  Raises QuadratureFailed when that
+    takes more than 500 intervals or one under 4096 ulps wide (a divergent,
+    oscillating or singular integral), when the integrand overflows or
+    divides by zero, or when a value is not finite.
+    """
+    to_x = float  # the point x of [a, b] at the point t of the range bisected
+    if a == -math.inf and b == math.inf:
+        integrand, to_x = fn, lambda t: t / (1 - t * t)
+
+        def fn(t: float) -> float:
+            s = 1 - t * t
+            return integrand(t / s) * (1 + t * t) / (s * s)
+
+        a, b = -1.0, 1.0
+    try:
+        value, error = _kronrod(fn, a, b)
+        intervals = [(-error, a, b, value)]
+        total, total_error = value, error
+        while not total_error <= EQ_TOL * max(1.0, abs(total)):
+            if len(intervals) == _MAX_INTERVALS:
+                raise QuadratureFailed(f"quadrature failed (no convergence within {_MAX_INTERVALS} intervals)")
+            minus_error, lo, hi, value = heapq.heappop(intervals)
+            mid = (lo + hi) / 2
+            if hi - lo < 4096 * math.ulp(max(abs(lo), abs(hi))):  # the nodes of its halves could round onto their ends
+                reason = f"no convergence: the interval at x = {to_x(mid):.6g} is too narrow to bisect"
+                raise QuadratureFailed(f"quadrature failed ({reason})")
+            total, total_error = total - value, total_error + minus_error
+            for part in ((lo, mid), (mid, hi)):
+                value, error = _kronrod(fn, *part)
+                heapq.heappush(intervals, (-error, *part, value))
+                total, total_error = total + value, total_error + error
+        return math.fsum(value for *_, value in intervals)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise QuadratureFailed(f"quadrature failed ({type(exc).__name__}: {exc})") from None
 
 
 def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_width: float, n_list: Sequence[int]):
     """Riemann-scaled product inequality along a refining grid.
 
-    For each n, a NaN value of the discretized quadruple (or of its shifted
-    samples) raises ConfigError naming the function and the grid index (it
-    is looked for only when a sum is NaN), and the quadruple must satisfy
+    For each n, an N so large that (2N/n)^2 overflows raises ConfigError,
+    and so does a NaN value of the discretized quadruple (or of its shifted
+    samples), naming the function and the grid index (it is looked for only
+    when a sum is NaN); the quadruple must satisfy
     the line hypothesis at every pair of grid points (a failure raises
     HypothesisFailedOnGrid); every grid is checked before any quadrature
     runs, and a failed target quadrature raises QuadratureFailed naming F,
@@ -174,6 +241,10 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     """
     sums = []
     for n in n_list:
+        try:
+            scale = (2 * half_width / n) ** 2
+        except OverflowError:
+            raise ConfigError(f"N={half_width} is too large for n={n}: the Riemann scale (2N/n)^2 overflows") from None
         fns = discretize_quadruple(F, G, H, K, half_width, n)
         totals = [left_sum(fn.values) for fn in fns]
         for name, fn, total in zip("FGHK", fns, totals):
@@ -184,7 +255,6 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         witness = grid_hypothesis_witness(*fns)
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
-        scale = (2 * half_width / n) ** 2
         sf, sg, sh, sk = totals
         sums.append((n, scale * sf * sg, scale * sh * sk))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)

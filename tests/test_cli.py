@@ -291,9 +291,9 @@ def test_cli_transport_cost_table_without_a_cell_exits_two_without_a_line(tmp_pa
     "argv, digest",
     [
         (["--demo", "gaussian"], "16172396477d12fe19053f408058682dfcc3be5780b9a188c18ea5c101f0939e"),
-        (["--demo", "shifted-gaussian", "--n", "1024"], "bf2c854d902fffd9d480f4de15ac14600e8fdd7a274cee1080da331666900957"),
+        (["--demo", "shifted-gaussian", "--n", "1024"], "a19ead98e384bf9f69df81bba0ed825a434bf1e3084815f92ceb75b9f4bca51a"),
         # odd and even n, each swept in many blocks of rows
-        (["--demo", "shifted-gaussian", "--n", "4095,4096"], "7ed15114cad54e69ff1e204b9c5343b6a28d5924e4885bf7a1f21f633ecc83c8"),
+        (["--demo", "shifted-gaussian", "--n", "4095,4096"], "c154e4c69e5e746ec001c56df43a5d3f176de139a303e201af16ddc30a7e657f"),
     ],
     ids=["gaussian", "shifted-gaussian-1024", "shifted-gaussian-4095-4096"],
 )
@@ -306,9 +306,9 @@ def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
     "argv, digest",
     [
         (["--demo", "linear"], "db35ce4f43692515958d9f8414a0cde33e1a1888d3061772d608acaf1587a9af"),
-        (["--demo", "quadratic", "--lambda", "4.0"], "65e4171fbf19eb2496a36dd431e917b74dca02ac244503f64771040a01d99ba4"),
+        (["--demo", "quadratic", "--lambda", "4.0"], "210da200dda8382213d87b36aca99c45f8040cb9fc6508959ea32dd6ec76b5e3"),
         # binomial tails that underflow to 0.0, odd and even n, and the --n cap
-        (["--demo", "quadratic", "--n", "3000,10000,16384"], "6cb7586a3ae9e48921b1a05176d2823413723eed21482a4fda743bb90aa5e3f9"),
+        (["--demo", "quadratic", "--n", "3000,10000,16384"], "eb55bb63e9eaa655c7454b5d729e533eef8ffb4563b19008f49181b1adb6565c"),
     ],
     ids=["linear", "quadratic-lambda-4", "quadratic-3000-10000-16384"],
 )
@@ -794,7 +794,7 @@ _BUMP = "x*x + 25*(0.001 - fabs(x - 0.3) + fabs(0.001 - fabs(x - 0.3)))"
     "spec, message",
     [
         # E[e^{X^2/2}] is infinite
-        ({"f": "x*x/2", "g": "x*x/2", "h": "x*x/2"}, "target_f: quadrature failed (IntegrationWarning: "),
+        ({"f": "x*x/2", "g": "x*x/2", "h": "x*x/2"}, "target_f: quadrature failed (no convergence: "),
         ({"f": "0", "g": "0", "h": _BUMP}, "target_h: quadrature failed (OverflowError: "),
         ({"f": "-1000", "g": "-1000", "h": "0"}, "target_f: quadrature gave 0.0, outside (0, inf)"),
     ],
@@ -817,7 +817,7 @@ def test_cli_limit_exp_clt_infinite_h_exits_two_before_any_row(tmp_path, capsys)
 
 
 def test_cli_limit_exp_clt_nan_prints_only_its_error_line(tmp_path):
-    # every grid is checked before the quadrature, so scipy never sees the NaN and warns about nothing
+    # every grid is checked before the quadrature, which never sees the NaN
     path = _write(tmp_path, "spec.json", json.dumps({**_CLT_SPEC, "f": "x + (1e308*10 - 1e308*10)", "h": "x"}))
     env = {**os.environ, "PYTHONPATH": str(Path(discretepl.__file__).parents[1])}
     proc = subprocess.run(
@@ -859,12 +859,34 @@ def test_cli_limit_exp_clt_grid_value_beyond_exp_range_exits_zero(tmp_path, caps
 
 
 def test_cli_limit_exp_pl_target_that_fails_exits_two(tmp_path, capsys):
-    # the quadrature of an oscillating H warns instead of returning a meaningless value
+    # the quadrature of an oscillating H fails instead of returning a meaningless value
     wild = "sin(1/(x+1e-9))+2"
     path = _write(tmp_path, "spec.json", json.dumps({"F": "0", "G": "0", "H": wild, "K": wild}))
     assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "8"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: target_H: quadrature failed (IntegrationWarning: ") and captured.out == ""
+    assert captured.err.startswith("error: target_H: quadrature failed (no convergence ") and captured.out == ""
+
+
+def test_cli_limit_exp_pl_n_whose_riemann_scale_overflows_exits_two(tmp_path, capsys, monkeypatch):
+    # (2N/n)^2 = (2.5e199)^2 is past the float range: bad input, reported before any quadrature runs
+    calls = []
+    monkeypatch.setattr(limits, "interval_integral", lambda *args: calls.append(args))
+    path = _write(tmp_path, "spec.json", json.dumps({**_PL_SPEC, "N": 1e200}))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: N=1e+200 is too large for n=8: the Riemann scale (2N/n)^2 overflows\n"
+    assert captured.out == "" and calls == []
+
+
+@pytest.mark.parametrize("kind", ["pl", "clt"])
+def test_cli_limit_exp_runs_without_scipy(kind):
+    # None in sys.modules makes every import of scipy fail: the targets need the standard library only
+    run = "import sys; sys.modules['scipy'] = None; from discretepl.cli import main; raise SystemExit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(discretepl.__file__).parents[1])}
+    argv = [sys.executable, "-c", run, "limit-exp", "--kind", kind, "--n", "64"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "target=" in proc.stdout or "target_f=" in proc.stdout
 
 
 def test_cli_transport_cost_beyond_the_cell_bound_exits_two_without_solving(tmp_path, capsys, monkeypatch):
