@@ -10,11 +10,12 @@ including a numeric option outside its bounds (0 <= --K <= 100000;
 1 <= --support-width <= 20000), no reference or more than one (--mu,
 --mu-kind and, for transport-cost, --cost-table), an option that would be
 ignored (--K without --mu-kind, --lambda without --kind clt, --demo with
---spec), a path that cannot be read or written, more than 2500 support
-pairs in one exact transport solve, a NaN grid value of a pl or clt
-function, and a pl or clt target whose quadrature fails, 3 an internal
-error, 141 (128 + SIGPIPE) when standard output was closed early by its
-reader.
+--spec, a spec key that takes no effect, such as N for clt), a path that
+cannot be read or written, more than 2500 support pairs in one exact
+transport solve, a NaN grid value of a pl or clt function, a negative
+sample of a pl function, and a pl or clt target whose quadrature fails,
+3 an internal error, 141 (128 + SIGPIPE) when standard output was closed
+early by its reader.
 `--json` switches to machine output everywhere.
 
 Each `_cmd_*` maps the options and parsed input files, with no I/O, to
@@ -285,19 +286,23 @@ def _load_expr(expr: str):
     return fn
 
 
-_SPEC_KEYS = {"pl": ("F", "G", "H", "K"), "clt": ("f", "g", "h")}
+_SPEC_KEYS = {"pl": ("F", "G", "H", "K", "N"), "clt": ("f", "g", "h")}
 _DEMOS = {"pl": PL_DEMOS, "clt": CLT_DEMOS, "disp": DISP_DEMOS}
 
 
 def _parse_spec(text: str, kind: str) -> tuple:
-    """The expression functions of a pl or clt spec, then N for pl."""
+    """The expression functions of a pl or clt spec, then N for pl; a key the kind does not read is an error."""
     try:
         spec = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an int past the int-digit limit, or too deep nesting
         raise ConfigError(f"spec is not JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise ConfigError("spec must be a JSON object")
-    for key in _SPEC_KEYS[kind]:
+    keys = _SPEC_KEYS[kind]
+    if unread := [key for key in spec if key not in keys]:
+        raise ConfigError(f"spec key {unread[0]!r} takes no effect for --kind {kind} (keys: {', '.join(keys)})")
+    names = [key for key in keys if key != "N"]
+    for key in names:
         if not isinstance(spec.get(key), str):
             raise ConfigError(f"spec needs an expression string under key {key!r}")
     try:
@@ -306,7 +311,7 @@ def _parse_spec(text: str, kind: str) -> tuple:
         raise ConfigError("spec N must be a number") from None
     if kind == "pl" and not 0 < half_width < math.inf:  # false for NaN too
         raise ConfigError(f"spec N must be finite and > 0, not {half_width}")
-    fns = tuple(_load_expr(spec[key]) for key in _SPEC_KEYS[kind])
+    fns = tuple(_load_expr(spec[key]) for key in names)
     return (*fns, half_width) if kind == "pl" else fns
 
 

@@ -271,7 +271,6 @@ class ChainRecord:
 
     levels: tuple[int, ...]
     isolated: bool
-    plus_values: tuple[int, ...]
     alphas: dict[int, Fraction]
     mass: Fraction
     ratio_contribution: Fraction
@@ -315,7 +314,6 @@ def chain_diagnostics(pair: MidpointPair) -> list[ChainRecord]:
             ChainRecord(
                 levels=tuple([ls.a for ls in run]),
                 isolated=len(run) == 1,
-                plus_values=tuple(sorted(alphas)),
                 alphas=alphas,
                 mass=Fraction(sum(sent.values()), unit),
                 ratio_contribution=sum((alpha * hi.mass(b) for b, alpha in alphas.items()), ZERO),

@@ -194,7 +194,6 @@ class CubeReduction:
     (f(0)+f(1))(g(0)+g(1)) <= (h(0)+h(1))(k(0)+k(1)).
     """
 
-    cube_fns: tuple[CubeFn, CubeFn, CubeFn, CubeFn]
     cube_hypothesis_ok: bool
     line_hypothesis_ok: bool
     equivalent: bool
@@ -221,7 +220,6 @@ def restrict_to_binary_cube(f: RealFn, g: RealFn, h: RealFn, k: RealFn) -> CubeR
     line_ok = grid_hypothesis_witness(*(RealFn(0, cube.values) for cube in cubes)) is None
     lhs, rhs, concl = check_4ft_conclusion(*cubes)
     return CubeReduction(
-        cube_fns=cubes,
         cube_hypothesis_ok=cube_check.ok,
         line_hypothesis_ok=line_ok,
         equivalent=cube_check.ok == line_ok,

@@ -51,20 +51,28 @@ def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wi
     x_i/2 + x_j/2 = x_{floor((i+j)/2)} + (0 or N/n), so the line midpoint
     hypothesis on indices follows from the continuous one.  Each function is
     called once per point, in index order, H and K at x_i and then at its
-    shift.  A NaN shifted sample, which `max` would drop, raises ConfigError;
-    it is looked for only when their sum is NaN.
+    shift.  The discrete PL forms are about non-negative functions, so a
+    NaN or negative sample raises ConfigError naming the function, the point
+    and n.  Only a sample list whose `min` is not >= 0 or whose sum is NaN
+    (a NaN can hide from `min`) is searched: a valid grid gets no per-value pass.
     """
     if n < 1 or half_width <= 0:
         raise ConfigError("need n >= 1 and a positive half-width")
+
+    def checked(name: str, values: Sequence[float], where: str) -> Sequence[float]:
+        if not min(values) >= 0 or math.isnan(left_sum(values)):
+            i, v = next((i, v) for i, v in enumerate(values) if not v >= 0)
+            raise ConfigError(f"{name} is {'NaN' if math.isnan(v) else 'negative'} {where.format(i=i)}")
+        return values
+
     points = [-half_width + 2 * i * half_width / n for i in range(n + 1)]
-    fns = [RealFn(0, tuple(map(F, points))), RealFn(0, tuple(map(G, points)))]
-    for name, fn, shift in (("H", H, half_width / n), ("K", K, -half_width / n)):
+    grid = f"on the grid at i={{i}} for n={n}"
+    fns = [RealFn(0, checked(name, tuple(map(fn, points)), grid)) for name, fn in (("F", F), ("G", G))]
+    for name, fn, shift, sign in (("H", H, half_width / n, "+"), ("K", K, -half_width / n, "-")):
         values = list(map(fn, chain.from_iterable(zip(points, [x + shift for x in points]))))
-        off = values[1::2]
-        if math.isnan(left_sum(off)):  # +inf and -inf sum to NaN too, and max keeps them
-            if (i := next((i for i, v in enumerate(off) if math.isnan(v)), None)) is not None:
-                raise ConfigError(f"{name} is NaN at x_i {'+' if shift > 0 else '-'} N/n for i={i} and n={n}")
-        fns.append(RealFn(0, tuple(map(max, values[0::2], off))))
+        on = checked(name, values[0::2], grid)
+        off = checked(name, values[1::2], f"at x_i {sign} N/n for i={{i}} and n={n}")
+        fns.append(RealFn(0, tuple(map(max, on, off))))
     return tuple(fns)
 
 
@@ -226,18 +234,17 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     """Riemann-scaled product inequality along a refining grid.
 
     For each n, an N so large that (2N/n)^2 overflows raises ConfigError,
-    and so does a NaN value of the discretized quadruple (or of its shifted
-    samples), naming the function and the grid index (it is looked for only
-    when a sum is NaN); the quadruple must satisfy
-    the line hypothesis at every pair of grid points (a failure raises
-    HypothesisFailedOnGrid); every grid is checked before any quadrature
-    runs, and a failed target quadrature raises QuadratureFailed naming F,
-    G, H or K.  The row records
+    and so does a NaN or negative sample (`discretize_quadruple` checks
+    them all); the quadruple must satisfy the line hypothesis at every pair
+    of grid points (a failure raises HypothesisFailedOnGrid); every grid is
+    checked before any quadrature runs, and a failed target quadrature
+    raises QuadratureFailed naming F, G, H or K.  The row records
 
         lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
 
     together with the ratio lhs/rhs and its continuous target
-    (int F int G) / (int H int K) over [-N, N].
+    (int F int G) / (int H int K) over [-N, N].  Both sides are float sums
+    of user float functions, so a row holds when lhs <= rhs (1 + SUM_SLACK).
     """
     sums = []
     for n in n_list:
@@ -246,16 +253,10 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         except OverflowError:
             raise ConfigError(f"N={half_width} is too large for n={n}: the Riemann scale (2N/n)^2 overflows") from None
         fns = discretize_quadruple(F, G, H, K, half_width, n)
-        totals = [left_sum(fn.values) for fn in fns]
-        for name, fn, total in zip("FGHK", fns, totals):
-            if math.isnan(total):  # only now find the NaN: a valid grid gets no per-value pass
-                i = next((i for i, v in enumerate(fn.values) if math.isnan(v)), None)
-                where = f"is NaN on the grid at i={i}" if i is not None else "sums to NaN on the grid (+inf and -inf)"
-                raise ConfigError(f"{name} {where} for n={n}")
         witness = grid_hypothesis_witness(*fns)
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
-        sf, sg, sh, sk = totals
+        sf, sg, sh, sk = (left_sum(fn.values) for fn in fns)
         sums.append((n, scale * sf * sg, scale * sh * sk))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)
     num, den = int_f * int_g, int_h * int_k
@@ -264,7 +265,7 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     for n, lhs, rhs in sums:
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
         rel = abs(ratio - target) / abs(target) if target and not math.isnan(target) else abs(ratio)
-        rows.append(PlRow(n, lhs, rhs, ratio, target, rel, lhs <= rhs))
+        rows.append(PlRow(n, lhs, rhs, ratio, target, rel, lhs <= rhs * (1 + SUM_SLACK)))
     return rows
 
 
@@ -473,9 +474,8 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
     are counting entropies plus the explicit shift log(2nK), which cancels
     in the displacement gap.  When a continuous relative entropy is
     available, the row also records the rounding monotonicity
-    H(nu_i^n | mu^n) <= H(nu_i | mu) (+APPROX_TOL).  A row holds when the
-    gap is >= -SUM_SLACK, P <= 1 and the Jensen certificate is <= log P +
-    SUM_SLACK.
+    H(nu_i^n | mu^n) <= H(nu_i | mu) (+APPROX_TOL).  A row holds when
+    its `DisplacementReport` holds.
     """
     rows = []
     for n in n_list:
@@ -501,11 +501,7 @@ def rescaled_displacement_experiment(dist0, dist1, half_width: int, n_list: Sequ
                 cont1=cont1,
                 jensen0_ok=None if cont0 is None else h0 <= cont0 + APPROX_TOL,
                 jensen1_ok=None if cont1 is None else h1 <= cont1 + APPROX_TOL,
-                holds=(
-                    report.gap >= -SUM_SLACK
-                    and report.ratio_sum <= 1
-                    and report.jensen_certificate <= report.log_ratio_sum + SUM_SLACK
-                ),
+                holds=report.holds,
             )
         )
     return rows

@@ -28,10 +28,10 @@ ONE = Fraction(1)
 #: two-sided float identities are asserted to this tolerance; also the
 #: accuracy target of the quadrature oracle in `limits`
 EQ_TOL = 1e-10
-#: one-sided float inequalities get this much slack
+#: one-sided float inequalities get this much slack (also the rescaled-lattice gaps)
 INEQ_SLACK = 1e-12
 #: exception, one-sided: both sides are float sums over many atoms (Jensen
-#: certificates, rescaled-lattice gaps, transport cost against entropies)
+#: certificates, transport cost against entropies, and, relative, the pl rows)
 SUM_SLACK = 1e-10
 #: exception, either side: one side comes from quadrature, a continuous closed
 #: form, a log-sum-exp of user exponents or a user float function

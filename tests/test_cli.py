@@ -628,6 +628,9 @@ _CLT_SPEC = {"f": "x", "g": "x", "h": "-x*x"}
         ("pl", {**_PL_SPEC, "N": 0}, "spec N must be finite and > 0"),
         ("pl", {**_PL_SPEC, "N": -3}, "spec N must be finite and > 0"),
         ("pl", {**_PL_SPEC, "N": 1e400}, "spec N must be finite and > 0"),
+        # N sets the pl window only; a clt spec that gives it would have it ignored
+        ("clt", {**_CLT_SPEC, "N": 3}, "spec key 'N' takes no effect for --kind clt (keys: f, g, h)"),
+        ("pl", {**_PL_SPEC, "k": "1"}, "spec key 'k' takes no effect for --kind pl (keys: F, G, H, K, N)"),
     ],
     ids=[
         "missing-key",
@@ -636,6 +639,8 @@ _CLT_SPEC = {"f": "x", "g": "x", "h": "-x*x"}
         "N-zero",
         "N-negative",
         "N-infinite",
+        "clt-N",
+        "pl-unknown-key",
     ],
 )
 def test_cli_limit_exp_malformed_spec_exits_two(tmp_path, capsys, kind, spec, message):
@@ -688,6 +693,31 @@ def test_cli_limit_exp_nan_grid_value_exits_two(tmp_path, capsys, kind, spec, me
     assert main(["limit-exp", "--kind", kind, "--spec", path, "--n", "8,64"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err and captured.out == ""
+
+
+#: negative step functions whose n = 2 grid passes the line hypothesis, while the row reads lhs=-180.0 rhs=-216.0
+_NEGATIVE_PL_SPEC = {
+    "F": "(1+copysign(1, x+3))/2 - (1+copysign(1, x-3))/2",
+    "G": "-2 + (1+copysign(1, x-3))/2",
+    "H": "-2*(1+copysign(1, x-4.5))/2",
+    "K": "1 + 2*(1+copysign(1, x+4.5))/2 - 4*(1+copysign(1, x-1.5))/2",
+}
+
+
+def test_cli_limit_exp_negative_pl_sample_exits_two(tmp_path, capsys):
+    # the discrete PL forms are about non-negative functions: a negative one is bad input, not a failing row
+    path = _write(tmp_path, "spec.json", json.dumps(_NEGATIVE_PL_SPEC))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: G is negative on the grid at i=0 for n=2\n" and captured.out == ""
+
+
+def test_cli_limit_exp_pl_equality_holds(tmp_path, capsys):
+    # F G = H K = 1: the two sides of each row are equal up to the rounding of their float sums
+    path = _write(tmp_path, "spec.json", json.dumps({"F": "7", "G": "1/7", "H": "1", "K": "1"}))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "64,4096", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in rows] == [64, 4096] and all(row["holds"] for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import re
 import warnings
@@ -36,10 +37,11 @@ def _grid_point(half_width, n, i):
 
 
 def test_grid_points():
-    inc = lambda x: x
+    # x + N + 1 is positive and increasing on [-N - N/n, N + N/n], so each value reads its point
+    inc = lambda x: x + 2
     f, g, h, k = discretize_quadruple(inc, inc, inc, inc, 1.0, 2)
-    assert f.values == g.values == k.values == (-1.0, 0.0, 1.0)
-    assert h.values == (-0.5, 0.5, 1.5)  # the step is 1.0, so H is read half a step right
+    assert f.values == g.values == k.values == (1.0, 2.0, 3.0)
+    assert h.values == (1.5, 2.5, 3.5)  # the step is 1.0, so H is read half a step right
 
 
 def test_grid_rejects_bad_spec():
@@ -58,10 +60,10 @@ def test_discretize_constants():
 
 
 def test_discretize_monotone_takes_shifted_value():
-    inc = lambda x: x
+    inc = lambda x: x + 2
     _, _, h, _ = discretize_quadruple(inc, inc, inc, inc, 1.0, 4)
     half_step = 1.0 / 4
-    assert h.values == tuple(_grid_point(1.0, 4, i) + half_step for i in range(5))
+    assert h.values == tuple(_grid_point(1.0, 4, i) + half_step + 2 for i in range(5))
 
 
 def test_discretize_calls_each_function_once_per_point_in_index_order():
@@ -87,10 +89,32 @@ def test_discretize_rejects_a_nan_at_a_half_step_point():
     for fns, message in cases:
         with pytest.raises(ConfigError, match=message):
             discretize_quadruple(*fns, 6.0, 8)
-    # a +inf and a -inf also sum to NaN, but neither is dropped by max: no error
+    # a +inf and a -inf also sum to NaN; the -inf is a negative sample
     signs = lambda x: math.inf if x == -5.25 else -math.inf if x == 5.25 else bump(x)
-    _, _, h, _ = discretize_quadruple(bump, bump, signs, bump, 6.0, 8)
+    with pytest.raises(ConfigError, match=r"^H is negative at x_i \+ N/n for i=7 and n=8$"):
+        discretize_quadruple(bump, bump, signs, bump, 6.0, 8)
+    # a +inf alone is >= 0, and max keeps it
+    spike = lambda x: math.inf if x == -5.25 else bump(x)
+    _, _, h, _ = discretize_quadruple(bump, bump, spike, bump, 6.0, 8)
     assert h.values[0] == math.inf and h.values[7] == bump(4.5)
+
+
+def test_discretize_rejects_a_negative_sample():
+    # the discrete PL forms are about non-negative functions
+    bump = lambda x: math.exp(-x * x)
+    below_at = lambda z, v: lambda x: v if x == z else bump(x)
+    cases = (
+        ((below_at(-4.5, -1e-300), bump, bump, bump), r"^F is negative on the grid at i=1 for n=8$"),
+        ((bump, bump, bump, below_at(4.5, -math.inf)), r"^K is negative on the grid at i=7 for n=8$"),
+        ((bump, bump, bump, below_at(5.25, -2.0)), r"^K is negative at x_i - N/n for i=8 and n=8$"),
+        # the first sample that is not >= 0 is named, NaN or negative
+        ((bump, bump, bump, lambda x: -1.0 if x == 0.0 else math.nan if x == 1.5 else bump(x)), r"^K is negative on the grid at i=4 "),
+        ((bump, bump, bump, lambda x: math.nan if x == 0.0 else -1.0 if x == 1.5 else bump(x)), r"^K is NaN on the grid at i=4 "),
+    )
+    for fns, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            discretize_quadruple(*fns, 6.0, 8)
+    discretize_quadruple(below_at(-4.5, -0.0), bump, bump, bump, 6.0, 8)  # -0.0 >= 0
 
 
 def test_discretized_gaussian_quadruple_satisfies_grid_hypothesis():
@@ -541,3 +565,11 @@ def test_disp_dirac_vs_uniform_positive_gap():
     rows = rescaled_displacement_experiment(*DISP_DEMOS["dirac-uniform"], [16, 64])
     assert all(row.gap > 0.1 for row in rows)
     assert all(row.cont0 is None and row.jensen0_ok is None for row in rows)
+
+
+def test_disp_row_holds_as_its_displacement_report(monkeypatch):
+    # a gap of -5e-11 is inside SUM_SLACK but outside the INEQ_SLACK of DisplacementReport.holds
+    real = limits.displacement_gap
+    monkeypatch.setattr(limits, "displacement_gap", lambda nu0, nu1: dataclasses.replace(real(nu0, nu1), gap=-5e-11))
+    (row,) = rescaled_displacement_experiment(*DISP_DEMOS["same-uniform"], [4])
+    assert row.gap == -5e-11 and row.ratio_sum == 1 and not row.holds
