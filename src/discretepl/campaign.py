@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -20,13 +19,14 @@ from .coupling import Coupling, binary_lattice_couplings, check_marginals, monot
 from .displacement import displacement_gap, level_sets, midpoint_measures, pair_ratio_sum
 from .errors import ConfigError
 from .fourfunctions import check_4ft_conclusion, check_4ft_hypothesis, random_hypothesis_quadruple
-from .io import long_int_strings
-from .measures import Pmf, from_weights
+from .io import dump_json, long_int_strings
+from .measures import Pmf, _uniform_ints, from_weights
 from .transport import transport_entropy_check
 
 CHECKS = ("leq1", "displacement", "card", "4ft", "transport-lemma", "te")
-#: a million default trials take 1.3-4.2 min (transport-lemma 1.3, displacement 4.2, 4ft 3.2), timed over 5,000
-#: trials with the JSON report, and keep about 0.5 GB of records (Python 3.11, 2 cores)
+#: a million default trials take 1.3-4.8 min (transport-lemma 1.3, te 2.0, displacement 4.8, 4ft 3.9), the best of
+#: four timings over 5,000 trials with the JSON report, and up to 1.4x that on a loaded host; they keep about 0.5 GB
+#: of records (Python 3.11, 2 cores)
 MAX_TRIALS = 1_000_000
 #: one displacement trial on two full-width pmfs takes 0.3 s at width 20000 and resolution 64, and 4.3-4.6 s
 #: at resolution 10^9 (Python 3.11, 2 cores)
@@ -88,7 +88,7 @@ class CampaignReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2)
+        return dump_json(self.payload())
 
     def to_csv(self) -> str:
         keys = sorted({k for r in self.records for k in r.values})
@@ -110,12 +110,11 @@ def random_pmf(rng: random.Random, max_width: int, resolution: int) -> Pmf:
     """Integer weights in [1, resolution] on a random window, normalized exactly."""
     width = rng.randint(1, max_width)
     offset = rng.randint(-max_width, max_width)
-    return from_weights(offset, [rng.randint(1, resolution) for _ in range(width)])
+    return from_weights(offset, _uniform_ints(rng, width, 1, resolution))
 
 
 def random_binary_pmf(rng: random.Random, resolution: int) -> Pmf:
-    w0 = rng.randint(0, resolution)
-    w1 = rng.randint(0, resolution)
+    w0, w1 = _uniform_ints(rng, 2, 0, resolution)
     if w0 == 0 and w1 == 0:
         w1 = 1
     return from_weights(0, [w0, w1])
@@ -149,7 +148,7 @@ def rational_log_concave_family(name: str, half_width: int) -> Pmf:
 def _pmf_in_window(rng: random.Random, window: range, resolution: int, max_width: int) -> Pmf:
     width = rng.randint(1, min(max_width, len(window)))
     start = rng.randint(window.start, window.stop - width)
-    return from_weights(start, [rng.randint(1, resolution) for _ in range(width)])
+    return from_weights(start, _uniform_ints(rng, width, 1, resolution))
 
 
 def _leq1_trial(rng: random.Random, cfg: CampaignConfig):

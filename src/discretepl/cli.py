@@ -415,7 +415,7 @@ def main(argv=None) -> int:
         with open(csv_path, "w", newline="", encoding="utf-8") if csv_path else contextlib.nullcontext() as csv_out:
             with formats.long_int_strings():
                 payload, lines, ok, table = _COMMANDS[args.command](args, files)
-                text = json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(lines)
+                text = formats.dump_json(payload) if args.json else "\n".join(lines)
             if csv_out:
                 csv_out.write(table)
         print(text)

@@ -24,7 +24,7 @@ from typing import Callable
 
 from .errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from .limits import grid_hypothesis_witness
-from .measures import APPROX_TOL, RealFn, left_sum, logsumexp, to_common_unit
+from .measures import APPROX_TOL, RealFn, _uniform_ints, left_sum, logsumexp, to_common_unit
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def random_hypothesis_quadruple(rng, n: int, resolution: int):
     join value below max(u(x), u(y)), and the sweep raises both to it.
     """
     size = 2**n
-    vals = [rng.randint(1, resolution) for _ in range(size)]
+    vals = _uniform_ints(rng, size, 1, resolution)
     changed = True
     while changed:
         changed = False
@@ -255,8 +255,8 @@ def random_hypothesis_quadruple(rng, n: int, resolution: int):
                     if vals[hi] < top:
                         vals[hi] = top
                         changed = True
-    alpha = Fraction(rng.randint(1, resolution), rng.randint(1, resolution))
-    beta = Fraction(rng.randint(1, resolution), rng.randint(1, resolution))
+    alpha_num, alpha_den, beta_num, beta_den = _uniform_ints(rng, 4, 1, resolution)
+    alpha, beta = Fraction(alpha_num, alpha_den), Fraction(beta_num, beta_den)
     f = CubeFn(n, tuple([alpha * v for v in vals]))
     g = CubeFn(n, tuple([beta * v for v in vals]))
     return (f, g, f, g)

@@ -8,6 +8,7 @@ Parsing and emission round-trip exactly on canonical forms.  The parsers
 take text, not paths: the CLI reads each file and names it in any error.
 Parsing keeps CPython's int-str digit limit, so an over-long token is a
 parse error; exact reports lift the limit with `long_int_strings`.
+Every JSON report is written by `dump_json`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .coupling import Coupling
@@ -41,6 +43,65 @@ def long_int_strings() -> Iterator[None]:
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def dump_json(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte, on JSON-ready data.
+
+    With an `indent`, `json.dumps` runs CPython's pure-Python encoder; this
+    writer makes the same text about twice as fast.  It takes dicts with str
+    keys, lists, tuples, str, int, float, bool and None; any other value, or
+    a key that is not a str, raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the text of `value` to `out`; `newline` is the line break and indent of its own level."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value in (math.inf, -math.inf):
+            out.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write_json(item, out, inner)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+            lead = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def parse_rational(token: str, line: int) -> Fraction:

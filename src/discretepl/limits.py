@@ -240,9 +240,9 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
     checked before any quadrature runs, and a failed target quadrature
     raises QuadratureFailed naming F, G, H or K.  The row records
 
-        lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k)
+        lhs = (2N/n)^2 (sum f)(sum g)  <=  rhs = (2N/n)^2 (sum h)(sum k),
 
-    together with the ratio lhs/rhs and its continuous target
+    each product taken with 0 * inf = 0, together with the ratio lhs/rhs and its continuous target
     (int F int G) / (int H int K) over [-N, N].  Both sides are float sums
     of user float functions, so a row holds when lhs <= rhs (1 + SUM_SLACK).
     """
@@ -257,7 +257,8 @@ def pl_limit_experiment(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wid
         if witness is not None:
             raise HypothesisFailedOnGrid(f"grid hypothesis fails at (i,j)={witness} for n={n}")
         sf, sg, sh, sk = (left_sum(fn.values) for fn in fns)
-        sums.append((n, scale * sf * sg, scale * sh * sk))
+        # a +inf sample times a zero sum would be NaN in floats
+        sums.append((n, *(0.0 if 0 in (scale, a, b) else scale * a * b for a, b in ((sf, sg), (sh, sk)))))
     int_f, int_g, int_h, int_k = _targets("FGHK", (F, G, H, K), interval_integral, -half_width, half_width)
     num, den = int_f * int_g, int_h * int_k
     target = num / den if den > 0 else math.nan

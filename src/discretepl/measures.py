@@ -160,6 +160,27 @@ def from_weights(offset: int, weights: Sequence) -> Pmf:
     return _canonical(offset, ints, sum(ints))
 
 
+def _uniform_ints(rng, count: int, lo: int, hi: int) -> list[int]:
+    """`[rng.randint(lo, hi) for _ in range(count)]`, the same draws at about a quarter of the cost.
+
+    On Python 3.10 to 3.13, `randint` draws `getrandbits(k)` with k the bit
+    length of the range size and rejects values past the range; this is that
+    loop without its per-draw calls, so the rng ends in the same state.
+    """
+    size = hi - lo + 1
+    if size < 1:
+        raise ValueError(f"empty range {lo}..{hi}")
+    bits = size.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        draws.append(lo + r)
+    return draws
+
+
 @dataclass(frozen=True)
 class RealFn:
     """Real-valued function on a finite contiguous window of Z.

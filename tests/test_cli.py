@@ -720,6 +720,16 @@ def test_cli_limit_exp_pl_equality_holds(tmp_path, capsys):
     assert [row["n"] for row in rows] == [64, 4096] and all(row["holds"] for row in rows)
 
 
+def test_cli_limit_exp_pl_infinite_sample_times_a_zero_sum_holds(tmp_path, capsys):
+    # F is +inf at x_0 = -6 only and G = 0: with 0 * inf = 0 the row's lhs is 0, not the float product NaN
+    spike = "1e300*(1e300*(0.001 - fabs(x+6) + fabs(0.001 - fabs(x+6))))"
+    spec = {"F": f"{spike} + exp(-x*x)", "G": "0", "H": "exp(-x*x)", "K": "exp(-x*x)"}
+    path = _write(tmp_path, "spec.json", json.dumps(spec))
+    assert main(["limit-exp", "--kind", "pl", "--spec", path, "--n", "8", "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["lhs"] == 0.0 and row["ratio"] == 0.0 and row["rhs"] > 0 and row["holds"]
+
+
 @pytest.mark.parametrize(
     "argv, given",
     [

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from discretepl.errors import NegativeMass, NotNormalized
 from discretepl.measures import (
     Pmf,
     RealFn,
+    _uniform_ints,
     counting_entropy,
     delta,
     dual_gap,
@@ -278,3 +280,22 @@ def test_to_common_unit_is_exact(values):
     assert all(type(i) is int for i in ints) and scale >= 1
     assert [F(i, scale) for i in ints] == [F(v) for v in values]
     assert scale == math.lcm(*[F(v).denominator for v in values])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(5, 5), (0, 1), (1, 64), (1, 63), (1, 65), (-7, 2**20 - 8), (1, 2**20 - 1), (1, 2**20 + 1), (1, 10**9), (1, 10**30)],
+    ids=["size-1", "size-2", "size-64", "size-2^6-1", "size-2^6+1", "size-2^20", "size-2^20-1", "size-2^20+1", "1e9", "1e30"],
+)
+def test_uniform_ints_are_the_randint_stream(lo, hi):
+    # the campaigns' weights, and so every report hash, rest on this equality on each supported Python
+    for seed in range(100):
+        expected, drawn = random.Random(f"{seed}:draws"), random.Random(f"{seed}:draws")
+        for count in (0, 1, 2, 7, 40):
+            assert _uniform_ints(drawn, count, lo, hi) == [expected.randint(lo, hi) for _ in range(count)]
+            assert drawn.getstate() == expected.getstate()
+
+
+def test_uniform_ints_reject_an_empty_range():
+    with pytest.raises(ValueError, match="empty range"):
+        _uniform_ints(random.Random(1), 3, 1, 0)
