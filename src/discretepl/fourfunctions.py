@@ -94,19 +94,23 @@ def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> Hypothes
     such a quadruple is swept on its own values.  So is a quadruple holding
     any float, as floats compare; exact scaling could flip a float
     near-tie.  The witness products are in the given values.  Values must
-    be non-negative.
+    be non-negative (NegativeMass), which is tested on the scaled ints when
+    the sweep runs on them.
     """
     n = _same_dimension(f, g, h, k)
     values = [fn.values for fn in (f, g, h, k)]
-    for vs in values:
-        if any(v < 0 for v in vs):
-            raise NegativeMass("multiplicative form needs non-negative values")
-    swept = values
+    units = []
     if not any(isinstance(v, float) for vs in values for v in vs):
         units = [to_common_unit(vs, MAX_UNIT_BITS) for vs in values]
-        if all(units):
-            (fi, sf), (gi, sg), (hi, sh), (ki, sk) = units
-            swept = [[v * sh * sk for v in fi], gi, [v * sf * sg for v in hi], ki]
+    exact = units and all(units)
+    # a unit is positive, so each scaled int has the sign of its value
+    negative = min(min(ints) for ints, _ in units) < 0 if exact else any(v < 0 for vs in values for v in vs)
+    if negative:
+        raise NegativeMass("multiplicative form needs non-negative values")
+    swept = values
+    if exact:
+        (fi, sf), (gi, sg), (hi, sh), (ki, sk) = units
+        swept = [[v * sh * sk for v in fi], gi, [v * sf * sg for v in hi], ki]
     witness = _first_violation(n, swept, values, operator.mul)
     return HypothesisCheck(witness is None, witness)
 

@@ -5,8 +5,10 @@ CSV export:
 
 * `pl_limit_experiment`: discretize a continuous quadruple F,G,H,K on the
   grid x_i = -N + 2iN/n with the shifted-max rule for H and K, check the
-  integer-line midpoint hypothesis on the grid, and track the
-  Riemann-scaled product inequality toward the continuous one.
+  integer-line midpoint hypothesis at every pair of grid points (skipping
+  the blocks of pairs that a corner bound proves, with the same witness as
+  a full sweep), and track the Riemann-scaled product inequality toward
+  the continuous one.
 * `clt_experiment`: push a midpoint triple f,g,h onto the cube via the
   standardized coordinate sum, check the four functions hypothesis of the
   pushed triple exactly from its grid values, evaluate the three binomial
@@ -54,33 +56,48 @@ def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wi
     shift.  The discrete PL forms are about non-negative functions, so a
     NaN or negative sample raises ConfigError naming the function, the point
     and n.  Only a sample list whose `min` is not >= 0 or whose sum is NaN
-    (a NaN can hide from `min`) is searched: a valid grid gets no per-value pass.
+    (a NaN can hide from `min`) is searched: a valid grid gets no per-value
+    pass.  The points and their shifts are formed by numpy, in the same
+    IEEE operations as the formulas above, and passed as Python floats.
     """
+    import numpy as np  # not at module level: cli imports this module, and most commands never sample a grid
+
     if n < 1 or half_width <= 0:
         raise ConfigError("need n >= 1 and a positive half-width")
 
     def checked(name: str, values: Sequence[float], where: str) -> Sequence[float]:
-        if not min(values) >= 0 or math.isnan(left_sum(values)):
+        # once min >= 0 no -inf is left, so the sum is NaN just when a value is; only that is read
+        if not min(values) >= 0 or math.isnan(sum(values)):
             i, v = next((i, v) for i, v in enumerate(values) if not v >= 0)
             raise ConfigError(f"{name} is {'NaN' if math.isnan(v) else 'negative'} {where.format(i=i)}")
         return values
 
-    points = [-half_width + 2 * i * half_width / n for i in range(n + 1)]
+    with np.errstate(all="ignore"):  # as in Python floats, which overflow to inf without a word
+        xs = np.arange(0, 2 * n + 1, 2) * half_width / n - half_width
+        shifted = [xs + shift for shift in (half_width / n, -half_width / n)]
+    points = xs.tolist()
     grid = f"on the grid at i={{i}} for n={n}"
     fns = [RealFn(0, checked(name, tuple(map(fn, points)), grid)) for name, fn in (("F", F), ("G", G))]
-    for name, fn, shift, sign in (("H", H, half_width / n, "+"), ("K", K, -half_width / n, "-")):
-        values = list(map(fn, chain.from_iterable(zip(points, [x + shift for x in points]))))
+    for name, fn, moved, sign in (("H", H, shifted[0], "+"), ("K", K, shifted[1], "-")):
+        values = list(map(fn, chain.from_iterable(zip(points, moved.tolist()))))
         on = checked(name, values[0::2], grid)
         off = checked(name, values[1::2], f"at x_i {sign} N/n for i={{i}} and n={n}")
-        fns.append(RealFn(0, tuple(map(max, on, off))))
+        fns.append(RealFn(0, tuple([b if b > a else a for a, b in zip(on, off)])))  # max(a, b): a unless b > a
     return tuple(fns)
 
 
-#: pairs compared per numpy call in `grid_hypothesis_witness`.  The sweep of one gaussian pl grid
-#: took a median 10.2 ms at n = 4096 and 144 ms at n = 16384, and its temporaries raised the peak
-#: RSS by 1.1 and 2.4 MB; row by row it took 21 and 163 ms (+0.5 and +2.0 MB).  2^14 and 2^17
-#: pairs per block were 6-22% slower, 2^18 40-60% slower (Python 3.11, numpy 2.4, 2 cores)
+#: pairs compared per numpy call in `grid_hypothesis_witness`, and twice the block pairs bounded per
+#: call in `_unsafe_spans`.  The sweep of one gaussian pl grid took a median 7.7-8.8 ms at n = 4096
+#: and 59-69 ms at n = 16384 (10.8 and 164-181 ms compared in full), and its temporaries raised the
+#: peak RSS by 0.4 and 0.5 MB (0.4 and 1.4 MB in full).  Over the 21 pl grids of the cube-limits
+#: benchmark, 2^14 pairs per call were 6% slower, 2^15 and 2^17 within 2% (Python 3.11, numpy 2.4, 2 cores)
 _SWEEP_CELLS = 1 << 16
+#: points per block of `_unsafe_spans`.  Over the 21 pl grids of the cube-limits benchmark the sweeps
+#: took 28.7 ms with blocks of 32, against 63.3 ms compared in full, 29.1 with blocks of 16, 27.6 with
+#: 24, 30.8 with 48 and 31.9 with 64, and one slice over two blocks of rows was 11% slower than two
+#: slices.  With 32, the pairs compared are 37%, 21% and 11% of the gaussian grid at n = 1024, 4096
+#: and 16384, and none of the zero demo's
+_BLOCK = 32
 
 
 def _values_at(fn: RealFn, z, dtype):
@@ -91,37 +108,95 @@ def _values_at(fn: RealFn, z, dtype):
     return padded[np.clip(z - fn.offset + 1, 0, len(padded) - 1)]
 
 
+def _block_extremes(values):
+    """(max, min) of each block of _BLOCK values, the last block possibly shorter; a float NaN is both."""
+    import numpy as np
+
+    starts = np.arange(0, len(values), _BLOCK)
+    return np.maximum.reduceat(values, starts), np.minimum.reduceat(values, starts)
+
+
+def _unsafe_spans(column, row, envelope) -> list[tuple[int, int, int]]:
+    """(first row, lo, hi) of each block of rows, with the columns [lo, hi) of its block pairs that may fail.
+
+    column holds f on the rows (x), row holds g on the columns (y), and
+    envelope the right side at each sum x + y, from the first sum on.  A
+    block pair (I, J) holds when the largest of its four corner products
+    (max or min of f on I times max or min of g on J) is <= the least
+    envelope value over the sums I + J.  Those sums lie in the envelope
+    blocks p + q and p + q + 1, so one minimum per envelope block serves
+    every pair.  A block of rows whose pairs all hold is left out.  A NaN
+    corner (inf times 0) or a NaN minimum compares False, so its pair is
+    kept: `np.maximum` and the float64 reductions carry a NaN through.  The
+    bounds are formed in strips of at most _SWEEP_CELLS / 2 block pairs.
+    """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    f_max, f_min = _block_extremes(column)
+    g_max, g_min = _block_extremes(row)
+    least = _block_extremes(envelope)[1]
+    least = sliding_window_view(np.minimum(least, np.append(least[1:], least[-1:])), len(g_max))
+    step = max(1, _SWEEP_CELLS // (2 * len(g_max)))  # two float temporaries take the bytes of one sweep
+    spans = []
+    for top in range(0, len(f_max), step):
+        high, low = f_max[top : top + step, None], f_min[top : top + step, None]
+        corner = high * g_max
+        for a, b in ((high, g_min), (low, g_max), (low, g_min)):
+            np.maximum(corner, a * b, out=corner)
+        unsafe = ~(corner <= least[top : top + len(high)])
+        blocks = np.flatnonzero(unsafe.any(axis=1))
+        unsafe = unsafe[blocks]
+        lo, hi = unsafe.argmax(axis=1), len(g_max) - unsafe[:, ::-1].argmax(axis=1)
+        firsts, hi = (blocks + top) * _BLOCK, np.minimum(hi * _BLOCK, len(row))
+        spans += zip(firsts.tolist(), (lo * _BLOCK).tolist(), hi.tolist())
+    return spans
+
+
 def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn):
     """First (x, y) in lexicographic order with f(x)g(y) > h(floor)k(ceil) of the midpoint, or None.
 
     x runs over the window of f and y over the window of g; h and k are zero
-    outside their windows.  Every pair is checked.  The right side depends on
-    x + y only, so it is tabulated once per sum.  The pairs are compared one
-    block of rows (x values) per numpy call, each row against its sliding
-    window of that table, and the first True of a block in row-major order is
-    the first violating pair.  A NaN compares False and is never a witness,
-    and numpy's warnings for NaN and overflowing products are silenced.  The
-    arrays are float64 when every value is a float (the same IEEE
-    products as in Python), and Python objects otherwise, so Fraction and int
-    products stay exact; int64 would overflow silently.
+    outside their windows.  The right side depends on x + y only, so it is
+    tabulated once per sum.  Every pair is checked, in effect: the block
+    pairs that `_unsafe_spans` proves to hold are skipped (rounding is
+    monotone, so each of their products is <= the corner bound <= its own
+    right side, in the comparisons that a full sweep makes), and each other
+    block of rows (x values) is compared on one contiguous slice of
+    columns, each row against its sliding window of the table, at most
+    _SWEEP_CELLS pairs per numpy call.  So the first True in row-major order
+    is the first violating pair.  A NaN compares False and is never a
+    witness, and numpy's warnings for NaN and overflowing products are
+    silenced.  The arrays are float64 when every value is a float (the same
+    IEEE products as in Python), and Python objects otherwise, so Fraction
+    and int products stay exact; int64 would overflow silently.  A grid
+    that mixes floats with ints or Fractions is compared in full: there
+    1 * v is exact and 1.0 * v is rounded, so no corner product bounds both.
     """
     import numpy as np  # not at module level: cli imports this module, and most commands never sweep a grid
     from numpy.lib.stride_tricks import sliding_window_view
 
-    width = len(g.values)
+    rows, width = len(f.values), len(g.values)
     low = f.offset + g.offset
-    sums = np.arange(low, low + len(f.values) + width - 1)
-    dtype = float if all(type(v) is float for fn in (f, g, h, k) for v in fn.values) else object
-    column, row = np.array(f.values, dtype=dtype)[:, None], np.array(g.values, dtype=dtype)
-    step = max(1, _SWEEP_CELLS // width)
+    sums = np.arange(low, low + rows + width - 1)
+    types = set(map(type, chain(f.values, g.values, h.values, k.values)))
+    dtype = float if types <= {float} else object
+    column, row = np.array(f.values, dtype=dtype), np.array(g.values, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         envelope = _values_at(h, sums // 2, dtype) * _values_at(k, -(-sums // 2), dtype)
         windows = sliding_window_view(envelope, width)
-        for start in range(0, len(f.values), step):
-            over = column[start : start + step] * row > windows[start : start + step]
-            first = int(over.argmax())
-            if over.flat[first]:
-                return f.offset + start + first // width, g.offset + first % width
+        if types <= {float} or types <= {int, Fraction}:
+            block, spans = _BLOCK, _unsafe_spans(column, row, envelope)
+        else:
+            block, spans = rows, [(0, 0, width)]
+        for top, lo, hi in spans:
+            stop, step = min(rows, top + block), max(1, _SWEEP_CELLS // (hi - lo))
+            for start in range(top, stop, step):
+                end = min(stop, start + step)
+                over = column[start:end, None] * row[lo:hi] > windows[start:end, lo:hi]
+                first = int(over.argmax())
+                if over.flat[first]:
+                    return f.offset + start + first // (hi - lo), g.offset + lo + first % (hi - lo)
     return None
 
 

@@ -7,7 +7,7 @@ import oracles
 from conftest import allocated_block_growth, cpython_only
 from discretepl import fourfunctions
 from discretepl.campaign import CampaignConfig, _fourfn_trial
-from discretepl.errors import DimensionMismatch, LengthMismatch, PreconditionViolated, SupportNotBinary
+from discretepl.errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
     MAX_UNIT_BITS,
@@ -100,6 +100,29 @@ def test_quadruples_with_long_units_are_swept_in_fractions(monkeypatch, rng):
                 assert all(type(v) is int for vs in values for v in vs)
             else:
                 assert values == [fn.values for fn in fns]
+
+
+def test_a_negative_value_is_rejected_on_every_sweep_path(rng):
+    # rationals in short units are tested on their scaled ints, floats and rationals in units over
+    # MAX_UNIT_BITS bits value by value; -0.0 and 0 are not negative
+    primes = [p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))]
+    draws = {
+        "rational": lambda i: F(rng.randint(0, 6), rng.randint(1, 6)),
+        "float": lambda i: rng.choice((0.0, -0.0, 0.5, 1.25)),
+        "long unit": lambda i: F(rng.randint(0, 10**5), primes[i]),
+    }
+    for path, draw in draws.items():
+        quad = [[draw(i) for i in range(j, 128, 4)] for j in range(4)]
+        units = [math.lcm(*[F(v).denominator for v in vs]).bit_length() for vs in quad]
+        assert (max(units) > MAX_UNIT_BITS) == (path == "long unit")
+        check_4ft_hypothesis(*(CubeFn(5, tuple(vs)) for vs in quad))
+        for which in range(4):
+            values = list(quad[which])
+            at = rng.randrange(32)
+            values[at] = -0.5 if path == "float" else -values[at] - F(1, primes[0] if path == "long unit" else 3)
+            fns = [CubeFn(5, tuple(values if i == which else vs)) for i, vs in enumerate(quad)]
+            with pytest.raises(NegativeMass, match="multiplicative form needs non-negative values"):
+                check_4ft_hypothesis(*fns)
 
 
 def test_float_quadruples_are_swept_in_floats():

@@ -152,16 +152,20 @@ def _first_violation(f, g, h, k):
 
 
 def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng, monkeypatch):
-    # exact rationals run on object arrays, floats on float64 arrays: both must match Python's own products;
-    # blocks of 1, 3 and 10 pairs split one input's rows into several blocks, the last one often partial
-    specials = (math.nan, -0.0, -1.5, -0.3)
+    # exact rationals run on object arrays, floats on float64 arrays: both must match Python's own products.
+    # Blocks of 1, 2, 3 and 7 points cut one input's windows into several blocks, the last one often
+    # partial, and sweeps of 1, 3 and 10 pairs split the rows of one block.  The last draw mixes ints with
+    # a float NaN, infinities and -0.0: it runs on object arrays, whose max and min can step over a NaN
+    specials = (math.nan, math.inf, -math.inf, -0.0, -1.5, -0.3)
     draws = (
         lambda: F(rng.randint(0, 4), rng.randint(1, 3)),
         lambda: rng.randint(0, 12) / 10,
         lambda: rng.choice(specials) if rng.random() < 0.25 else rng.randint(0, 12) / 10,
+        lambda: rng.choice((math.nan, math.inf, -math.inf, -0.0)) if rng.random() < 0.25 else rng.randint(0, 3),
     )
-    for cells in (1, 3, 10, limits._SWEEP_CELLS):
+    for cells, block in ((1, 1), (3, 2), (10, 3), (10, 7), (limits._SWEEP_CELLS, limits._BLOCK)):
         monkeypatch.setattr(limits, "_SWEEP_CELLS", cells)
+        monkeypatch.setattr(limits, "_BLOCK", block)
         for draw in draws:
             found = 0
             for _ in range(300):
@@ -170,6 +174,36 @@ def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng, monkeypatch):
                 assert grid_hypothesis_witness(f, g, h, k) == expected
                 found += expected is not None
             assert 0 < found < 300
+
+
+def test_bounded_grid_witness_matches_a_brute_force_scan_where_most_block_pairs_hold(rng, monkeypatch):
+    # f, g in [0, 1] and h, k in [1, 1.5] but at a few drawn points, so most block pairs are skipped and
+    # the first violation, if any, sits among them; h and k now and then hold a low value or a float NaN
+    def window(offset, length, usual, odd, odds):
+        return RealFn(offset, tuple(odd() if rng.random() < odds else usual() for _ in range(length)))
+
+    for block in (1, 2, 3, 7, limits._BLOCK):
+        monkeypatch.setattr(limits, "_BLOCK", block)
+        for exact in (False, True):
+            value = (lambda a, b: F(rng.randint(a, b), 8)) if exact else (lambda a, b: rng.randint(a, b) / 8)
+            low = (lambda: value(0, 8)) if exact else (lambda: rng.choice((math.nan, value(0, 8))))
+            found = 0
+            for _ in range(40):
+                f, g = (window(rng.randint(-5, 5), rng.randint(1, 80), lambda: value(0, 8), lambda: value(-16, 24), 0.02) for _ in "fg")
+                h, k = (window(rng.randint(-8, 0), rng.randint(60, 120), lambda: value(8, 12), low, 0.01) for _ in "hk")
+                expected = _first_violation(f, g, h, k)
+                assert grid_hypothesis_witness(f, g, h, k) == expected
+                found += expected is not None
+            assert 0 < found < 40
+
+
+def test_grid_witness_of_floats_mixed_with_fractions_is_compared_in_full():
+    # 1 == 1.0, but a Fraction times 1 is exact and times 1.0 is rounded down here, so no corner product
+    # of g's one block bounds both: the only violating pair is (0, 1), where 1/3 > float(1/3)
+    third = F(1, 3)
+    assert third * 1.0 == float(third) < third * 1
+    f, g, h, k = RealFn(0, (third,)), RealFn(0, (1.0, 1)), RealFn(0, (float(third),)), RealFn(0, (1.0, 1.0))
+    assert grid_hypothesis_witness(f, g, h, k) == (0, 1) == _first_violation(f, g, h, k)
 
 
 def test_grid_witness_is_never_a_nan_pair(monkeypatch):
@@ -190,26 +224,42 @@ def test_grid_witness_sweeps_overflowing_and_nan_products_without_a_warning():
         assert grid_hypothesis_witness(zero, big, RealFn(0, (math.inf, math.inf)), zero) is None
 
 
-def _planted_700(violations):
-    """f = g = 1 and h k = 1.5 on 0..699, except f(x) = g(y) = 1.25 at each planted pair (x, y)."""
-    f, g = [1.0] * 700, [1.0] * 700
+def _planted(size, violations):
+    """f = g = 1 and h k = 1.5 on 0..size-1, except f(x) = g(y) = 1.25 at each planted pair (x, y)."""
+    f, g = [1.0] * size, [1.0] * size
     for x, y in violations:
         f[x] = g[y] = 1.25
-    return RealFn(0, tuple(f)), RealFn(0, tuple(g)), RealFn(0, (1.0,) * 700), RealFn(0, (1.5,) * 700)
+    return RealFn(0, tuple(f)), RealFn(0, tuple(g)), RealFn(0, (1.0,) * size), RealFn(0, (1.5,) * size)
 
 
 def test_grid_witness_in_the_last_row_of_700():
     # 1.25 * 1.25 > 1.5 >= 1.25: the only violating pair is (699, 350), in the last block
-    quadruple = _planted_700([(699, 350)])
+    quadruple = _planted(700, [(699, 350)])
     assert grid_hypothesis_witness(*quadruple) == (699, 350) == _first_violation(*quadruple)
 
 
 def test_grid_witness_in_the_first_row_of_a_later_block():
     step = limits._SWEEP_CELLS // 700
-    assert step < 200  # the sweep compares several blocks of rows before row 3 * step
+    assert step < 200  # row 3 * step lies past the first _SWEEP_CELLS pairs in row-major order
     # planted pairs share their f and g values, so (3 step, 5) and (3 step + 1, 600) violate too
-    quadruple = _planted_700([(3 * step, 600), (3 * step + 1, 5), (5 * step, 0)])
+    quadruple = _planted(700, [(3 * step, 600), (3 * step + 1, 5), (5 * step, 0)])
     assert grid_hypothesis_witness(*quadruple) == (3 * step, 0) == _first_violation(*quadruple)
+
+
+@pytest.mark.parametrize("where", ["alone", "last partial block", "first row of a later block"])
+def test_grid_witness_of_one_planted_pair_among_1025_squared(where, monkeypatch):
+    # 1025 = 32 blocks of 32 points and one of 1: only the planted pair violates, and its own block pair
+    # is the only one compared; its neighbours and every other block pair hold
+    block = limits._BLOCK
+    planted = {"alone": (15 * block + 20, 21 * block + 5), "last partial block": (1024, 1024), "first row of a later block": (7 * block, 3)}
+    x, y = planted[where]
+    quadruple = _planted(1025, [(x, y)])
+    spans = []
+    unsafe_spans = limits._unsafe_spans
+    monkeypatch.setattr(limits, "_unsafe_spans", lambda *args: spans.extend(unsafe_spans(*args)) or spans)
+    assert grid_hypothesis_witness(*quadruple) == (x, y)
+    lo = y // block * block
+    assert spans == [(x // block * block, lo, min(1025, lo + block))]
 
 
 def test_binomial_weights_match_pascal_rows_for_every_n_up_to_1200():
