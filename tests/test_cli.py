@@ -12,7 +12,7 @@ import pytest
 
 import discretepl
 from discretepl import campaign, cli, displacement, limits, transport
-from discretepl.campaign import CampaignConfig, run_campaign
+from discretepl.campaign import LOG_CONCAVE_FAMILIES, CampaignConfig, run_campaign
 from discretepl.cli import main
 from discretepl.errors import ConfigError, ParseError
 from discretepl.fourfunctions import CubeFn
@@ -264,6 +264,19 @@ def test_cli_transport_cost_duals_json_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "7d4468c4a0ef29b65b95c74087f3d00c178b129320966e522b80d5e25d306d33"
 
 
+def test_cli_transport_cost_duals_json_under_a_pmf_that_is_not_log_concave_is_byte_stable(tmp_path, capsys):
+    # a rational pmf reference gives float costs, which reach the solver through their common unit;
+    # the reference is not log-concave, so the optimal plan is not the monotone one
+    mu = _write(tmp_path, "mu.txt", "-3; 1/10 1/40 1/5 1/20 3/10 1/8 3/20 1/20\n")
+    nu0 = _write(tmp_path, "nu0.txt", "-3; 1/6 0 1/3 1/2\n")
+    nu1 = _write(tmp_path, "nu1.txt", "0; 1/4 1/8 3/8 0 1/4\n")
+    code = main(["transport-cost", "--mu", mu, "--nu0", nu0, "--nu1", nu1, "--duals", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [0, 4, "1/4"] in json.loads(out)["plan"]
+    assert hashlib.sha256(out.encode()).hexdigest() == "8da0efbd93fef01430d2cbf1248e2c4795d89070892c1e45f03a8a075e41ec8e"
+
+
 def test_cli_transport_cost_table_with_ties_is_byte_stable(tmp_path, capsys):
     # a cost with many ties, whose optimal plan holds the non-monotone atom (0, 4, 1/12):
     # the pin fixes the solver's tie-breaking, not only its optimal value
@@ -342,6 +355,16 @@ def test_cli_check_te_json_is_byte_stable(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "21f346abb75686a91165473c1489ff3e4352bed400ea86cc3367acbb3b652946"
+
+
+def test_cli_campaign_te_json_over_many_trials_is_byte_stable(capsys):
+    # ten times the trials of the benchmark's oracle, at another seed: every reference family,
+    # with wide and narrow supports, so each lhs and rhs float is pinned
+    code = main(["campaign", "--check", "te", "--trials", "2000", "--seed", "7", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert {record["values"]["family"] for record in json.loads(out)["records"]} == set(LOG_CONCAVE_FAMILIES)
+    assert hashlib.sha256(out.encode()).hexdigest() == "a25cb069dc1a0e3e3b20684b19e17a0704e92b4240640530735797e2316a41e9"
 
 
 #: input files for the text-mode pins, by placeholder name
