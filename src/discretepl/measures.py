@@ -41,16 +41,17 @@ APPROX_TOL = 1e-9
 def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int] | None:
     """(ints, scale) with values[i] == ints[i] / scale exactly; scale is the lcm of the denominators.
 
-    Ints and Fractions are used as they are, and any other value (a float)
-    at its exact value, read off its `as_integer_ratio` (what
-    `Fraction(float)` calls, without building the Fraction).  With
-    `max_bits`, a scale longer than that many bits gives None before any
-    value is scaled.  The lcm's arguments come from a list, not a
-    generator: a tuple built from a generator is allocated at one size and
-    freed at another, which strands a small tuple on CPython's free lists on
-    every call.
+    Every value is read off its `as_integer_ratio`, which ints, bools,
+    Fractions and floats all have: the reduced (numerator, denominator) of
+    an int or a Fraction, and the exact binary value of a float (what
+    `Fraction(float)` reads, without building the Fraction; NaN and +-inf
+    raise there).  With `max_bits`, a scale longer than that many bits gives
+    None before any value is scaled.  The lcm's arguments come from a list,
+    not a generator: a tuple built from a generator is allocated at one size
+    and freed at another, which strands a small tuple on CPython's free lists
+    on every call.
     """
-    ratios = [(v.numerator, v.denominator) if isinstance(v, (int, Fraction)) else v.as_integer_ratio() for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
     scale = math.lcm(*[q for _, q in ratios])
     if max_bits is not None and scale.bit_length() > max_bits:
         return None
@@ -229,9 +230,10 @@ def relative_entropy(nu: Pmf, mu: Pmf) -> float:
     float(m) * log(m / q), formed from the weights.
     """
     acc = 0.0
-    for x, w in enumerate(nu.weights, nu.offset):
+    ref = mu.weights
+    for i, w in enumerate(nu.weights, nu.offset - mu.offset):
         if w:
-            v = mu.weight(x)
+            v = ref[i] if 0 <= i < len(ref) else 0
             if v == 0:
                 return math.inf
             acc += _mass_times_log(w, nu.total, w * mu.total, nu.total * v)

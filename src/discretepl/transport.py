@@ -31,6 +31,9 @@ every mu positive on a window holding both supports: along the plan pi,
 H(nu0|mu) + H(nu1|mu) = int c_mu dpi + gap + H(nu-|mu) + H(nu+|mu), where
 every term after int c_mu dpi is >= 0 (gap is the `displacement` check's
 entropy gap), so the check is a theorem and int c_mu dpi >= T_{c_mu}.
+The costs of the plan's cells are read off the weight tuple of mu in one
+pass per coupling (`_curvature_costs`, which `cost_mu` runs on one cell),
+and the relative entropies index the same tuple.
 """
 
 from __future__ import annotations
@@ -114,14 +117,37 @@ Cost = Callable[[int, int], "Fraction | float"]
 
 def cost_mu(mu: Pmf | LogWeights, x: int, y: int):
     """Curvature cost at (x, y): exact int or Fraction for log-weights, float for a rational Pmf."""
-    lo_mid, hi_mid = m_minus(x, y), m_plus(x, y)
-    if isinstance(mu, LogWeights):
-        return mu.weight(lo_mid) + mu.weight(hi_mid) - mu.weight(x) - mu.weight(y)
+    return _curvature_costs(mu, (x,), (y,))[0]
+
+
+def _curvature_costs(mu: Pmf | LogWeights, xs, ys) -> list:
+    """c_mu at each (x, y) in zip(xs, ys), read off the weight tuple of mu.
+
+    The positive window is found once for all the pairs.  With
+    m- = (x + y) // 2 and m+ = (x + y + 1) // 2, each cost is
+    w(m-) + w(m+) - w(x) - w(y) for log-weights, or the log of
+    mu(m-) mu(m+) / (mu(x) mu(y)) by `_log_ratio` for a Pmf.
+    """
     window = positive_window(mu)
-    for z in (x, y):  # the window is contiguous, so it holds the midpoints too
-        if z not in window:
-            raise OutsidePositiveWindow(f"{z} outside positive window {window}")
-    return _log_ratio(mu.weight(lo_mid) * mu.weight(hi_mid), mu.weight(x) * mu.weight(y))
+    lo, hi = window.start, window.stop
+    ws, off = mu.weights, mu.offset
+    exact = isinstance(mu, LogWeights)
+    costs = []
+    for x, y in zip(xs, ys):
+        if not (lo <= x < hi and lo <= y < hi):  # the window is contiguous, so it holds the midpoints too
+            _raise_outside(mu, window, x, y)
+        a, b, u, v = ws[(x + y) // 2 - off], ws[(x + y + 1) // 2 - off], ws[x - off], ws[y - off]
+        costs.append(a + b - u - v if exact else _log_ratio(a * b, u * v))
+    return costs
+
+
+def _raise_outside(mu: Pmf | LogWeights, window: range, x: int, y: int) -> None:
+    """Raise the error that a lookup per point raised: it names the first point outside the window."""
+    if isinstance(mu, LogWeights):
+        for z in (m_minus(x, y), m_plus(x, y), x, y):
+            mu.weight(z)  # raises at the first point outside the window
+    z = x if x not in window else y
+    raise OutsidePositiveWindow(f"{z} outside positive window {window}")
 
 
 def curvature_cost(mu: Pmf | LogWeights) -> Cost:
@@ -319,12 +345,14 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
     """
     window = positive_window(mu)
     for nu in (nu0, nu1):
-        for x in nu.support_points():
-            if x not in window:
-                raise OutsidePositiveWindow(f"support point {x} outside positive window")
+        if nu.offset < window.start or nu.offset + len(nu.weights) > window.stop:  # else it holds the support
+            for x in nu.support_points():
+                if x not in window:
+                    raise OutsidePositiveWindow(f"support point {x} outside positive window")
     pi = monotone_coupling(nu0, nu1)
-    costs, cost_unit = to_common_unit([cost_mu(mu, x, y) for x, y, _ in pi.cells])
-    lhs = float(Fraction(sum([c * w for c, (_, _, w) in zip(costs, pi.cells)]), cost_unit * pi.unit))
+    xs, ys, masses = zip(*pi.cells)
+    costs, cost_unit = to_common_unit(_curvature_costs(mu, xs, ys))
+    lhs = sum([c * w for c, w in zip(costs, masses)]) / (cost_unit * pi.unit)  # as float(Fraction(n, d))
     if isinstance(mu, LogWeights):
         rhs = _relative_entropy_logweights(nu0, mu) + _relative_entropy_logweights(nu1, mu)
     else:
@@ -334,8 +362,8 @@ def transport_entropy_check(mu: Pmf | LogWeights, nu0: Pmf, nu1: Pmf) -> Transpo
 
 def _relative_entropy_logweights(nu: Pmf, mu: LogWeights) -> float:
     log_z = mu.log_normalizer
-    t = nu.total
-    return left_sum(
-        w / t * (_log_ratio(w, t) - float(mu.weight(x)) + log_z) for x, w in enumerate(nu.weights, nu.offset) if w
-    )
+    t, ref = nu.total, mu.weights
+    # the check has placed the support inside the window, so each index i is in range
+    indexed = enumerate(nu.weights, nu.offset - mu.offset)
+    return left_sum([w / t * (_log_ratio(w, t) - float(ref[i]) + log_z) for i, w in indexed if w])
 
