@@ -24,9 +24,9 @@ from .measures import Pmf, _uniform_ints, from_weights
 from .transport import transport_entropy_check
 
 CHECKS = ("leq1", "displacement", "card", "4ft", "transport-lemma", "te")
-#: a million default trials take 1.3-4.8 min (transport-lemma 1.3, te 2.0, displacement 4.8, 4ft 3.9), the best of
-#: four timings over 5,000 trials with the JSON report, and up to 1.4x that on a loaded host; they keep about 0.5 GB
-#: of records (Python 3.11, 2 cores)
+#: a million default trials take 1.0-4.7 min (transport-lemma 1.0-1.2, te 1.7, displacement 4.3-4.7, 4ft 2.9-3.6),
+#: the best of four timings over 5,000 trials with the JSON report (te 2.6-2.8 before its costs were read off the
+#: weight tuple), up to 1.5x that on a loaded host; they keep about 0.5 GB of records (Python 3.11, 2 cores)
 MAX_TRIALS = 1_000_000
 #: one displacement trial on two full-width pmfs takes 0.3 s at width 20000 and resolution 64, and 4.3-4.6 s
 #: at resolution 10^9 (Python 3.11, 2 cores)

@@ -280,14 +280,12 @@ def normalized_window(offset, values):
     return offset + kept[0], tuple(q / total for q in qs[kept[0] : kept[-1] + 1])
 
 
-def ratio_sum_fraction(nu0, nu1) -> Fraction:
-    """P by its definition, one Fraction per term, on a quantile-overlap coupling built here.
+def quantile_coupling(nu0, nu1) -> list[tuple[int, int, Fraction]]:
+    """The monotone coupling as Fraction atoms (x, y, mass), in increasing order, built from quantile overlaps.
 
     Each support point owns the half-open interval [F(x-), F(x)) of its
     cumulative masses, and the pair (x, y) gets the length of the overlap of
-    the two intervals; the floor and ceiling midpoint measures are summed
-    from those atoms, and P is the sum of
-    pi(x,y) nu-(floor) nu+(ceil) / (nu0(x) nu1(y)) term by term.
+    the two intervals.
     """
 
     def intervals(nu):
@@ -303,6 +301,16 @@ def ratio_sum_fraction(nu0, nu1) -> Fraction:
             overlap = min(hi0, hi1) - max(lo0, lo1)
             if overlap > 0:
                 atoms.append((x, y, overlap))
+    return atoms
+
+
+def ratio_sum_fraction(nu0, nu1) -> Fraction:
+    """P by its definition, one Fraction per term, on the `quantile_coupling` built here.
+
+    The floor and ceiling midpoint measures are summed from its atoms, and P
+    is the sum of pi(x,y) nu-(floor) nu+(ceil) / (nu0(x) nu1(y)) term by term.
+    """
+    atoms = quantile_coupling(nu0, nu1)
     floor_mass, ceil_mass = {}, {}
     for x, y, p in atoms:
         mid = Fraction(x + y, 2)
@@ -360,3 +368,38 @@ def is_log_concave(nu) -> bool:
     """
     m = nu.masses
     return all(m[i - 1] * m[i + 1] <= m[i] ** 2 for i in range(1, len(m) - 1))
+
+
+def curvature_cost(mass: dict[int, Fraction], x: int, y: int) -> float:
+    """c_mu(x, y) for a reference given by its Fraction masses: the log of F = mu(m-) mu(m+) / (mu(x) mu(y)).
+
+    The midpoints are the floor and ceiling of the rational (x + y) / 2, and
+    the log is that of F's numerator minus that of its denominator.
+    """
+    mid = Fraction(x + y, 2)
+    return log_fraction(mass[math.floor(mid)] * mass[math.ceil(mid)] / (mass[x] * mass[y]))
+
+
+def relative_entropy_terms(nu, mass: dict[int, Fraction]) -> list[float]:
+    """The terms float(m) * log(m / q) of H(nu|mu), one per support point of nu in increasing order.
+
+    q is the reference's Fraction mass at the point (absent means 0, which
+    gives an infinite term).
+    """
+    terms = []
+    for x, m in support(nu):
+        q = mass.get(x, ZERO)
+        terms.append(math.inf if q == 0 else float(m) * log_fraction(m / q))
+    return terms
+
+
+def log_weight_entropy_terms(nu, weight: dict[int, Fraction]) -> list[float]:
+    """The terms float(m) * (log m - float(w(x)) + log Z) of H(nu|mu) for mu(x) = e^{w(x)} / Z.
+
+    log Z is the log-sum-exp of the floated weights, shifted by their
+    maximum and added left to right.
+    """
+    exponents = [float(w) for w in weight.values()]
+    top = max(exponents)
+    log_z = top + math.log(sum_left_to_right([math.exp(e - top) for e in exponents]))
+    return [float(m) * (log_fraction(m) - float(weight[x]) + log_z) for x, m in support(nu)]

@@ -282,6 +282,59 @@ def test_to_common_unit_is_exact(values):
     assert scale == math.lcm(*[F(v).denominator for v in values])
 
 
+def _two_branch_unit(values):
+    """to_common_unit as it read ints and Fractions by numerator and denominator, and the rest by as_integer_ratio."""
+    ratios = [(v.numerator, v.denominator) if isinstance(v, (int, F)) else v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
+
+
+_UNIT_VALUES = [0, 7, -12, True, False, F(-3, 8), F(5, 1), F(10**30 + 1, 3**40)]
+_UNIT_VALUES += [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, -0.1, 2.5]
+
+
+@pytest.mark.parametrize("values", [[v] for v in _UNIT_VALUES] + [_UNIT_VALUES, [True, F(1, 3), -0.0, 5e-324]])
+def test_to_common_unit_reads_every_value_as_the_two_branch_formula_did(values):
+    numpy = pytest.importorskip("numpy")
+    for vs in (values, values + [numpy.float64(-0.375), numpy.float64(5e-324)]):
+        ints, scale = to_common_unit(vs)
+        assert (ints, scale) == _two_branch_unit(vs)
+        assert all(type(i) is int for i in [*ints, scale])
+
+
+@given(st.lists(st.fractions() | st.integers() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)))
+def test_to_common_unit_matches_the_two_branch_formula(values):
+    assert to_common_unit(values) == _two_branch_unit(values)
+
+
+@pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)])
+def test_to_common_unit_rejects_nan_and_infinities_as_before(bad, error):
+    for values in ([bad], [F(1, 3), 2, bad], [True, bad, 0.5]):
+        with pytest.raises(error) as before:
+            _two_branch_unit(values)
+        with pytest.raises(error) as now:
+            to_common_unit(values)
+        assert str(now.value) == str(before.value)
+
+
+class _Unscalable:
+    """A numerator that fails when it is scaled."""
+
+    def __mul__(self, other):
+        raise AssertionError("a value was scaled")
+
+
+class _LongDenominator:
+    def as_integer_ratio(self):
+        return _Unscalable(), 3**40
+
+
+def test_to_common_unit_gives_none_past_max_bits_before_scaling_any_value():
+    assert to_common_unit([F(1, 2), _LongDenominator()], max_bits=64) is None
+    with pytest.raises(AssertionError, match="scaled"):
+        to_common_unit([F(1, 2), _LongDenominator()], max_bits=65)
+
+
 @pytest.mark.parametrize(
     "lo, hi",
     [(5, 5), (0, 1), (1, 64), (1, 63), (1, 65), (-7, 2**20 - 8), (1, 2**20 - 1), (1, 2**20 + 1), (1, 10**9), (1, 10**30)],

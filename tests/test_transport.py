@@ -97,6 +97,130 @@ def test_cost_outside_window():
     assert positive_window(geometric_weights(3)) == range(-3, 4)
 
 
+#: the te reference families by their unnormalized masses, written out apart from `campaign`
+_FAMILY_MASSES = {
+    "geometric-half": lambda x, k: F(1, 2) ** abs(x),
+    "geometric-two-thirds": lambda x, k: F(2, 3) ** abs(x),
+    "binomial": lambda x, k: F(math.comb(2 * k, x + k)),
+    "gaussian-half": lambda x, k: F(1, 2) ** (x * x),
+    "uniform": lambda x, k: F(1),
+}
+
+
+def _oracle_references(rng, k):
+    """(mu, its Fraction masses by point) for the five families and one random pmf on [-k, k]."""
+    window = range(-k, k + 1)
+    refs = [(rational_log_concave_family(name, k), [weight(x, k) for x in window]) for name, weight in _FAMILY_MASSES.items()]
+    weights = [rng.randint(1, 64) for _ in range(2 * k + 1)]
+    refs.append((from_weights(-k, weights), weights))
+    out = []
+    for mu, values in refs:
+        offset, masses = oracles.normalized_window(-k, values)
+        assert (mu.offset, mu.masses) == (offset, masses)
+        out.append((mu, dict(zip(range(offset, offset + len(masses)), masses))))
+    return out
+
+
+def test_costs_and_entropies_are_the_oracles_floats_bit_for_bit(rng):
+    bent = 0
+    for k in range(1, 13):
+        window = range(-k, k + 1)
+        for mu, mass in _oracle_references(rng, k):
+            bent += not oracles.is_log_concave(mu)
+            for x in window:
+                for y in window:
+                    assert cost_mu(mu, x, y) == oracles.curvature_cost(mass, x, y)
+            for _ in range(10):
+                nu0, nu1 = _pmf_with_gaps_in(rng, window), _pmf_with_gaps_in(rng, window)
+                h0, h1 = (oracles.relative_entropy_terms(nu, mass) for nu in (nu0, nu1))
+                assert relative_entropy(nu0, mu) == oracles.sum_left_to_right(h0)
+                atoms = oracles.quantile_coupling(nu0, nu1)
+                lhs = float(sum((p * F(oracles.curvature_cost(mass, x, y)) for x, y, p in atoms), F(0)))
+                rhs = oracles.sum_left_to_right(h0) + oracles.sum_left_to_right(h1)
+                expected = transport.TransportEntropyCheck(lhs, rhs, lhs <= rhs + SUM_SLACK)
+                assert transport_entropy_check(mu, nu0, nu1) == expected
+        for kind, w in (("geometric", lambda x: -abs(x)), ("gaussian", lambda x: -2 * x * x)):
+            mu = (geometric_weights if kind == "geometric" else gaussian_weights)(k)
+            weight = {x: w(x) for x in window}
+            for x in window:
+                for y in window:
+                    mid = F(x + y, 2)
+                    expected = weight[math.floor(mid)] + weight[math.ceil(mid)] - weight[x] - weight[y]
+                    assert cost_mu(mu, x, y) == expected == closed_form_cost(kind, x, y)
+            for _ in range(10):
+                nu0, nu1 = _pmf_with_gaps_in(rng, window), _pmf_with_gaps_in(rng, window)
+                atoms = oracles.quantile_coupling(nu0, nu1)
+                lhs = float(sum((p * closed_form_cost(kind, x, y) for x, y, p in atoms), F(0)))
+                h0, h1 = (oracles.sum_left_to_right(oracles.log_weight_entropy_terms(nu, weight)) for nu in (nu0, nu1))
+                rhs = h0 + h1
+                expected = transport.TransportEntropyCheck(lhs, rhs, lhs <= rhs + SUM_SLACK)
+                assert transport_entropy_check(mu, nu0, nu1) == expected
+    assert bent >= 8  # most of the random references are not log-concave
+
+
+def test_relative_entropy_is_infinite_off_the_reference_on_either_side():
+    mu = from_weights(0, [1, 0, 2, 3])
+    assert relative_entropy(uniform_on([-1, 0]), mu) == math.inf  # an index below the window must not wrap
+    assert relative_entropy(uniform_on([3, 4]), mu) == math.inf
+    assert relative_entropy(uniform_on([0, 1]), mu) == math.inf  # a zero inside the window
+    assert relative_entropy(uniform_on([0, 2]), mu) == oracles.sum_left_to_right(
+        oracles.relative_entropy_terms(uniform_on([0, 2]), {0: F(1, 6), 2: F(1, 3), 3: F(1, 2)})
+    )
+
+
+def _lookup_error(mu, x, y) -> str:
+    """The message of the error that a lookup per point raised: the weight at m-, m+, x and y in turn for
+    log-weights, which name their window; a Pmf's x and y, which name its positive window."""
+    window = mu.window()
+    mid = F(x + y, 2)
+    if isinstance(mu, transport.LogWeights):
+        z = next(z for z in (math.floor(mid), math.ceil(mid), x, y) if z not in window)
+        return f"{z} outside window {window}"
+    z = next(z for z in (x, y) if z not in window)
+    return f"{z} outside positive window {window}"
+
+
+def test_cost_errors_name_the_point_a_lookup_per_point_named():
+    refs = [geometric_weights(3), gaussian_weights(2), transport.LogWeights(5, (F(1, 2), 0, 3))]
+    refs += [from_weights(-3, [1, 2, 3, 4, 3, 2, 1]), from_weights(4, [5, 1, 7])]
+    outside = 0
+    for mu in refs:
+        window = mu.window()
+        for x in range(window.start - 9, window.stop + 9):
+            for y in range(window.start - 9, window.stop + 9):
+                if x in window and y in window:
+                    cost_mu(mu, x, y)
+                    continue
+                outside += 1
+                with pytest.raises(OutsidePositiveWindow) as error:
+                    cost_mu(mu, x, y)
+                assert type(error.value) is OutsidePositiveWindow and str(error.value) == _lookup_error(mu, x, y)
+    assert outside > 2000
+    # a midpoint outside, named before x and y: 4 = m- of (0, 9), and 4 = m+ of (2, 5)
+    geometric = geometric_weights(3)
+    assert _lookup_error(geometric, 0, 9) == _lookup_error(geometric, 2, 5) == "4 outside window range(-3, 4)"
+    with pytest.raises(OutsidePositiveWindow, match=r"^positive support is not contiguous$"):
+        cost_mu(from_weights(0, [1, 0, 1]), 0, 0)
+
+
+def test_transport_entropy_names_the_first_support_point_outside_the_window():
+    mu = from_weights(-3, [1, 2, 3, 4, 3, 2, 1])
+    for nu0, nu1, point in [
+        (uniform_on([-5, -4, 0]), uniform_on([9]), -5),
+        (uniform_on([0, 3]), uniform_on([-1, 4, 6]), 4),
+        (uniform_on([3, 4]), delta(-9), 4),
+    ]:
+        for ref in (mu, geometric_weights(3)):
+            with pytest.raises(OutsidePositiveWindow) as error:
+                transport_entropy_check(ref, nu0, nu1)
+            assert str(error.value) == f"support point {point} outside positive window"
+    # zero end weights past the window are not support points
+    wide = Pmf(-5, (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0), 2)
+    for ref in (mu, geometric_weights(3)):
+        expected = transport_entropy_check(ref, uniform_on([-3, -1]), delta(0))
+        assert transport_entropy_check(ref, wide, delta(0)) == expected
+
+
 def test_log_concavity_examples():
     # the te campaign's families are log-concave, so their lhs is the optimal cost
     for family in LOG_CONCAVE_FAMILIES:
