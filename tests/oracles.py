@@ -4,15 +4,20 @@ Everything here stays deliberately separate from the library's own
 algorithms: transport optima come from enumerating the vertices of the
 transportation polytope (spanning-tree basic solutions) or from scipy's float
 LP solver, and feasibility of linear systems is decided by an exact phase-1
-simplex over rationals.
+simplex over rationals.  The one exception is
+`heap_successive_shortest_paths`, a frozen copy of an earlier library solver:
+it pins which of many optimal plans the library returns, not optimality.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from discretepl.errors import InfeasibleCost
 
 ZERO = Fraction(0)
 
@@ -135,6 +140,98 @@ def min_cost_over_vertices(a, b, cost_matrix) -> Fraction:
             best = value
     assert best is not None
     return best
+
+
+def heap_successive_shortest_paths(supply: list[int], demand: list[int], cost: list[list[int]]):
+    """Exact min-cost transportation by shortest augmenting paths with potentials.
+
+    A verbatim copy of the library's earlier solver, whose Dijkstra search keeps
+    every reached node on one binary heap.  It is the reference that pins which
+    of many optimal plans and potentials the library's solver returns: its flows
+    `into` (each sink's dict in insertion order) and its potentials `pot` must
+    be reproduced exactly.
+
+    The int supplies and demands are masses in one unit, with equal sums;
+    they are used up in place.  The int costs are in another unit, so the
+    search, the potentials and the flows are all ints.  The flows (per sink)
+    are returned in the mass unit, the potentials in the cost unit.
+
+    Nodes 0..m-1 are sources, m..m+n-1 sinks.  Forward arcs i -> m+j have
+    infinite capacity; the backward arc m+j -> i exists while into[j][i], the
+    flow on i -> j kept per sink in first-use order, is positive.  The exact
+    potentials keep every residual reduced cost non-negative, so a popped node
+    never improves: Dijkstra, keyed (dist, counter, node), skips stale entries
+    (d > dist[node]) and relaxes only on strict improvement.
+
+    Each search stops once every node at distance D has been popped, D being
+    the distance of the first sink with demand to be popped: it breaks at
+    the first live entry past D.  The target is the lowest-index sink with
+    demand at D, and every node gains min(dist, D) in potential (D if not
+    reached).  A full search gives the same flows and potentials: the
+    unsettled nodes have distance > D, so they gain D either way, and every
+    node at distance D is settled before the stop, so the target and the
+    `prev` arcs of its path are the same.
+    """
+    m, n = len(supply), len(demand)
+    into: list[dict[int, int]] = [{} for _ in range(n)]
+    # initial potentials: shortest one-arc distances from the active sources
+    pot = [0] * m + [min(cost[i][j] for i in range(m)) for j in range(n)]
+    counter = itertools.count()
+    while any(supply):
+        dist: list[int | None] = [None] * (m + n)  # None: not reached
+        prev: list[tuple[int, int] | None] = [None] * (m + n)  # the arc (i, j) that reached each node
+        heap = []
+        for i in range(m):
+            if supply[i] > 0:
+                dist[i] = 0
+                heap.append((0, next(counter), i))  # sorted, hence a heap
+        d_target = None  # D, once a sink with demand is popped
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            if d_target is not None and d > d_target:
+                break
+            base = d + pot[node]
+            if node < m:
+                row = cost[node]
+                for j in range(n):
+                    nd = base + row[j] - pot[m + j]
+                    old = dist[m + j]
+                    if old is None or nd < old:
+                        dist[m + j], prev[m + j] = nd, (node, j)
+                        heapq.heappush(heap, (nd, next(counter), m + j))
+            else:
+                j = node - m
+                if d_target is None and demand[j] > 0:
+                    d_target = d
+                for i, f in into[j].items():
+                    if f > 0:
+                        nd = base - cost[i][j] - pot[i]
+                        old = dist[i]
+                        if old is None or nd < old:
+                            dist[i], prev[i] = nd, (i, j)
+                            heapq.heappush(heap, (nd, next(counter), i))
+        if d_target is None:
+            raise InfeasibleCost("no augmenting path to a sink with remaining demand")
+        target = next(j for j in range(n) if demand[j] > 0 and dist[m + j] == d_target)
+        # walk back to the source: the arcs alternate forward (into a sink) and backward
+        arcs, node = [], m + target
+        while prev[node] is not None:
+            i, j = prev[node]
+            arcs.append((i, j))
+            node = i if node >= m else m + j
+        amount = min([supply[node], demand[target]] + [into[j][i] for i, j in arcs[1::2]])
+        for i, j in arcs[0::2]:
+            into[j][i] = into[j].get(i, 0) + amount
+        for i, j in arcs[1::2]:
+            into[j][i] -= amount
+        supply[node] -= amount
+        demand[target] -= amount
+        for v in range(m + n):
+            dv = dist[v]
+            pot[v] += d_target if dv is None or dv > d_target else dv
+    return into, pot
 
 
 def ot_cost_float(cost, nu0, nu1) -> float:

@@ -355,6 +355,56 @@ def test_ot_duals_extended_across_gapped_windows_are_pinned():
     assert digest == "48103a5cdc7cc79089faee1db63306858a894da75e71c1a0afdf13dd948b8682"
 
 
+def _transport_problem(rng: random.Random, m: int, n: int, low: int, high: int):
+    """Int supplies and demands with equal sums, about a third of them zero, and an m x n int cost matrix."""
+    a, b = ([rng.choice((0, rng.randint(1, 12), rng.randint(1, 12))) for _ in range(size)] for size in (m, n))
+    a[rng.randrange(m)] += 1
+    b[rng.randrange(n)] += 1
+    supply, demand = [w * sum(b) for w in a], [w * sum(a) for w in b]
+    return supply, demand, [[rng.randint(low, high) for _ in range(n)] for _ in range(m)]
+
+
+def test_ssp_returns_the_heap_references_flows_and_potentials():
+    # the solver must pick the same plan and duals among the many optima as the heap-ordered
+    # search of tests/oracles.py: each sink's flows in the same insertion order, the same
+    # potentials, and the supplies and demands used up alike
+    rng = random.Random(20261021)
+    ranges = ((-3, 3), (0, 3), (0, 100), (-(10**9), 10**9))
+    shapes = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(3000)] + [(30, 30)] * 8
+    for index, (m, n) in enumerate(shapes):
+        supply, demand, cost = _transport_problem(rng, m, n, *ranges[index % 4])
+        expected_supply, expected_demand = supply[:], demand[:]
+        expected_into, expected_pot = oracles.heap_successive_shortest_paths(expected_supply, expected_demand, cost)
+        into, pot = transport._successive_shortest_paths(supply, demand, cost)
+        assert [list(row.items()) for row in into] == [list(row.items()) for row in expected_into], index
+        assert pot == expected_pot, index
+        assert (supply, demand) == (expected_supply, expected_demand), index
+
+
+def test_ssp_names_a_supply_no_sink_can_take():
+    for solve in (oracles.heap_successive_shortest_paths, transport._successive_shortest_paths):
+        with pytest.raises(InfeasibleCost, match="no augmenting path to a sink with remaining demand"):
+            solve([2, 1], [0, 0, 0], [[0, 1, 2], [1, 0, 2]])
+
+
+def test_ot_plans_and_duals_under_mostly_zero_costs_are_pinned():
+    # three in five table costs are 0 and the rest 1 or 2, so most searches (88%) end at
+    # distance 0: the pin fixes which of the many optima comes back
+    rng = random.Random(20261022)
+    lines = []
+    for _ in range(200):
+        nu0, nu1 = (
+            from_weights(rng.randint(-4, 4), [rng.choice((0, rng.randint(1, 9))) for _ in range(rng.randint(1, 10))] + [1])
+            for _ in range(2)
+        )
+        table = {(x, y): F(rng.choice((0, 0, 0, 1, 2))) for x in nu0.window() for y in nu1.window()}
+        result = ot_cost(lambda x, y, table=table: table[(x, y)], nu0, nu1, want_duals=True)
+        plan = [(x, y, str(p)) for x, y, p in result.plan.atoms]
+        lines.append(repr((plan, result.dual_u.values, result.dual_v.values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f9732c1755795fc86338604091f5a3118f2679c9c8b86d7a7db4c81514149168"
+
+
 def test_ot_symmetry_and_zero_self_cost(rng):
     mu = rational_log_concave_family("uniform", 6)
     cost = curvature_cost(mu)
