@@ -16,10 +16,11 @@ with potentials.  It runs on ints: the masses are the two pmfs' integer
 weights, scaled to the unit 1 / (T0 T1) of their totals, and the rational
 costs are scaled to their common unit (`measures.to_common_unit`); the plan,
 its value and the potentials are divided back once.  Each augmentation's
-Dijkstra search stops once every node at distance D has been settled, D
-being the distance of the nearest sink with demand: the nodes left over
-are at distance > D and would gain D in potential anyway, so the flows and
-potentials are those of a full search.  Returned dual potentials satisfy
+Dijkstra search keeps the order of a (dist, counter) heap, but the nodes it
+reaches over zero-reduced-cost arcs go on their level's FIFO list; it stops
+once the lowest-index sink with demand is reached or a level holding one is
+settled, and at distance 0 no potential moves.  The flows and potentials are
+those of a full heap search.  Returned dual potentials satisfy
 u(x) + v(y) <= c(x, y) with equality on the support of the optimal plan.
 
 With w = log mu, c_mu(x, y) = s(x+y) - w(x) - w(y) where
@@ -192,84 +193,93 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
     The int supplies and demands are masses in one unit, with equal sums;
     they are used up in place.  The int costs are in another unit, so the
     search, the potentials and the flows are all ints.  The flows (per sink)
-    are returned in the mass unit, the potentials in the cost unit.
+    are returned in the mass unit, the potentials (sources', then sinks') in
+    the cost unit.
 
-    Nodes 0..m-1 are sources, m..m+n-1 sinks.  Forward arcs i -> m+j have
-    infinite capacity; the backward arc m+j -> i exists while into[j][i], the
+    Nodes 0..n-1 are sinks, n..n+m-1 sources.  Forward arcs i -> j have
+    infinite capacity; the backward arc j -> i exists while into[j][i], the
     flow on i -> j kept per sink in first-use order, is positive.  The exact
-    potentials keep every residual reduced cost non-negative, so a popped node
-    never improves: Dijkstra, keyed (dist, counter, node), skips stale entries
-    (d > dist[node]) and relaxes only on strict improvement.
+    potentials keep every residual reduced cost non-negative, so an arc with
+    flow is tight, and each search is Dijkstra's with strict relaxations.  It
+    settles nodes in the order of a heap keyed (dist, counter, node), by
+    three facts that spare most heap operations:
 
-    Each search stops once every node at distance D has been popped, D being
-    the distance of the first sink with demand to be popped: it breaks at
-    the first live entry past D.  The target is the lowest-index sink with
-    demand at D, and every node gains min(dist, D) in potential (D if not
-    reached).  A full search gives the same flows and potentials: the
-    unsettled nodes have distance > D, so they gain D either way, and every
-    node at distance D is settled before the stop, so the target and the
-    `prev` arcs of its path are the same.
+    1. FIFO within a level.  At distance d that heap pops its key-d entries
+       pushed before level d began, in push order, then the nodes reached at
+       d over zero-reduced-cost arcs, in the order reached.  So only nodes
+       reached past d are pushed: level d is a list of the live key-d
+       entries, with the nodes reached at d appended.  Level 0 is the roots.
+    2. No potential update when D = 0, as each node gains min(dist, D).
+    3. Early stop.  Once `first`, the lowest-index sink with demand, is
+       reached at level d, it is the target, its `prev` arc is final and
+       D = d.  Otherwise the search stops once a level holding a sink with
+       demand is settled, and the lowest-index one is the target.  The nodes
+       left gain D either way, so the flows and potentials are a full search's.
     """
     m, n = len(supply), len(demand)
     into: list[dict[int, int]] = [{} for _ in range(n)]
     # initial potentials: shortest one-arc distances from the active sources
-    pot = [0] * m + [min(cost[i][j] for i in range(m)) for j in range(n)]
+    pot = [min(cost[i][j] for i in range(m)) for j in range(n)] + [0] * m
     counter = itertools.count()
+    first = 0
     while any(supply):
-        dist: list[int | None] = [None] * (m + n)  # None: not reached
-        prev: list[tuple[int, int] | None] = [None] * (m + n)  # the arc (i, j) that reached each node
-        heap = []
-        for i in range(m):
-            if supply[i] > 0:
-                dist[i] = 0
-                heap.append((0, next(counter), i))  # sorted, hence a heap
-        d_target = None  # D, once a sink with demand is popped
-        while heap:
-            d, _, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            if d_target is not None and d > d_target:
-                break
-            base = d + pot[node]
-            if node < m:
-                row = cost[node]
-                for j in range(n):
-                    nd = base + row[j] - pot[m + j]
-                    old = dist[m + j]
-                    if old is None or nd < old:
-                        dist[m + j], prev[m + j] = nd, (node, j)
-                        heapq.heappush(heap, (nd, next(counter), m + j))
-            else:
-                j = node - m
-                if d_target is None and demand[j] > 0:
-                    d_target = d
-                for i, f in into[j].items():
-                    if f > 0:
-                        nd = base - cost[i][j] - pot[i]
-                        old = dist[i]
-                        if old is None or nd < old:
-                            dist[i], prev[i] = nd, (i, j)
-                            heapq.heappush(heap, (nd, next(counter), i))
-        if d_target is None:
+        while first < n and demand[first] == 0:
+            first += 1
+        if first == n:
             raise InfeasibleCost("no augmenting path to a sink with remaining demand")
-        target = next(j for j in range(n) if demand[j] > 0 and dist[m + j] == d_target)
-        # walk back to the source: the arcs alternate forward (into a sink) and backward
-        arcs, node = [], m + target
+        dist: list[int | None] = [None] * n + [0 if s > 0 else None for s in supply]  # None: not reached
+        prev: list[int | None] = [None] * (n + m)  # the node each node was reached from
+        level, heap = [n + i for i in range(m) if supply[i] > 0], []
+        d, settled = 0, False  # settled: a sink with demand was settled at d
+        while True:
+            for node in level:  # the loop also visits the nodes appended to the level
+                if dist[first] == d:
+                    break
+                if node >= n:
+                    base, row = d + pot[node], cost[node - n]
+                    for j in range(n):
+                        nd = base + row[j] - pot[j]
+                        old = dist[j]
+                        if old is None or nd < old:
+                            dist[j], prev[j] = nd, node
+                            if nd == d:
+                                level.append(j)
+                            else:
+                                heapq.heappush(heap, (nd, next(counter), j))
+                else:
+                    settled = settled or demand[node] > 0
+                    for i, f in into[node].items():  # tight: the backward arc reaches n + i at d
+                        old = dist[n + i]
+                        if f > 0 and (old is None or old > d):
+                            dist[n + i], prev[n + i] = d, node
+                            level.append(n + i)
+            if settled or dist[first] == d:
+                break
+            # the next level: the live entries of the least key (first is still on the heap)
+            d, level = heap[0][0], []
+            while heap and heap[0][0] == d:
+                node = heapq.heappop(heap)[2]
+                if dist[node] == d:
+                    level.append(node)
+        target = next(j for j in range(first, n) if demand[j] > 0 and dist[j] == d)
+        # walk back to the source: the arcs (i, j) alternate forward (into a sink) and backward
+        arcs, node = [], target
         while prev[node] is not None:
-            i, j = prev[node]
-            arcs.append((i, j))
-            node = i if node >= m else m + j
-        amount = min([supply[node], demand[target]] + [into[j][i] for i, j in arcs[1::2]])
+            arcs.append((prev[node] - n, node) if node < n else (node - n, prev[node]))
+            node = prev[node]
+        source = node - n
+        amount = min([supply[source], demand[target]] + [into[j][i] for i, j in arcs[1::2]])
         for i, j in arcs[0::2]:
             into[j][i] = into[j].get(i, 0) + amount
         for i, j in arcs[1::2]:
             into[j][i] -= amount
-        supply[node] -= amount
+        supply[source] -= amount
         demand[target] -= amount
-        for v in range(m + n):
-            dv = dist[v]
-            pot[v] += d_target if dv is None or dv > d_target else dv
-    return into, pot
+        if d:
+            for v in range(n + m):
+                dv = dist[v]
+                pot[v] += d if dv is None or dv > d else dv
+    return into, pot[n:] + pot[:n]
 
 
 def ot_cost(cost: Cost, nu0: Pmf, nu1: Pmf, want_duals: bool = False) -> TransportPlanResult:
