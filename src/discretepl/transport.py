@@ -170,11 +170,11 @@ def closed_form_cost(kind: str, x: int, y: int) -> int:
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
-#: one exact solve with duals on 50 x 50 support points takes 0.80-1.02 s on a cost table whose
+#: one exact solve with duals on 50 x 50 support points takes 1.4-1.7 s on a cost table whose
 #: entries have distinct 6-digit prime denominators, so that the cost unit runs to about 50,000
-#: bits, and 7.4 s on such a 75 x 75 table; a random pmf reference that is not log-concave takes
-#: 0.06-0.08 s on 50 x 50 (Python 3.11.7, 2 cores; before each search stopped at the nearest
-#: sink with demand: 1.21-1.34 s, 11.9 s and 0.10 s)
+#: bits, and 7.1-8.9 s on such a 75 x 75 table; a random pmf reference that is not log-concave
+#: takes 0.065-0.079 s on 50 x 50 (Python 3.11.7, 2 cores; with every reached node on the heap,
+#: timed alongside: 1.5-1.7 s, 8.7-10.3 s and 0.097-0.117 s)
 MAX_OT_CELLS = 2_500
 
 
