@@ -196,7 +196,7 @@ def _successive_shortest_paths(supply: list[int], demand: list[int], cost: list[
     are returned in the mass unit, the potentials (sources', then sinks') in
     the cost unit.
 
-    Nodes 0..n-1 are sinks, n..n+m-1 sources.  Forward arcs i -> j have
+    Node j < n is sink j, and node n + i source i.  Forward arcs i -> j have
     infinite capacity; the backward arc j -> i exists while into[j][i], the
     flow on i -> j kept per sink in first-use order, is positive.  The exact
     potentials keep every residual reduced cost non-negative, so an arc with
