@@ -322,11 +322,28 @@ def test_cli_limit_exp_pl_json_is_byte_stable(argv, digest, capsys):
         (["--demo", "quadratic", "--lambda", "4.0"], "210da200dda8382213d87b36aca99c45f8040cb9fc6508959ea32dd6ec76b5e3"),
         # binomial tails that underflow to 0.0, odd and even n, and the --n cap
         (["--demo", "quadratic", "--n", "3000,10000,16384"], "eb55bb63e9eaa655c7454b5d729e533eef8ffb4563b19008f49181b1adb6565c"),
+        # a short walk beside long ones: every weight of n = 100 is nonzero
+        (["--demo", "quadratic", "--n", "100,3000,10000,16384"], "e3d24794fab85dd886e0af93a3d9ac4133c339585f4c0e084dfe3ca4c9e063c6"),
     ],
-    ids=["linear", "quadratic-lambda-4", "quadratic-3000-10000-16384"],
+    ids=["linear", "quadratic-lambda-4", "quadratic-3000-10000-16384", "quadratic-100-3000-10000-16384"],
 )
 def test_cli_limit_exp_clt_json_is_byte_stable(argv, digest, capsys):
     assert main(["limit-exp", "--kind", "clt", *argv, "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # a point mass beside n equal cells, up to the --n cap
+        (["--demo", "dirac-uniform", "--n", "64,2048,16384"], "d4023c8f2c15af0fb959ce4ce2a86a463acd1a6edcdd625607cce542c9f0ba0b"),
+        # at odd n every coupled x + y is odd, so nu- and nu+ are one cell apart
+        (["--demo", "two-uniform", "--n", "3,1000,4095"], "f2010235e43565c81b20fc27b3f00f53ba236282ae645030d9a0e0a3c0ee67d8"),
+    ],
+    ids=["dirac-uniform-64-2048-16384", "two-uniform-3-1000-4095"],
+)
+def test_cli_limit_exp_disp_json_is_byte_stable(argv, digest, capsys):
+    assert main(["limit-exp", "--kind", "disp", *argv, "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
