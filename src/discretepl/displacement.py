@@ -30,7 +30,7 @@ from itertools import groupby
 
 from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
 from .errors import NotMonotone, PreconditionViolated
-from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _log_ratio, _mass_times_log, counting_entropy
+from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _log_ratio, _mass_times_log, _repeats, counting_entropy
 
 
 def m_minus(x: int, y: int) -> int:
@@ -103,10 +103,15 @@ def pair_ratio_sum(pair: MidpointPair) -> Fraction:
 
 
 def _jensen_certificate(pair: MidpointPair, factors: list[tuple[int, int, int]]) -> float:
-    """The float sum over atoms of float(pi(x,y)) * log(ratio), formed from the cell factors."""
+    """The float sum over atoms of float(pi(x,y)) * log(ratio), formed from the cell factors, each once if `_repeats`."""
     nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
     scale_num, scale_den, unit = nu0.total * nu1.total, lo.total * hi.total, pair.pi.unit
     certificate = 0.0
+    if _repeats(unit, len(factors)):
+        term = {(w, num, den): _mass_times_log(w, unit, num * scale_num, den * scale_den) for w, num, den in set(factors)}
+        for factor in factors:
+            certificate += term[factor]
+        return certificate
     for w, num, den in factors:
         certificate += _mass_times_log(w, unit, num * scale_num, den * scale_den)
     return certificate

@@ -374,26 +374,46 @@ def gaussian_exp_integral(fn: FloatFn) -> float:
     return value
 
 
-def binomial_weights(n: int) -> list[float]:
-    """comb(n, k) / 2^n for k = 0..n, from exact big-integer binomials.
+#: bits kept in each end of the bracket on comb(n, k), 73 more than a weight reads
+_BRACKET_BITS = 128
+#: an exact comb(n, k) this short steps exactly: its step costs no more than a bracket step up to 1,500-1,700 bits
+_EXACT_BITS = 1536
 
-    The running binomial is exact; only the final scaling is floated (top 55
-    bits + ldexp), so each weight is accurate to a unit in the last place
-    and underflowing tails are exactly 0.0.  The walk starts at the central
-    coefficient and steps outward, where the coefficients only shrink, so it
-    stops at the first weight that underflows; comb(n, k) = comb(n, n - k)
-    fills the upper half.
+
+def binomial_weights(n: int) -> list[float]:
+    """comb(n, k) / 2^n for k = 0..n: ldexp of the top 55 bits of comb(n, k), accurate to an ulp.
+
+    The walk steps outward from the central coefficient, stops at the first
+    weight that underflows (the tails are exactly 0.0), and fills the upper
+    half by symmetry.  Past `_EXACT_BITS` bits it carries a bracket
+    lo <= comb(n, k) / 2^e <= hi of `_BRACKET_BITS`-bit ints, which a step
+    multiplies by k / (n - k + 1), lo rounded down and hi up.  A weight is
+    read off the bracket only when lo and hi agree in bit length and top 55
+    bits, and so comb(n, k) between them does; else comb(n, k) is recomputed
+    with `math.comb` and the walk goes on from lo = hi = comb(n, k), e = 0.
     """
     weights = [0.0] * (n + 1)
     k = n // 2
-    c = math.comb(n, k)
+    lo = hi = math.comb(n, k)
+    e, exact = 0, True
+    ldexp = math.ldexp
     while k >= 0:
-        bits = c.bit_length()
-        if bits - n < -1080:
+        bits = hi.bit_length()
+        if bits + e - n < -1080:  # comb(n, k) < 2^(bits + e)
             break
-        shift = max(0, bits - 55)
-        weights[k] = weights[n - k] = math.ldexp(c >> shift, shift - n)
-        c = c * k // (n - k + 1)  # comb(n, k - 1), exactly
+        shift = bits - 55 if bits > 55 else 0
+        top = hi >> shift
+        if not exact and lo >> shift != top:
+            lo = hi = math.comb(n, k)
+            e, exact = 0, True
+            continue
+        weights[k] = weights[n - k] = ldexp(top, shift + e - n)
+        if exact and bits <= _EXACT_BITS:
+            lo = hi = lo * k // (n - k + 1)  # comb(n, k - 1), exactly
+        else:
+            t = _BRACKET_BITS - bits
+            num, den = (k << t, n - k + 1) if t >= 0 else (k, n - k + 1 << -t)
+            lo, hi, e, exact = lo * num // den, -(-hi * num // den), e - t, False
         k -= 1
     return weights
 
@@ -501,8 +521,10 @@ class UniformInterval:
             raise SupportExceedsWindow(f"[{self.a},{self.b}) not inside [-{half_width},{half_width})")
         (p, s), r = to_common_unit([self.a, self.b])
         lo, hi = p * n // r, -(-s * n // r)  # floor(a n) and ceil(b n)
-        # cell [k/n, (k+1)/n) holds the overlap of [pn, sn) and [kr, (k+1)r), in the unit 1 / (rn)
-        overlaps = [max(0, min(s * n, (k + 1) * r) - max(p * n, k * r)) for k in range(lo, hi)]
+        # cell [k/n, (k+1)/n) holds the overlap of [pn, sn) and [kr, (k+1)r), in the unit 1 / (rn): all but in the end cells
+        overlaps = [r] * (hi - lo)
+        overlaps[0] -= p * n - lo * r
+        overlaps[-1] -= hi * r - s * n
         return _canonical(lo, overlaps, (s - p) * n)
 
     def continuous_entropy(self, half_width: int) -> float:

@@ -218,9 +218,22 @@ def counting_entropy(nu: Pmf) -> float:
     """Entropy relative to counting measure: sum nu(x) log nu(x) over the support.
 
     Always <= 0 because every atom is <= 1.  Invariant under translation.
-    Each term is float(m) * log m, formed from the weights.
+    Each term is float(m) * log m, formed from the weights, once per distinct
+    weight if `_repeats`, and the terms are added left to right.
     """
-    return left_sum([_mass_times_log(w, nu.total, w, nu.total) for w in nu.weights if w])
+    weights, total = nu.weights, nu.total
+    if not _repeats(total, len(weights)):
+        return left_sum([_mass_times_log(w, total, w, total) for w in weights if w])
+    term = {w: _mass_times_log(w, total, w, total) for w in set(weights) if w}
+    return left_sum([term[w] for w in weights if w])
+
+
+def _repeats(total: int, count: int) -> bool:
+    """Whether under count / 2 of `count` int weights summing to `total` can be distinct and positive.
+
+    D distinct positive weights sum to over D^2 / 2, so D < count / 2 once 8 total <= count^2: an O(1) test.
+    """
+    return 8 * total <= count * count
 
 
 def relative_entropy(nu: Pmf, mu: Pmf) -> float:

@@ -407,17 +407,44 @@ def ratio_sum_fraction(nu0, nu1) -> Fraction:
     The floor and ceiling midpoint measures are summed from its atoms, and P
     is the sum of pi(x,y) nu-(floor) nu+(ceil) / (nu0(x) nu1(y)) term by term.
     """
+    total = ZERO
+    for p, ratio in _midpoint_ratios(nu0, nu1):
+        total += p * ratio
+    return total
+
+
+def jensen_certificate(nu0, nu1) -> float:
+    """The sum of float(pi(x,y)) * log(nu-(m-) nu+(m+) / (nu0(x) nu1(y))) over the `quantile_coupling`.
+
+    One Fraction ratio per atom, the terms added in atom order from 0.0.
+    """
+    certificate = 0.0
+    for p, ratio in _midpoint_ratios(nu0, nu1):
+        certificate += float(p) * log_fraction(ratio)
+    return certificate
+
+
+def _midpoint_ratios(nu0, nu1) -> list[tuple[Fraction, Fraction]]:
+    """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom of the `quantile_coupling`, in its order.
+
+    The floor and ceiling midpoint measures are summed from its atoms.
+    """
     atoms = quantile_coupling(nu0, nu1)
     floor_mass, ceil_mass = {}, {}
     for x, y, p in atoms:
         mid = Fraction(x + y, 2)
         floor_mass[math.floor(mid)] = floor_mass.get(math.floor(mid), ZERO) + p
         ceil_mass[math.ceil(mid)] = ceil_mass.get(math.ceil(mid), ZERO) + p
-    total = ZERO
+    ratios = []
     for x, y, p in atoms:
         mid = Fraction(x + y, 2)
-        total += p * floor_mass[math.floor(mid)] * ceil_mass[math.ceil(mid)] / (nu0.mass(x) * nu1.mass(y))
-    return total
+        ratios.append((p, floor_mass[math.floor(mid)] * ceil_mass[math.ceil(mid)] / (nu0.mass(x) * nu1.mass(y))))
+    return ratios
+
+
+def counting_entropy(nu) -> float:
+    """The sum of float(m) * log m over the support of nu, one Fraction mass per term, added left to right."""
+    return sum_left_to_right([float(m) * log_fraction(m) for _, m in support(nu)])
 
 
 def lattice_cell_masses(a, b, n):

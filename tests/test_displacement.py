@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -23,8 +24,10 @@ from discretepl.displacement import (
     pair_ratio_sum,
 )
 from discretepl.errors import NotMonotone, PreconditionViolated
+from discretepl.limits import PointMass, UniformInterval
 from discretepl.measures import (
     ZERO,
+    _repeats,
     counting_entropy,
     delta,
     from_weights,
@@ -293,10 +296,6 @@ def test_ratio_sum_matches_the_fraction_oracle(pair):
     assert displacement_gap(nu0, nu1).ratio_sum == expected
 
 
-def _fraction_counting_entropy(nu):
-    return oracles.sum_left_to_right(float(m) * oracles.log_fraction(m) for _, m in oracles.support(nu))
-
-
 def _fraction_relative_entropy(nu, mu):
     acc = 0.0
     for x, m in oracles.support(nu):
@@ -316,14 +315,43 @@ def test_entropies_and_certificate_are_the_fraction_formulas_bit_for_bit(pair):
     report = displacement_gap(nu0, nu1)
     midpoints = report.pair
     for nu in (nu0, nu1, midpoints.nu_minus, midpoints.nu_plus):
-        assert counting_entropy(nu) == _fraction_counting_entropy(nu)
+        assert counting_entropy(nu) == oracles.counting_entropy(nu)
         assert relative_entropy(nu, mixture) == _fraction_relative_entropy(nu, mixture)
     assert relative_entropy(nu0, nu1) == _fraction_relative_entropy(nu0, nu1)
-    certificate = 0.0
-    for x, y, p in midpoints.pi.atoms:
-        ratio = midpoints.nu_minus.mass(m_minus(x, y)) * midpoints.nu_plus.mass(m_plus(x, y)) / (nu0.mass(x) * nu1.mass(y))
-        certificate += float(p) * oracles.log_fraction(ratio)
-    assert report.jensen_certificate == certificate
+    assert report.jensen_certificate == oracles.jensen_certificate(nu0, nu1)
+
+
+def _ends_positive(weights: list[int]) -> list[int]:
+    return [1, *weights, 1]
+
+
+def test_entropies_and_certificate_on_both_sides_of_the_repeat_test_are_the_oracles_bit_for_bit(rng):
+    # laws whose weights must repeat, as in the disp rows: each distinct term is formed once
+    shared = [
+        from_weights(0, [1] * 52),  # float(1/52) * log(1/52) is not float(1/52) * (log 1 - log 52)
+        from_weights(-3, [2, 1] * 20),
+        from_weights(5, _ends_positive([rng.choice([0, 1, 1, 3]) for _ in range(46)])),
+        from_weights(-7, _ends_positive([rng.randint(1, 4) for _ in range(38)])),
+        UniformInterval(F(-5, 16), F(11, 16)).cell_masses(40, 1),
+    ]
+    # the campaigns' laws (widths <= 40, weights in 1..64), a point mass, and equal weights too large
+    # for the test to see: formed term by term
+    term_by_term = [
+        UniformInterval(F(-1, 3), F(2, 5)).cell_masses(33, 1),
+        PointMass(F(1, 5)).cell_masses(40, 1),
+        *[random_pmf(rng, 40, 64) for _ in range(24)],
+    ]
+    assert all(_repeats(nu.total, len(nu.weights)) for nu in shared)
+    assert not any(_repeats(nu.total, len(nu.weights)) for nu in term_by_term)
+    sides = set()
+    pairs = [*itertools.product(shared, repeat=2), *zip(term_by_term, term_by_term[1:]), *zip(shared, term_by_term)]
+    for nu0, nu1 in pairs:
+        report = displacement_gap(nu0, nu1)
+        sides.add(_repeats(report.pair.pi.unit, len(report.pair.pi.cells)))
+        for nu in (nu0, nu1, report.pair.nu_minus, report.pair.nu_plus):
+            assert counting_entropy(nu).hex() == oracles.counting_entropy(nu).hex()
+        assert report.jensen_certificate.hex() == oracles.jensen_certificate(nu0, nu1).hex()
+    assert sides == {True, False}
 
 
 def test_one_fraction_per_ratio_sum_however_many_atoms(monkeypatch):

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -273,6 +274,37 @@ def test_binomial_weights_match_one_comb_per_weight(n):
     edge = bisect.bisect_left(range(n // 2 + 1), True, key=lambda k: math.comb(n, k).bit_length() - n >= -1080)
     ks = {*range(0, n + 1, n // 40), *range(edge - 8, edge + 9), *range(n // 2 - 8, n // 2 + 9), n - edge, n - 1, n}
     weights = limits.binomial_weights(n)
+    assert all(weights[k].hex() == w.hex() for k, w in oracles.binomial_weights(n, sorted(ks)).items())
+
+
+def _counting_comb(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (n, k) of every math.comb call that `limits` makes."""
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(limits.math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+    return calls
+
+
+@pytest.mark.parametrize("bracket_bits, fallbacks", [(60, 100_000), (limits._BRACKET_BITS, 1_000)], ids=["60-bits", "default"])
+def test_binomial_weights_from_the_bracket_match_pascal_rows(monkeypatch, bracket_bits, fallbacks):
+    # every walk past its first step runs on the bracket; at 60 bits the top 55 bits are often left open
+    monkeypatch.setattr(limits, "_BRACKET_BITS", bracket_bits)
+    monkeypatch.setattr(limits, "_EXACT_BITS", 0)
+    calls = _counting_comb(monkeypatch)
+    for n, row in enumerate(oracles.pascal_rows(1200)):
+        assert [w.hex() for w in limits.binomial_weights(n)] == [oracles.scaled_binomial(c, n).hex() for c in row]
+    # one call per walk at its centre; the rest are fallbacks, at the default width where comb(n, k) nears 55 bits
+    assert len(calls) - 1201 >= fallbacks
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_binomial_weights_from_a_narrow_bracket_match_one_comb_per_weight(monkeypatch, n):
+    monkeypatch.setattr(limits, "_BRACKET_BITS", 60)
+    calls = _counting_comb(monkeypatch)
+    weights = limits.binomial_weights(n)
+    fallbacks = [k for _, k in calls[1:]]
+    assert len(fallbacks) > 100
+    ks = {*range(0, n + 1, n // 40), *fallbacks[:20], *(k - 1 for k in fallbacks[:20]), n // 2}
     assert all(weights[k].hex() == w.hex() for k, w in oracles.binomial_weights(n, sorted(ks)).items())
 
 
@@ -583,6 +615,20 @@ def test_uniform_interval_cells_match_the_fraction_oracle(rng):
             continue
         nu = UniformInterval(a, b).cell_masses(n, 1)
         assert (nu.offset, nu.masses) == oracles.lattice_cell_masses(a, b, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_uniform_interval_over_one_two_or_three_cells_matches_the_fraction_oracle(n):
+    # endpoints on the cell edges k/n and a quarter, a half and three quarters of a cell past them
+    points = [F(i, 4 * n) for i in range(-4 * n, 4 * n + 1)]
+    seen = set()
+    for a, b in itertools.combinations(points, 2):
+        lo, masses = oracles.lattice_cell_masses(a, b, n)
+        if len(masses) <= 3:
+            nu = UniformInterval(a, b).cell_masses(n, 1)
+            assert (nu.offset, nu.masses) == (lo, masses)
+            seen.add((len(masses), (a * n).denominator == 1, (b * n).denominator == 1))
+    assert len(seen) == 12
 
 
 def test_point_mass_cell():
