@@ -1,5 +1,6 @@
 import gc
 import random
+import signal
 import sys
 
 import pytest
@@ -16,6 +17,30 @@ def pmf_strategy(draw, max_width=10, resolution=24, max_offset=10):
     if sum(weights) == 0:
         weights[draw(st.integers(0, width - 1))] = 1
     return from_weights(offset, weights)
+
+
+#: seconds after which a test fails: a loop that never ends, such as an SSP search whose strict relaxation is
+#: broken, then fails its test instead of hanging the suite (the slowest test takes a few seconds)
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the test once it has run `TEST_TIME_LIMIT_S` seconds, where the platform has SIGALRM; else do nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
