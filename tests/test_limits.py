@@ -278,7 +278,7 @@ def test_binomial_weights_match_one_comb_per_weight(n):
 
 
 def _counting_comb(monkeypatch) -> list[tuple[int, int]]:
-    """Record the (n, k) of every math.comb call that `limits` makes."""
+    """Record the (n, k) of every later math.comb call in the test, which `limits` makes through the math module."""
     calls = []
     comb = math.comb
     monkeypatch.setattr(limits.math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
