@@ -521,7 +521,7 @@ class UniformInterval:
             raise SupportExceedsWindow(f"[{self.a},{self.b}) not inside [-{half_width},{half_width})")
         (p, s), r = to_common_unit([self.a, self.b])
         lo, hi = p * n // r, -(-s * n // r)  # floor(a n) and ceil(b n)
-        # cell [k/n, (k+1)/n) holds the overlap of [pn, sn) and [kr, (k+1)r), in the unit 1 / (rn): all but in the end cells
+        # in the unit 1 / (rn), cell [k/n, (k+1)/n) = [kr, (k+1)r) meets [pn, sn) in r, less the end cells' parts outside
         overlaps = [r] * (hi - lo)
         overlaps[0] -= p * n - lo * r
         overlaps[-1] -= hi * r - s * n
