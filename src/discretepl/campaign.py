@@ -28,7 +28,7 @@ CHECKS = ("leq1", "displacement", "card", "4ft", "transport-lemma", "te")
 #: the best of four timings over 5,000 trials with the JSON report (te 2.6-2.8 before its costs were read off the
 #: weight tuple), up to 1.5x that on a loaded host; they keep about 0.5 GB of records (Python 3.11, 2 cores)
 MAX_TRIALS = 1_000_000
-#: one displacement trial on two full-width pmfs takes 0.3 s at width 20000 and resolution 64, and 4.3-4.6 s
+#: one displacement trial on two full-width pmfs takes 0.10-0.11 s at width 20000 and resolution 64, and 2.6 s
 #: at resolution 10^9 (Python 3.11, 2 cores)
 MAX_SUPPORT_WIDTH = 20_000
 #: the weights are drawn from 1..resolution, and every exact step grows with their digits: one displacement trial

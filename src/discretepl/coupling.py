@@ -10,6 +10,11 @@ breakpoints therefore never create a zero-mass atom.
 A coupling stores int cells (x, y, w) over one int `unit`, canonical like a
 `Pmf`: so every mass identity on it (marginals, push-forwards) is a sum of
 ints, and the `Fraction` atoms are built only when asked for.
+
+`pushforward` is the general image under a map (x, y) -> z.  The midpoint
+measures are read off the staircase in one pass in `displacement` instead,
+and `check_marginals` re-derives both marginals through `pushforward`, so the
+verifier shares no code with that pass or with the constructors.
 """
 
 from __future__ import annotations
@@ -75,22 +80,22 @@ def _from_cells(cells: Iterable[Cell], unit: int) -> Coupling:
     return _reduced(merged, unit, _axis_sum(merged, 0, unit), _axis_sum(merged, 1, unit))
 
 
-def _image(points: Iterable[tuple[int, int]], unit: int) -> Pmf:
-    """Pmf of the (point, weight) pairs over `unit`, merging weights that land on the same point."""
-    acc: dict[int, int] = {}
-    for z, w in points:
-        acc[z] = acc.get(z, 0) + w
-    lo, hi = min(acc), max(acc)
-    return _canonical(lo, [acc.get(z, 0) for z in range(lo, hi + 1)], unit)
+def _image(points: list[int], weights: Iterable[int], unit: int) -> Pmf:
+    """Pmf with mass w / unit at each z of `points` paired with w of `weights`, summed in one list over [min, max]."""
+    lo = min(points)
+    ints = [0] * (max(points) - lo + 1)
+    for z, w in zip(points, weights):
+        ints[z - lo] += w
+    return _canonical(lo, ints, unit)
 
 
-def _axis_sum(cells: Iterable[Cell], axis: int, unit: int) -> Pmf:
-    return _image([(cell[axis], cell[2]) for cell in cells], unit)
+def _axis_sum(cells: list[Cell], axis: int, unit: int) -> Pmf:
+    return _image([cell[axis] for cell in cells], [w for _, _, w in cells], unit)
 
 
 def check_marginals(c: Coupling) -> bool:
-    """Exact check, in ints, that row/column sums reproduce the stored marginals."""
-    return _axis_sum(c.cells, 0, c.unit) == c.marginal0 and _axis_sum(c.cells, 1, c.unit) == c.marginal1
+    """Exact check, in ints, that the `pushforward`s under the two projections reproduce the stored marginals."""
+    return pushforward(c, lambda x, y: x) == c.marginal0 and pushforward(c, lambda x, y: y) == c.marginal1
 
 
 def is_staircase(c: Coupling) -> bool:
@@ -136,7 +141,7 @@ def monotone_coupling(nu0: Pmf, nu1: Pmf) -> Coupling:
 
 def pushforward(c: Coupling, mapping: Callable[[int, int], int]) -> Pmf:
     """Image measure of the coupling under (x, y) -> z, exact: the cell weights summed in ints."""
-    return _image([(mapping(x, y), w) for x, y, w in c.cells], c.unit)
+    return _image([mapping(x, y) for x, y, _ in c.cells], [w for _, _, w in c.cells], c.unit)
 
 
 def meet_join_pushforward(c: Coupling) -> Coupling:

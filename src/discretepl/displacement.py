@@ -15,10 +15,13 @@ measure.  This module computes all of these plus the level-set and chain
 combinatorics that drive the bound.
 
 Everything is read off the integer cells of the coupling and the integer
-weights of the four measures.  P is summed in ints and becomes one Fraction
-at the end, and the Jensen certificate and the entropies take their logs on
-reduced int ratios.  So the floats are those of the same formulas written on
-Fraction masses, bit for bit.
+weights of the four measures.  The support of pi is a staircase, so x + y
+never decreases from cell to cell: one pass over the sorted cells adds each
+weight into the int lists of nu_minus and nu_plus, and the level sets are
+the runs of equal floor along the cells.  P is summed in ints and becomes
+one Fraction at the end, and the Jensen certificate and the entropies take
+their logs on reduced int ratios.  So the floats are those of the same
+formulas written on Fraction masses, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
-from .coupling import Coupling, is_staircase, monotone_coupling, pushforward
+from .coupling import Coupling, is_staircase, monotone_coupling
 from .errors import NotMonotone, PreconditionViolated
-from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _log_ratio, _mass_times_log, _repeats, counting_entropy
+from .measures import INEQ_SLACK, SUM_SLACK, ZERO, Pmf, _canonical, _log_ratio, _mass_times_log, _repeats, counting_entropy
 
 
 def m_minus(x: int, y: int) -> int:
@@ -56,8 +58,23 @@ class MidpointPair:
 
 
 def midpoint_measures(nu0: Pmf, nu1: Pmf) -> MidpointPair:
+    """nu- = m-#pi and nu+ = m+#pi for the monotone coupling pi, read off its cells in one pass.
+
+    The cells run from (min supp nu0, min supp nu1) to (max supp nu0,
+    max supp nu1), and x + y never decreases between them, so the first and
+    last sums s bound both windows and every weight lands inside its list.
+    """
     pi = monotone_coupling(nu0, nu1)
-    return MidpointPair(pushforward(pi, m_minus), pushforward(pi, m_plus), pi)
+    first = nu0.offset + nu1.offset
+    last = first + len(nu0.weights) + len(nu1.weights) - 2
+    a0, b0 = first // 2, first - first // 2  # the first floor and ceiling
+    minus, plus = [0] * (last // 2 - a0 + 1), [0] * (last - last // 2 - b0 + 1)
+    for x, y, w in pi.cells:
+        s = x + y
+        a = s // 2  # m_minus(x, y); s - a is m_plus(x, y)
+        minus[a - a0] += w
+        plus[s - a - b0] += w
+    return MidpointPair(_canonical(a0, minus, pi.unit), _canonical(b0, plus, pi.unit), pi)
 
 
 def _cell_factors(pair: MidpointPair) -> list[tuple[int, int, int]]:
@@ -71,7 +88,7 @@ def _cell_factors(pair: MidpointPair) -> list[tuple[int, int, int]]:
     # every point read lies in its pmf's window, so the weights are indexed directly
     factors = []
     for x, y, w in pair.pi.cells:
-        a = m_minus(x, y)
+        a = (x + y) // 2  # m_minus(x, y)
         b = x + y - a  # m_plus(x, y)
         num = lo.weights[a - lo.offset] * hi.weights[b - hi.offset]
         factors.append((w, num, nu0.weights[x - nu0.offset] * nu1.weights[y - nu1.offset]))
@@ -195,8 +212,14 @@ def level_sets(pi: Coupling) -> list[LevelSet]:
     if not is_staircase(pi):
         raise NotMonotone("level sets are only defined for staircase couplings")
     # along a staircase x + y never decreases, so each level is a run of atoms
-    runs = groupby(pi.cells, key=lambda cell: m_minus(cell[0], cell[1]))
-    return [LevelSet(a, tuple([(x, y) for x, y, _ in cells])) for a, cells in runs]
+    runs: list[tuple[int, list[tuple[int, int]]]] = []
+    for x, y, _ in pi.cells:
+        a = (x + y) // 2  # m_minus(x, y)
+        if runs and runs[-1][0] == a:
+            runs[-1][1].append((x, y))
+        else:
+            runs.append((a, [(x, y)]))
+    return [LevelSet(a, tuple(pairs)) for a, pairs in runs]
 
 
 @dataclass(frozen=True)

@@ -131,10 +131,13 @@ def _canonical(offset: int, ints: list[int], unit: int) -> Pmf:
     total = sum(ints)
     if total != unit:
         raise NotNormalized(Fraction(unit - total, unit))
-    kept = [i for i, w in enumerate(ints) if w]
-    lo, hi = kept[0], kept[-1]
+    lo, hi = 0, len(ints) - 1
+    while not ints[lo]:
+        lo += 1
+    while not ints[hi]:
+        hi -= 1
     g = math.gcd(*ints)
-    return Pmf(offset + lo, tuple([w // g for w in ints[lo : hi + 1]]), unit // g)
+    return Pmf(offset + lo, tuple(ints[lo : hi + 1] if g == 1 else [w // g for w in ints[lo : hi + 1]]), unit // g)
 
 
 def pmf(offset: int, masses: Sequence) -> Pmf:

@@ -424,10 +424,11 @@ def jensen_certificate(nu0, nu1) -> float:
     return certificate
 
 
-def _midpoint_ratios(nu0, nu1) -> list[tuple[Fraction, Fraction]]:
-    """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom of the `quantile_coupling`, in its order.
+def midpoint_masses(nu0, nu1):
+    """(atoms, floor masses, ceiling masses): the `quantile_coupling` and its images under floor and ceil of (x+y)/2.
 
-    The floor and ceiling midpoint measures are summed from its atoms.
+    Each image is a dict from point to Fraction mass, summed atom by atom
+    from Fraction midpoints.
     """
     atoms = quantile_coupling(nu0, nu1)
     floor_mass, ceil_mass = {}, {}
@@ -435,6 +436,15 @@ def _midpoint_ratios(nu0, nu1) -> list[tuple[Fraction, Fraction]]:
         mid = Fraction(x + y, 2)
         floor_mass[math.floor(mid)] = floor_mass.get(math.floor(mid), ZERO) + p
         ceil_mass[math.ceil(mid)] = ceil_mass.get(math.ceil(mid), ZERO) + p
+    return atoms, floor_mass, ceil_mass
+
+
+def _midpoint_ratios(nu0, nu1) -> list[tuple[Fraction, Fraction]]:
+    """(pi(x,y), nu-(m-) nu+(m+) / (nu0(x) nu1(y))) for each atom of the `quantile_coupling`, in its order.
+
+    The floor and ceiling midpoint measures are those of `midpoint_masses`.
+    """
+    atoms, floor_mass, ceil_mass = midpoint_masses(nu0, nu1)
     ratios = []
     for x, y, p in atoms:
         mid = Fraction(x + y, 2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,38 @@ def test_monotone_coupling_contracts(nu0, nu1):
     assert is_staircase(pi)
     assert len(pi.atoms) <= len(nu0.support_points()) + len(nu1.support_points()) - 1
     assert all(p > 0 for _, _, p in pi.atoms)
+
+
+def _moved(pi, k, x, y):
+    """pi with its k-th cell moved to (x, y), keeping the weight and the stored marginals."""
+    cells = list(pi.cells)
+    cells[k] = (x, y, cells[k][2])
+    return replace(pi, cells=tuple(cells))
+
+
+def _bumped(rng, nu):
+    """nu with one weight raised by one, normalized again."""
+    i = rng.randrange(len(nu.weights))
+    return from_weights(nu.offset, [w + (k == i) for k, w in enumerate(nu.weights)])
+
+
+def test_check_marginals_fails_on_planted_faults(rng):
+    for _ in range(200):
+        nu0 = from_weights(rng.randint(-5, 5), [rng.randint(1, 9) for _ in range(rng.randint(2, 8))])
+        nu1 = from_weights(rng.randint(-5, 5), [rng.randint(1, 9) for _ in range(rng.randint(2, 8))])
+        pi = monotone_coupling(nu0, nu1)
+        assert check_marginals(pi)
+        # a stored marginal off by one weight: every weight is positive, so the bumped law is another law
+        assert not check_marginals(replace(pi, marginal0=_bumped(rng, nu0)))
+        assert not check_marginals(replace(pi, marginal1=_bumped(rng, nu1)))
+        # a cell moved to another row or column inside the marginal's window
+        k = rng.randrange(len(pi.cells))
+        x, y, _ = pi.cells[k]
+        assert not check_marginals(_moved(pi, k, rng.choice([r for r in nu0.window() if r != x]), y))
+        assert not check_marginals(_moved(pi, k, x, rng.choice([c for c in nu1.window() if c != y])))
+        # a cell outside the marginal's window, on either side
+        assert not check_marginals(_moved(pi, k, rng.choice((nu0.offset - 1, nu0.window().stop + 2)), y))
+        assert not check_marginals(_moved(pi, k, x, rng.choice((nu1.offset - 3, nu1.window().stop))))
 
 
 def test_is_staircase_matches_the_pairwise_definition(rng):

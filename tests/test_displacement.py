@@ -11,7 +11,7 @@ import oracles
 from conftest import allocated_block_growth, cpython_only, pmf_strategy
 from discretepl import displacement
 from discretepl.campaign import random_pmf
-from discretepl.coupling import _from_cells, monotone_coupling
+from discretepl.coupling import _from_cells, monotone_coupling, pushforward
 from discretepl.displacement import (
     LevelSet,
     chain_diagnostics,
@@ -72,6 +72,45 @@ def test_midpoints_worked_instance():
     pair = midpoint_measures(uniform_on([0, 2]), delta(1))
     assert pair.nu_minus == uniform_on([0, 1])
     assert pair.nu_plus == uniform_on([1, 2])
+
+
+def _reference_cell_factors(pair):
+    """(w, nu-(m-) nu+(m+), nu0(x) nu1(y)) for each cell (x, y, w), through m_minus, m_plus and `Pmf.weight`."""
+    nu0, nu1, lo, hi = pair.pi.marginal0, pair.pi.marginal1, pair.nu_minus, pair.nu_plus
+    return [
+        (w, lo.weight(m_minus(x, y)) * hi.weight(m_plus(x, y)), nu0.weight(x) * nu1.weight(y))
+        for x, y, w in pair.pi.cells
+    ]
+
+
+def _assert_the_staircase_pass_matches_its_references(nu0, nu1):
+    pair = midpoint_measures(nu0, nu1)
+    assert pair.pi == monotone_coupling(nu0, nu1)
+    # the general image under each midpoint map, and the Fraction sums over the quantile coupling
+    assert pair.nu_minus == pushforward(pair.pi, m_minus)
+    assert pair.nu_plus == pushforward(pair.pi, m_plus)
+    _, floor_mass, ceil_mass = oracles.midpoint_masses(nu0, nu1)
+    assert dict(oracles.support(pair.nu_minus)) == floor_mass
+    assert dict(oracles.support(pair.nu_plus)) == ceil_mass
+    assert displacement._cell_factors(pair) == _reference_cell_factors(pair)
+
+
+@given(pmf_strategy() | st.builds(delta, st.integers(-10, 10)), pmf_strategy() | st.builds(delta, st.integers(-10, 10)))
+@settings(max_examples=200, deadline=None)
+def test_the_staircase_pass_is_the_pushforward_of_each_midpoint_map(nu0, nu1):
+    _assert_the_staircase_pass_matches_its_references(nu0, nu1)
+
+
+def _sparse_pmf(rng, resolution):
+    """Up to 40 weights in 1..resolution, about half of them zeroed, at an offset in -30..30."""
+    weights = [rng.choice((0, rng.randint(1, resolution))) for _ in range(rng.randint(1, 40))]
+    weights[rng.randrange(len(weights))] = rng.randint(1, resolution)
+    return from_weights(rng.randint(-30, 30), weights)
+
+
+def test_the_staircase_pass_is_the_pushforward_of_each_midpoint_map_at_resolution_1e9(rng):
+    for _ in range(200):
+        _assert_the_staircase_pass_matches_its_references(_sparse_pmf(rng, 10**9), _sparse_pmf(rng, 10**9))
 
 
 def test_ratio_sum_single_atom():

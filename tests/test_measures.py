@@ -13,6 +13,7 @@ from discretepl.errors import NegativeMass, NotNormalized
 from discretepl.measures import (
     Pmf,
     RealFn,
+    _canonical,
     _uniform_ints,
     counting_entropy,
     delta,
@@ -71,6 +72,27 @@ def test_every_builder_gives_the_canonical_form(offset, values):
     for _, y, w in cells:
         sums[y] = sums.get(y, 0) + w
     assert (pi.marginal1.offset, pi.marginal1.masses) == oracles.normalized_window(0, [sums.get(y, 0) for y in range(5)])
+
+
+@pytest.mark.parametrize(
+    "offset, ints, divisor",
+    [
+        (0, [0, 0, 3, 1, 0], 1),  # zeros at both ends
+        (-4, [0, 6, 0, 0, 4, 0, 0], 2),  # zeros at both ends and inside
+        (3, [2, 0, 7], 1),  # an interior zero, nothing to trim
+        (-2, [0, 0, 9, 3, 6], 3),  # a leading run only
+        (5, [4, 8, 0, 0], 4),  # a trailing run only
+        (7, [0, 0, 0, 5, 0], 5),  # one point
+        (-1, [1], 1),
+    ],
+)
+def test_canonical_trims_both_ends_and_divides_only_by_a_gcd_above_one(offset, ints, divisor):
+    nu = _canonical(offset, ints, sum(ints))
+    _assert_canonical(nu)
+    assert (nu.offset, nu.masses) == oracles.normalized_window(offset, ints)
+    assert nu.total * divisor == sum(ints)
+    start = nu.offset - offset
+    assert [w * divisor for w in nu.weights] == ints[start : start + len(nu.weights)]
 
 
 def test_equal_measures_built_different_ways_compare_and_hash_equal():
