@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 from discretepl.measures import from_weights
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 
 @st.composite
 def pmf_strategy(draw, max_width=10, resolution=24, max_offset=10):
@@ -22,6 +27,24 @@ def pmf_strategy(draw, max_width=10, resolution=24, max_offset=10):
 #: seconds after which a test fails: a loop that never ends, such as an SSP search whose strict relaxation is
 #: broken, then fails its test instead of hanging the suite (the slowest test takes a few seconds)
 TEST_TIME_LIMIT_S = 120
+
+
+#: bytes of address space the suite may map (`ulimit -v 1500000`): a loop that keeps allocating, such as an SSP
+#: search whose strict relaxation is broken (about 0.5 GB/s), then fails with MemoryError in seconds instead of
+#: taking the host's memory; the whole suite peaks at 353 MB of VM (VmPeak, Python 3.11, numpy, 2 cores)
+TEST_ADDRESS_SPACE_BYTES = 1_500_000 * 1024
+
+
+def pytest_configure(config):
+    """Lower the soft RLIMIT_AS to `TEST_ADDRESS_SPACE_BYTES` where `resource` exists and the limit is higher."""
+    if resource is None:
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > TEST_ADDRESS_SPACE_BYTES:
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (TEST_ADDRESS_SPACE_BYTES, hard))
+        except (ValueError, OSError):  # a platform that refuses the limit runs the suite without it
+            pass
 
 
 @pytest.fixture(autouse=True)
