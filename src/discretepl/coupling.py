@@ -11,10 +11,9 @@ A coupling stores int cells (x, y, w) over one int `unit`, canonical like a
 `Pmf`: so every mass identity on it (marginals, push-forwards) is a sum of
 ints, and the `Fraction` atoms are built only when asked for.
 
-`pushforward` is the general image under a map (x, y) -> z.  The midpoint
-measures are read off the staircase in one pass in `displacement` instead,
-and `check_marginals` re-derives both marginals through `pushforward`, so the
-verifier shares no code with that pass or with the constructors.
+`pushforward` is the general image under a map (x, y) -> z.  `check_marginals`
+re-derives both marginals through it, so the verifier shares no code with the
+constructors or with the one-pass midpoint measures of `displacement`.
 """
 
 from __future__ import annotations

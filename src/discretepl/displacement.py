@@ -60,9 +60,8 @@ class MidpointPair:
 def midpoint_measures(nu0: Pmf, nu1: Pmf) -> MidpointPair:
     """nu- = m-#pi and nu+ = m+#pi for the monotone coupling pi, read off its cells in one pass.
 
-    The cells run from (min supp nu0, min supp nu1) to (max supp nu0,
-    max supp nu1), and x + y never decreases between them, so the first and
-    last sums s bound both windows and every weight lands inside its list.
+    The cells run from (min supp nu0, min supp nu1) to (max supp nu0, max supp nu1), and x + y
+    never decreases between them, so the first and last sums bound both windows.
     """
     pi = monotone_coupling(nu0, nu1)
     first = nu0.offset + nu1.offset
