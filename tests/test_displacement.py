@@ -95,7 +95,10 @@ def _assert_the_staircase_pass_matches_its_references(nu0, nu1):
     assert displacement._cell_factors(pair) == _reference_cell_factors(pair)
 
 
-@given(pmf_strategy() | st.builds(delta, st.integers(-10, 10)), pmf_strategy() | st.builds(delta, st.integers(-10, 10)))
+_pmfs_or_deltas = pmf_strategy() | st.builds(delta, st.integers(-10, 10))
+
+
+@given(_pmfs_or_deltas, _pmfs_or_deltas)
 @settings(max_examples=200, deadline=None)
 def test_the_staircase_pass_is_the_pushforward_of_each_midpoint_map(nu0, nu1):
     _assert_the_staircase_pass_matches_its_references(nu0, nu1)
