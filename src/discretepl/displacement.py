@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coupling import Coupling, is_staircase, monotone_coupling
 from .errors import NotMonotone, PreconditionViolated
@@ -184,9 +185,13 @@ def displacement_gap(nu0: Pmf, nu1: Pmf) -> DisplacementReport:
     )
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    """Atoms of the coupling whose m_minus image is `a`; at most two of them."""
+class LevelSet(NamedTuple):
+    """Atoms of the coupling whose m_minus image is `a`; at most two of them.
+
+    A named tuple, so it is immutable and compares and hashes by value: a
+    frozen dataclass sets each field through `object.__setattr__`, which
+    took most of the time of `level_sets`.
+    """
 
     a: int
     pairs: tuple[tuple[int, int], ...]

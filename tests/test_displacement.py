@@ -215,6 +215,14 @@ def test_level_set_card_lemma_predicate(pairs, holds):
     assert LevelSet(0, pairs).card_holds is holds
 
 
+def test_level_sets_are_immutable_values():
+    a, b = LevelSet(3, ((6, 0), (6, 1))), LevelSet(3, ((6, 0), (6, 1)))
+    assert a == b and hash(a) == hash(b) and a != LevelSet(3, ((6, 0),))
+    assert (a.a, a.pairs, a.card_holds) == (3, ((6, 0), (6, 1)), True)
+    with pytest.raises(AttributeError):
+        a.a = 4
+
+
 def test_level_sets_reject_non_monotone():
     pi = _from_cells([(0, 1, 1), (1, 0, 1)], 2)
     with pytest.raises(NotMonotone):

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,204 @@ def test_float_quadruples_are_swept_in_floats():
     assert 0.41 * 0.41 == 2.29 * 0.07340611353711789
     assert F(0.41) * F(0.41) > F(2.29) * F(0.07340611353711789)
     assert check_4ft_hypothesis(f, f, h, k) == HypothesisCheck(True, None)
+
+
+def _oracle_sweep(n, quad):
+    """check_4ft_hypothesis on a numpy-swept dimension, asserted equal to the oracle; its verdict."""
+    assert n > fourfunctions.LOOP_MAX_DIM
+    expected = oracles.four_functions_witness(*quad)
+    result = check_4ft_hypothesis(*(CubeFn(n, tuple(vs)) for vs in quad))
+    assert result == HypothesisCheck(expected is None, expected)
+    if expected is not None:
+        assert [type(v) for v in result.witness] == [type(v) for v in expected]
+    return result.ok
+
+
+def _log_supermodular(rng, n):
+    # u(x) = prod r_i^{x_i} s^{C(|x|, 2)}: the product is modular and C(|x|, 2) convex in |x|
+    ratios = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+    s = rng.randint(1, 3)
+    return [math.prod(r for i, r in enumerate(ratios) if x >> i & 1) * s ** math.comb(x.bit_count(), 2) for x in range(2**n)]
+
+
+def test_screened_sweeps_match_the_oracle_on_valid_and_violating_quadruples(rng):
+    verdicts = []
+    for n in (5, 5, 5, 6, 6, 6, 7, 8):
+        u = _log_supermodular(rng, n)
+        a, b, c = (F(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(3))
+        d = a * b / c * F(rng.randint(8, 12), 8)  # d = ab/c makes every comparable pair a tie
+        quad = [[scale * v for v in u] for scale in (a, b, c, d)]
+        verdicts.append(_oracle_sweep(n, quad))
+        if n < 8:  # one f value raised by 1 ppm past the tie, late in the sweep
+            at = rng.randrange(2**n // 2, 2**n)
+            quad[0][at] *= F(10**6 + 1, 10**6) * d * c / (a * b)
+            verdicts.append(_oracle_sweep(n, quad))
+            # random rationals: most fail on an early pair
+            verdicts.append(_oracle_sweep(n, [[F(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(2**n)] for _ in range(4)]))
+    assert verdicts.count(True) == 8 and verdicts.count(False) == 14
+
+
+def test_screened_sweeps_compare_exact_ties_exactly(rng):
+    # (alpha u, beta u, alpha u, beta u) ties on every comparable pair, where the screen proves nothing
+    for n in (5, 6):
+        f, g, h, k = (list(q.values) for q in random_hypothesis_quadruple(rng, n, 1000))
+        assert _oracle_sweep(n, (f, g, h, k))
+        for at in (0, 2**n - 1):
+            raised = f[:at] + [f[at] * F(10**15 + 1, 10**15)] + f[at + 1 :]
+            assert not _oracle_sweep(n, (raised, g, h, k))
+
+
+def test_screened_sweeps_see_a_one_unit_violation_below_float_resolution(rng):
+    # 200-bit ints one unit apart have the same float image, so only the exact recheck tells the pairs apart
+    n = 6
+    u = [rng.getrandbits(200) | 1 << 199 for _ in range(2**n)]
+    top, ones = [max(u)] * 2**n, [1] * 2**n
+    assert _oracle_sweep(n, (u, ones, top, ones))
+    assert _oracle_sweep(n, (top, ones, top, ones))  # every pair an exact tie
+    for at in (5, 2**n - 3):
+        planted = u[:at] + [top[0] + 1] + u[at + 1 :]
+        assert float(planted[at]) == float(top[0])
+        assert not _oracle_sweep(n, (planted, ones, top, ones))
+
+
+def test_screened_sweeps_handle_ints_past_the_float_range(rng):
+    n = 5
+    f, g = ([rng.getrandbits(1100) for _ in range(2**n)] for _ in range(2))
+    top = max(f) * max(g)
+    h, k = [top + rng.getrandbits(8) for _ in range(2**n)], [1] * 2**n
+    assert _oracle_sweep(n, (f, g, h, k))
+    assert not _oracle_sweep(n, (f, g, h[:9] + [h[9] // 2**400] + h[10:], k))
+    # a mix of short and huge ints: the short ones are screened, the huge ones compared exactly
+    f = [v if i % 3 else v % 1000 for i, v in enumerate(f)]
+    assert _oracle_sweep(n, (f, g, h, k))
+
+
+def test_screened_sweeps_handle_long_units_with_subnormal_images(rng):
+    # over 32 distinct 17-bit prime denominators per function the units pass MAX_UNIT_BITS, so the sweep runs
+    # on Fractions; values near 10^-320 have subnormal images, and 10^-330 images are zero
+    primes = [p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))]
+    n = 6
+    scales = (F(1, 10**320), F(1, 10**330), F(1))
+    quad = [[F(rng.randint(1, 9), primes[rng.randrange(len(primes))]) * rng.choice(scales) for _ in range(2**n)] for _ in range(2)]
+    top = max(quad[0]) * max(quad[1])
+    quad += [[top * F(rng.randint(1, 9), primes[rng.randrange(len(primes))]) + top for _ in range(2**n)], [1] * 2**n]
+    assert _oracle_sweep(n, quad)
+    tiny = [v * F(1, 10**320) for v in quad[2]]  # the right side underflows too
+    assert not _oracle_sweep(n, (quad[0], quad[1], tiny, quad[3]))
+
+
+def test_screened_sweeps_prove_no_pair_whose_float_products_leave_the_normal_range(rng):
+    # products of 10^-200 underflow to 0 and products of 10^200 overflow to inf, in images that are
+    # themselves normal floats; in both the exact products are one unit of 10^-400 apart or less
+    n = 5
+    tiny, ones, zeros = [F(1, 10**200)] * 2**n, [1] * 2**n, [0] * 2**n
+    assert not _oracle_sweep(n, (tiny, tiny, zeros, ones))
+    assert not _oracle_sweep(n, (tiny, tiny, [F(1, 10**400 + 1)] * 2**n, ones))
+    assert _oracle_sweep(n, (tiny, tiny, [F(1, 10**400)] * 2**n, ones))
+    huge = [10**200] * 2**n
+    below = [10**200 - 1] * 2**n
+    assert not _oracle_sweep(n, (huge, huge, below, below))
+    assert _oracle_sweep(n, (huge, huge, [10**200 + rng.randint(0, 1) for _ in range(2**n)], huge))
+    # a nonzero value whose image is 0
+    assert not _oracle_sweep(n, ([F(1, 10**400)] + [0] * (2**n - 1), ones, zeros, ones))
+
+
+def test_screened_sweeps_handle_zeros(rng):
+    n = 6
+    # indicators of an up-set: f(x)g(y) = 1 needs x and y in it, and then x v y and x ^ y ... only x v y is
+    up = [int(x.bit_count() >= 3) for x in range(2**n)]
+    ones = [1] * 2**n
+    assert _oracle_sweep(n, (up, up, ones, up))
+    assert not _oracle_sweep(n, (up, up, up, up))
+    zeros = [0] * 2**n
+    assert _oracle_sweep(n, (zeros, ones, zeros, zeros))
+    assert not _oracle_sweep(n, (ones, ones, zeros, ones))
+    for _ in range(4):  # sparse random values
+        assert _oracle_sweep(n, [[rng.choice((0, 0, 0, F(1, 3))) for _ in range(2**n)] for _ in range(2)] + [ones, ones])
+
+
+def test_screened_sweeps_of_mixed_floats_and_ints(rng):
+    # a float among ints puts the sweep on the given values: the screen images them, and the
+    # recheck compares in Python's own mixed operations, as the loop does
+    n = 5
+    for trial in range(6):
+        f, g = ([rng.choice((rng.random(), rng.randint(0, 3), F(rng.randint(0, 9), 7))) for _ in range(2**n)] for _ in range(2))
+        top = 9.0 if trial % 2 else 4
+        h, k = ([rng.choice((top, 3, F(29, 7))) for _ in range(2**n)] for _ in range(2))
+        _oracle_sweep(n, (f, g, h, k))
+    # 0.1 * 3 = 0.30000000000000004 > 3/10 in floats, while 1/10 * 3 = 3/10 exactly
+    ones = [1] * 2**n
+    assert not _oracle_sweep(n, ([0.1] * 2**n, [3] * 2**n, [F(3, 10)] * 2**n, ones))
+    assert _oracle_sweep(n, ([F(1, 10)] * 2**n, [3] * 2**n, [F(3, 10)] * 2**n, ones))
+
+
+def test_screened_float_sweeps_are_the_loops_ieee_sweeps(rng):
+    n = 6
+    for scale in (1.0, 1e-160, 1e160):  # products of 1e-320 are subnormal and products of 1e320 overflow
+        f, g = ([rng.random() * scale for _ in range(2**n)] for _ in range(2))
+        h, k = [max(f)] * 2**n, [max(g)] * 2**n
+        raised = f[:-1] + [2 * max(f)]
+        for quad in ((f, g, h, k), (raised, g, h, k)):
+            screened = fourfunctions._screened_violation(2**n, quad, operator.mul)
+            assert screened == fourfunctions._looped_violation(2**n, quad, operator.mul)
+            assert (screened is None) == (quad[0] is f or scale == 1e160)  # inf > inf is False
+            if scale < 1e160:
+                assert _oracle_sweep(n, quad) is (screened is None)
+    # the test_float_quadruples_are_swept_in_floats near-tie, at every pair
+    assert _oracle_sweep(n, ([0.41] * 2**n, [0.41] * 2**n, [2.29] * 2**n, [0.07340611353711789] * 2**n))
+
+
+def _additive_oracle(quad):
+    """The additive witness from the multiplicative oracle: h1(x) + h2(y) <= h3 + h4 exactly when
+    2^(D(h1 - c)) 2^(D(h2 - e)) <= 2^(D(h3 - c)) 2^(D(h4 - e)), for D the common denominator."""
+    denominator = math.lcm(*[F(v).denominator for vs in quad for v in vs])
+    shifts = [min(quad[0] + quad[2]), min(quad[1] + quad[3])] * 2
+    powers = [[F(2) ** int((v - c) * denominator) for v in vs] for vs, c in zip(quad, shifts)]
+    expected = oracles.four_functions_witness(*powers)
+    if expected is None:
+        return None
+    x, y = (sum(b << i for i, b in enumerate(bits)) for bits in expected[:2])
+    low, high = x & y, x | y
+    return expected[0], expected[1], float(quad[0][x] + quad[1][y]), float(quad[2][low] + quad[3][high])
+
+
+def test_screened_additive_sweeps_match_the_oracle(rng):
+    verdicts = []
+    for n, offset in ((5, 0), (5, 2**60), (6, 0), (6, -(2**70))):
+        # about 2^60 a float's resolution is 256, so the tenths of these exponents are below it
+        size = 2**n
+        h1, h2 = ([offset + F(rng.randint(-40, 40), rng.choice((1, 2, 5, 10))) for _ in range(size)] for _ in range(2))
+        top = max(h1) + max(h2)
+        # a modular h3 + h4 = top everywhere: the sums tie exactly on the pairs that reach the top
+        h3 = [top / 2 - x.bit_count() for x in range(size)]
+        h4 = [top / 2 + x.bit_count() for x in range(size)]
+        y = h2.index(max(h2))  # the pair (all ones, y) has slack n - |y|: a tenth more fails it
+        raised = h1[:-1] + [top - max(h2) + n - y.bit_count() + F(1, 10)]
+        for quad in ((h1, h2, h3, h4), (raised, h2, h3, h4), (h3, h4, h3, h4)):
+            expected = _additive_oracle(quad)
+            out = check_4ft_additive(*(CubeFn(n, tuple(vs)) for vs in quad))
+            assert (out.hypothesis_ok, out.hyp_witness) == (expected is None, expected)
+            verdicts.append(out.hypothesis_ok)
+            # over floats the same sweep is the loop's own float sweep
+            floats = [[float(v) for v in vs] for vs in quad]
+            screened = fourfunctions._screened_violation(size, floats, operator.add)
+            assert screened == fourfunctions._looped_violation(size, floats, operator.add)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_multiplicative_checkers_reject_non_finite_values(bad):
+    # NaN compares False, so a NaN f once passed the sweep that the conclusion fails
+    ones = CubeFn(1, (1, 1))
+    for which in range(4):
+        fns = [CubeFn(1, (bad, 1.0)) if i == which else ones for i in range(4)]
+        with pytest.raises(PreconditionViolated, match="multiplicative 4FT values must be finite"):
+            check_4ft_hypothesis(*fns)
+        with pytest.raises(PreconditionViolated, match="multiplicative 4FT values must be finite"):
+            check_4ft_conclusion(*fns)
+    # finite floats whose sum overflows are valid input, and the conclusion reports the inf it forms
+    huge = CubeFn(1, (1e308, 1e308))
+    assert check_4ft_conclusion(huge, ones, ones, ones) == (math.inf, 4, False)
 
 
 @cpython_only
