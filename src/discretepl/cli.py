@@ -367,9 +367,10 @@ def _check_options(args) -> None:
             raise ConfigError(f"{' and '.join(given)} exclude each other; give one of {', '.join(references)}")
         if args.K is not None and not args.mu_kind:
             raise ConfigError(f"--K applies only to --mu-kind, not to {given[0]}")
-    # the 4FT sweep visits 4^dim pairs in float64 blocks: a whole check-4ft run at dim 12 takes 0.35 s on
-    # floats, 0.45 s on small-denominator rationals, 0.65 s on 4,096 distinct 20-bit denominators and 1.3 s
-    # when every pair is an exact tie, compared exactly (Python 3.11, numpy 2.4, 2 cores)
+    # the 4FT sweep screens its 4^dim pairs in float64 blocks: a whole check-4ft run at dim 12 takes 0.35 s on
+    # floats, 0.45 s on small-denominator rationals and 0.65 s on 4,096 distinct 20-bit denominators; when every
+    # pair is an exact tie, each is compared exactly: 1.3 s on small ints, 140 s on rationals in a unit of
+    # hundreds of bits (Python 3.11, numpy 2.4, 2 cores)
     if args.command == "check-4ft" and not 1 <= args.dim <= 12:
         raise ConfigError("--dim must be in 1..12")
     if args.command == "limit-exp":

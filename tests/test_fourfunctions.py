@@ -238,7 +238,7 @@ def test_screened_sweeps_prove_no_pair_whose_float_products_leave_the_normal_ran
 
 def test_screened_sweeps_handle_zeros(rng):
     n = 6
-    # indicators of an up-set: f(x)g(y) = 1 needs x and y in it, and then x v y and x ^ y ... only x v y is
+    # the indicator of an up-set: f(x)g(y) = 1 puts x, y and so x v y in it, but not always x ^ y
     up = [int(x.bit_count() >= 3) for x in range(2**n)]
     ones = [1] * 2**n
     assert _oracle_sweep(n, (up, up, ones, up))
@@ -246,8 +246,10 @@ def test_screened_sweeps_handle_zeros(rng):
     zeros = [0] * 2**n
     assert _oracle_sweep(n, (zeros, ones, zeros, zeros))
     assert not _oracle_sweep(n, (ones, ones, zeros, ones))
-    for _ in range(4):  # sparse random values
-        assert _oracle_sweep(n, [[rng.choice((0, 0, 0, F(1, 3))) for _ in range(2**n)] for _ in range(2)] + [ones, ones])
+    for _ in range(4):  # sparse random values: zero products on both sides
+        sparse = [[rng.choice((0, 0, 0, F(1, 3))) for _ in range(2**n)] for _ in range(4)]
+        assert _oracle_sweep(n, sparse[:2] + [ones, ones])
+        _oracle_sweep(n, sparse)
 
 
 def test_screened_sweeps_of_mixed_floats_and_ints(rng):
