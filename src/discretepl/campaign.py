@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .coupling import Coupling, binary_lattice_couplings, check_marginals, monotone_coupling
 from .displacement import displacement_gap, level_sets, midpoint_measures, pair_ratio_sum
@@ -21,12 +22,11 @@ from .errors import ConfigError
 from .fourfunctions import check_4ft_conclusion, check_4ft_hypothesis, random_hypothesis_quadruple
 from .io import dump_json, long_int_strings
 from .measures import Pmf, _uniform_ints, from_weights
-from .transport import transport_entropy_check
+from .transport import LogWeights, positive_window, transport_entropy_check
 
-CHECKS = ("leq1", "displacement", "card", "4ft", "transport-lemma", "te")
 #: a million default trials take 1.0-4.7 min (transport-lemma 1.0-1.2, te 1.7, displacement 4.3-4.7, 4ft 2.9-3.6),
-#: the best of four timings over 5,000 trials with the JSON report (te 2.6-2.8 before its costs were read off the
-#: weight tuple), up to 1.5x that on a loaded host; they keep about 0.5 GB of records (Python 3.11, 2 cores)
+#: the best of four timings over 5,000 trials with the JSON report, up to 1.5x that on a loaded host, and keep about
+#: 0.5 GB of records; a million check-te trials take 0.7-1.0 min and keep only failures (Python 3.11, 2 cores)
 MAX_TRIALS = 1_000_000
 #: one displacement trial on two full-width pmfs takes 0.10-0.11 s at width 20000 and resolution 64, and 2.6 s
 #: at resolution 10^9 (Python 3.11, 2 cores)
@@ -219,28 +219,50 @@ def _transport_lemma_trial(rng: random.Random, cfg: CampaignConfig):
     return (nu1, nu2), passed, {"case": "i" if case_i else "ii"}, witness
 
 
-def _te_trial(rng: random.Random, cfg: CampaignConfig):
-    family = LOG_CONCAVE_FAMILIES[rng.randrange(len(LOG_CONCAVE_FAMILIES))]
-    half_width = min(12, cfg.support_width)
-    mu = rational_log_concave_family(family, half_width)
-    window = range(-half_width, half_width + 1)
-    nu0 = _pmf_in_window(rng, window, cfg.mass_resolution, 12)
-    nu1 = _pmf_in_window(rng, window, cfg.mass_resolution, 12)
+def te_trial(rng: random.Random, mu: Pmf | LogWeights, family: str, width: int, resolution: int):
+    """T <= H(nu0|mu) + H(nu1|mu) on two random pmfs of support width at most `width` in mu's positive window."""
+    window = positive_window(mu)
+    nu0 = _pmf_in_window(rng, window, resolution, width)
+    nu1 = _pmf_in_window(rng, window, resolution, width)
     check = transport_entropy_check(mu, nu0, nu1)
     witness = None if check.holds else f"T={check.lhs} > H+H={check.rhs} under {family}"
     return (family, nu0, nu1), check.holds, {"family": family, "lhs": check.lhs, "rhs": check.rhs}, witness
 
 
-#: check -> trial (rng, config) -> (inputs, passed, values, witness); the record
-#: digest hashes the str() of each input, and the witness is None on a pass
-_TRIALS = {
-    "leq1": _leq1_trial,
-    "displacement": _displacement_trial,
-    "card": _card_trial,
-    "4ft": _fourfn_trial,
-    "transport-lemma": _transport_lemma_trial,
-    "te": _te_trial,
+def _te_trial(rng: random.Random, cfg: CampaignConfig):
+    family = LOG_CONCAVE_FAMILIES[rng.randrange(len(LOG_CONCAVE_FAMILIES))]
+    return te_trial(rng, rational_log_concave_family(family, min(12, cfg.support_width)), family, 12, cfg.mass_resolution)
+
+
+_MAX_P = ("max_P", "P", max, lambda values: Fraction(values["P"]))
+#: check -> (trial (rng, config) -> (inputs, passed, values, witness), extremes): the digest hashes each input's
+#: str(), and an extreme (name, label, min or max, key of the values) reads {"index", label}: values[label], else key
+_CHECKS = {
+    "leq1": (_leq1_trial, [_MAX_P]),
+    "displacement": (_displacement_trial, [_MAX_P, ("min_gap", "gap", min, itemgetter("gap"))]),
+    "card": (_card_trial, [("max_card", "card", max, itemgetter("max_card"))]),
+    "4ft": (_fourfn_trial, []),
+    "transport-lemma": (_transport_lemma_trial, []),
+    "te": (_te_trial, [("min_slack", "slack", min, lambda values: values["rhs"] - values["lhs"])]),
 }
+CHECKS = tuple(_CHECKS)
+
+
+def run_trials(check: str, seed: int, trials: int, emit, trial, *args) -> dict:
+    """Run `trial(rng, *args)` on `trial_rng(seed, index)` for each index < trials; return the check's extremes.
+
+    Each outcome goes to `emit(index, inputs, passed, values, witness)`; on a tie an extreme keeps the first index.
+    """
+    extremes, best = _CHECKS[check][1], {}
+    for index in range(trials):
+        inputs, passed, values, witness = trial(trial_rng(seed, index), *args)
+        emit(index, inputs, passed, values, witness)
+        for name, _, pick, key in extremes:  # min and max return their first argument unless the second is better
+            value = key(values)
+            if name not in best or pick(best[name][1], value) is not best[name][1]:
+                best[name] = (index, value, values)
+    rows = zip(extremes, best.values())  # best was filled in the rows' order on trial 0
+    return {name: {"index": i, label: kept.get(label, v)} for (name, label, _, _), (i, v, kept) in rows}
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -249,28 +271,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     Exact values are reported in full, however many digits they have.
     """
     report = CampaignReport(cfg)
-    runner = _TRIALS[cfg.check]
+
+    def keep(index, inputs, passed, values, witness):
+        digest = hashlib.sha256("|".join(map(str, inputs)).encode()).hexdigest()[:12]
+        report.records.append(TrialRecord(index, digest, passed, values, witness))
+
     with long_int_strings():
-        for index in range(cfg.trials):
-            inputs, passed, values, witness = runner(trial_rng(cfg.seed, index), cfg)
-            digest = hashlib.sha256("|".join(map(str, inputs)).encode()).hexdigest()[:12]
-            report.records.append(TrialRecord(index, digest, passed, values, witness))
-        _summarize(report)
+        report.extremes = run_trials(cfg.check, cfg.seed, cfg.trials, keep, _CHECKS[cfg.check][0], cfg)
     return report
-
-
-def _summarize(report: CampaignReport) -> None:
-    records = report.records
-    check = report.config.check
-    if check in ("leq1", "displacement"):
-        max_p = max(records, key=lambda r: Fraction(r.values["P"]))
-        report.extremes["max_P"] = {"index": max_p.index, "P": max_p.values["P"]}
-        if check == "displacement":
-            min_gap = min(records, key=lambda r: r.values["gap"])
-            report.extremes["min_gap"] = {"index": min_gap.index, "gap": min_gap.values["gap"]}
-    elif check == "card":
-        max_card = max(records, key=lambda r: r.values["max_card"])
-        report.extremes["max_card"] = {"index": max_card.index, "card": max_card.values["max_card"]}
-    elif check == "te":
-        slack = min(records, key=lambda r: r.values["rhs"] - r.values["lhs"])
-        report.extremes["min_slack"] = {"index": slack.index, "slack": slack.values["rhs"] - slack.values["lhs"]}

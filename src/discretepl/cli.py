@@ -33,12 +33,11 @@ import io
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
 from . import io as formats
-from .campaign import CHECKS, MAX_RESOLUTION, MAX_TRIALS, CampaignConfig, _pmf_in_window, run_campaign
+from .campaign import CHECKS, MAX_RESOLUTION, MAX_TRIALS, CampaignConfig, run_campaign, run_trials, te_trial
 from .displacement import chain_diagnostics, displacement_gap, level_sets
 from .errors import ConfigError, ConvexityWitnessFailed, DiscretePLError, HypothesisFailedOnGrid
 from .fourfunctions import check_4ft_additive, check_4ft_conclusion, check_4ft_hypothesis
@@ -51,14 +50,7 @@ from .limits import (
     rescaled_displacement_experiment,
 )
 from .measures import INEQ_SLACK
-from .transport import (
-    curvature_cost,
-    gaussian_weights,
-    geometric_weights,
-    ot_cost,
-    positive_window,
-    transport_entropy_check,
-)
+from .transport import curvature_cost, gaussian_weights, geometric_weights, ot_cost
 
 
 def _int_list(text: str) -> list[int]:
@@ -228,18 +220,14 @@ def _cmd_transport_cost(args, files) -> tuple:
 
 
 def _cmd_check_te(args, files) -> tuple:
-    mu = _reference_measure(args, files)
-    window = positive_window(mu)
-    rng = random.Random(args.seed)
-    failures = []
-    worst = math.inf
-    for index in range(args.trials):
-        nu0 = _pmf_in_window(rng, window, args.resolution, args.width)
-        nu1 = _pmf_in_window(rng, window, args.resolution, args.width)
-        check = transport_entropy_check(mu, nu0, nu1)
-        worst = min(worst, check.rhs - check.lhs)
-        if not check.holds:
-            failures.append({"index": index, "nu0": str(nu0), "nu1": str(nu1), "lhs": check.lhs, "rhs": check.rhs})
+    mu, failures = _reference_measure(args, files), []
+
+    def keep_failure(index, inputs, passed, values, witness):
+        if not passed:
+            failures.append(dict(index=index, nu0=str(inputs[1]), nu1=str(inputs[2]), lhs=values["lhs"], rhs=values["rhs"]))
+
+    trial_args = (mu, args.mu or args.mu_kind, args.width, args.resolution)
+    worst = run_trials("te", args.seed, args.trials, keep_failure, te_trial, *trial_args)["min_slack"]["slack"]
     lines = [f"{args.trials - len(failures)}/{args.trials} transport-entropy checks passed; min slack {worst:.6g}"]
     lines += [f"  FAILED {f}" for f in failures]
     return {"trials": args.trials, "failures": failures, "min_slack": worst}, lines, not failures, None

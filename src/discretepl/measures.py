@@ -46,13 +46,20 @@ def to_common_unit(values, max_bits: int | None = None) -> tuple[list[int], int]
     an int or a Fraction, and the exact binary value of a float (what
     `Fraction(float)` reads, without building the Fraction; NaN and +-inf
     raise there).  With `max_bits`, a scale longer than that many bits gives
-    None before any value is scaled.  The lcm's arguments come from a list,
-    not a generator: a tuple built from a generator is allocated at one size
-    and freed at another, which strands a small tuple on CPython's free lists
-    on every call.
+    None before any value is scaled; past 64 values the lcm takes them 64 at
+    a time and stops at the first partial lcm past the cap, as it only grows.
+    The lcm's arguments come from a list, not a generator: a tuple built from
+    a generator is allocated at one size and freed at another, which strands
+    a small tuple on CPython's free lists on every call.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*[q for _, q in ratios])
+    if max_bits is None or len(ratios) <= 64:
+        scale = math.lcm(*[q for _, q in ratios])
+    else:
+        scale = 1
+        for i in range(0, len(ratios), 64):
+            if (scale := math.lcm(scale, *[q for _, q in ratios[i : i + 64]])).bit_length() > max_bits:
+                return None
     if max_bits is not None and scale.bit_length() > max_bits:
         return None
     return [p * (scale // q) for p, q in ratios], scale

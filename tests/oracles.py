@@ -537,3 +537,27 @@ def log_weight_entropy_terms(nu, weight: dict[int, Fraction]) -> list[float]:
     top = max(exponents)
     log_z = top + math.log(sum_left_to_right([math.exp(e - top) for e in exponents]))
     return [float(m) * (log_fraction(m) - float(weight[x]) + log_z) for x, m in support(nu)]
+
+
+def campaign_extremes(check: str, values: list[dict]) -> dict:
+    """A campaign's extremes over its records' values, trial i at position i, one branch per check.
+
+    Each extreme is the built-in `max` or `min` over the whole list, which
+    keeps the first index on a tie; P is compared as an exact Fraction and
+    reported as the record's string.
+    """
+    records = list(enumerate(values))
+    extremes = {}
+    if check in ("leq1", "displacement"):
+        index, best = max(records, key=lambda r: Fraction(r[1]["P"]))
+        extremes["max_P"] = {"index": index, "P": best["P"]}
+        if check == "displacement":
+            index, best = min(records, key=lambda r: r[1]["gap"])
+            extremes["min_gap"] = {"index": index, "gap": best["gap"]}
+    elif check == "card":
+        index, best = max(records, key=lambda r: r[1]["max_card"])
+        extremes["max_card"] = {"index": index, "card": best["max_card"]}
+    elif check == "te":
+        index, best = min(records, key=lambda r: r[1]["rhs"] - r[1]["lhs"])
+        extremes["min_slack"] = {"index": index, "slack": best["rhs"] - best["lhs"]}
+    return extremes

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import discretepl
+import oracles
 from discretepl import campaign, cli, displacement, limits, transport
 from discretepl.campaign import LOG_CONCAVE_FAMILIES, CampaignConfig, run_campaign
 from discretepl.cli import main
@@ -118,6 +119,35 @@ def test_campaign_streams_differ_across_seeds():
 def test_campaign_seed1_ten_trials_all_pass():
     report = run_campaign(CampaignConfig(seed=1, trials=10, check="leq1"))
     assert report.passes == 10 and report.failures == 0
+
+
+@pytest.mark.parametrize("check", campaign.CHECKS)
+def test_campaign_extremes_are_min_and_max_over_the_records(check):
+    report = run_campaign(CampaignConfig(seed=11, trials=500, check=check))
+    assert report.extremes == oracles.campaign_extremes(check, [record.values for record in report.records])
+
+
+_PLANTED_P_AND_GAP = [{"P": "1/2", "gap": 0.25}, {"P": "3/4", "gap": 0.0}, {"P": "2/3", "gap": 0.5}, {"P": "3/4", "gap": 0.0}]
+
+
+@pytest.mark.parametrize(
+    "check, planted",
+    [
+        ("leq1", _PLANTED_P_AND_GAP),
+        ("displacement", _PLANTED_P_AND_GAP),
+        ("card", [{"max_card": 2}, {"max_card": 4}, {"max_card": 1}, {"max_card": 4}]),
+        ("te", [{"lhs": 0.5, "rhs": 1.5}, {"lhs": 1.0, "rhs": 1.25}, {"lhs": 0.0, "rhs": 2.0}, {"lhs": 2.0, "rhs": 2.25}]),
+    ],
+)
+def test_trial_extremes_keep_the_first_of_two_equal_values(check, planted):
+    # each extreme value comes twice, first at index 1 and again at index 3
+    outcomes, emitted = iter(planted), []
+    extremes = campaign.run_trials(
+        check, 0, len(planted), lambda *outcome: emitted.append(outcome), lambda rng: ((), True, next(outcomes), None)
+    )
+    assert [outcome[0] for outcome in emitted] == [0, 1, 2, 3]
+    assert extremes == oracles.campaign_extremes(check, planted)
+    assert {extreme["index"] for extreme in extremes.values()} == {1}
 
 
 def _write(tmp_path, name, text):
@@ -371,7 +401,42 @@ def test_cli_check_te_json_is_byte_stable(capsys):
     code = main(["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1", "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == "21f346abb75686a91165473c1489ff3e4352bed400ea86cc3367acbb3b652946"
+    assert hashlib.sha256(out.encode()).hexdigest() == "577584e2ca197dd1fd9056803d7d3b2c08fb67f736777a9d2b24bdccf65834f9"
+
+
+def test_cli_check_te_min_slack_is_the_min_over_the_replayed_trials(capsys):
+    assert main(["check-te", "--mu-kind", "gaussian", "--trials", "300", "--seed", "4", "--width", "6", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    mu, values = transport.gaussian_weights(12), []
+    for index in range(300):
+        rng = campaign.trial_rng(4, index)
+        nu0 = campaign._pmf_in_window(rng, range(-12, 13), 64, 6)
+        nu1 = campaign._pmf_in_window(rng, range(-12, 13), 64, 6)
+        check = transport.transport_entropy_check(mu, nu0, nu1)
+        values.append({"lhs": check.lhs, "rhs": check.rhs})
+    assert doc["min_slack"] == oracles.campaign_extremes("te", values)["min_slack"]["slack"]
+
+
+def test_cli_check_te_failure_replays_from_its_seed_and_index(monkeypatch, capsys):
+    # a planted fault: the te verdict fails on its eighth call, which is trial 7
+    calls = []
+
+    def fail_trial_7(mu, nu0, nu1):
+        calls.append((nu0, nu1))
+        check = transport.transport_entropy_check(mu, nu0, nu1)
+        return dataclasses.replace(check, holds=False) if len(calls) == 8 else check
+
+    monkeypatch.setattr(campaign, "transport_entropy_check", fail_trial_7)
+    assert main(["check-te", "--mu-kind", "geometric", "--trials", "12", "--seed", "5", "--json"]) == 1
+    (failure,) = json.loads(capsys.readouterr().out)["failures"]
+    assert failure["index"] == 7
+    # trial 7 alone, from (seed, index): the two pmfs the te trial draws in the window [-12, 12] at the defaults
+    rng = campaign.trial_rng(5, 7)
+    nu0 = campaign._pmf_in_window(rng, range(-12, 13), 64, 8)
+    nu1 = campaign._pmf_in_window(rng, range(-12, 13), 64, 8)
+    assert (failure["nu0"], failure["nu1"]) == (str(nu0), str(nu1))
+    check = transport.transport_entropy_check(transport.geometric_weights(12), nu0, nu1)
+    assert (failure["lhs"], failure["rhs"]) == (check.lhs, check.rhs)
 
 
 def test_cli_campaign_te_json_over_many_trials_is_byte_stable(capsys):
@@ -409,8 +474,8 @@ _TEXT_PIN_FILES = {
         (["check-4ft", "--dim", "1", "--f", "{bad}", "--g", "{bad}", "--h", "{one}", "--k", "{one}"], 1, "2d40514682ad553b7eec306495d6173cf8c27766a36000f807a979051b440f14"),
         (["transport-cost", "--mu-kind", "gaussian", "--nu0", "{nu0}", "--nu1", "{nu1}", "--duals"], 0, "57b47d75f727959ee3517f273d5eb0fc9b09ca9fc6625295e2e26064784bbe2c"),
         (["transport-cost", "--cost-table", "{cost}", "--nu0", "{nu0}", "--nu1", "{nu1}", "--duals"], 0, "78d53ee577e532adef7b1e45cdd655804522884cf74ab5c16aba259a89906c4a"),
-        (["check-te", "--mu", "{mu}", "--trials", "20", "--seed", "3", "--width", "4"], 0, "b85cad80fd9cde8ce3ca19602c006684b0a4ed0e18294ff2988f8887d87b5753"),
-        (["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1"], 0, "edf3310be8f59c667c249cd2f6642398efeb7b91c69dab4a10e7fee83ab38f42"),
+        (["check-te", "--mu", "{mu}", "--trials", "20", "--seed", "3", "--width", "4"], 0, "2373fa034e34d0a367e812f2d168f1ce3f966c8e69a0b2f2bd4fe740be48cb26"),
+        (["check-te", "--mu-kind", "geometric", "--trials", "50", "--seed", "1"], 0, "7521b8bd08f52f12fefe11c05ef071321e37ebdc35a89dcd58238d266b19636a"),
         (["limit-exp", "--kind", "pl", "--demo", "gaussian", "--n", "16,64"], 0, "e227fa09953379b7974b11f53277e3926fd36e1644a74776dd3715a024af5ab8"),
         (["limit-exp", "--kind", "clt", "--demo", "quadratic", "--n", "16,64", "--lambda", "2.0"], 0, "4909aaad824a73a064924b1515545a5a1089d67198d6d7435e31658be2c32a26"),
         (["limit-exp", "--kind", "disp", "--demo", "two-uniform", "--n", "8,32"], 0, "907d13525790b7b9a2ce904cfb91d264f15fe0ba1e6100f62ea7aa612aa68ea7"),

@@ -296,6 +296,22 @@ def test_to_common_unit_gives_none_for_a_scale_past_max_bits():
     assert to_common_unit([F(1, 3), F(1, 5), F(1, 7), F(1, 11)], max_bits=10) is None  # the lcm, 1155
 
 
+def test_to_common_unit_with_max_bits_agrees_with_the_full_lcm_on_both_sides_of_the_cap():
+    # up to 300 values cross the 64-value chunks whose partial lcm is compared with the cap, and a rare
+    # long denominator can push the lcm past it in any chunk
+    rng = random.Random(17)
+    for _ in range(300):
+        values = []
+        for _ in range(rng.randint(0, 300)):
+            q = rng.randint(2**12, 2**24) if rng.random() < 0.02 else rng.randint(1, 16)
+            values.append(rng.choice([F(rng.randint(-99, 99), q), rng.randint(-9, 9), rng.random()]))
+        scale = math.lcm(*[F(v).denominator for v in values])
+        full = ([int(F(v) * scale) for v in values], scale)
+        bits = scale.bit_length()
+        for cap in (bits - 1, bits, rng.randint(0, 2 * bits)):
+            assert to_common_unit(values, max_bits=cap) == (None if bits > cap else full)
+
+
 @given(st.lists(st.fractions(max_denominator=60) | st.integers(-99, 99) | st.floats(-1e6, 1e6), max_size=12))
 def test_to_common_unit_is_exact(values):
     ints, scale = to_common_unit(values)
