@@ -1,14 +1,14 @@
 """Text formats for the CLI.
 
-Pmf files hold one measure per line, `offset; m0 m1 m2 ...` with masses as
-`p/q` rationals (or integers).  Cube-function files hold one value per line
-in index order, rationals or decimal floats.  Cost tables hold `x y value`
-lines.  Coupling dumps are `x y p/q` lines in lexicographic order.
-Parsing and emission round-trip exactly on canonical forms.  The parsers
-take text, not paths: the CLI reads each file and names it in any error.
-Parsing keeps CPython's int-str digit limit, so an over-long token is a
-parse error; exact reports lift the limit with `long_int_strings`.
-Every JSON report is written by `dump_json`.
+A pmf file holds one measure on one line, `offset; m0 m1 m2 ...` with masses
+as `p/q` rationals (or integers).  Cube-function files hold one value per
+line in index order, rationals or decimal floats.  Cost tables hold
+`x y value` lines, at most one per pair.  Coupling dumps are `x y p/q` lines
+in lexicographic order.  Parsing and emission round-trip exactly on
+canonical forms.  The parsers take text, not paths: the CLI reads each file
+and names it in any error.  Parsing keeps CPython's int-str digit limit, so
+an over-long token is a parse error; exact reports lift the limit with
+`long_int_strings`.  Every JSON report is written by `dump_json`.
 """
 
 from __future__ import annotations
@@ -120,26 +120,30 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_pmf_text(text: str) -> Pmf:
-    """First non-empty, non-comment line as a Pmf; errors carry line numbers."""
-    for line_no, line in _data_lines(text):
-        if ";" not in line:
-            raise ParseError(line_no, "expected 'offset; m0 m1 ...'")
-        head, _, tail = line.partition(";")
-        try:
-            offset = int(head.strip())
-        except ValueError:
-            raise ParseError(line_no, f"bad offset {head.strip()!r}") from None
-        tokens = tail.split()
-        if not tokens:
-            raise ParseError(line_no, "no masses")
-        masses = [parse_rational(t, line_no) for t in tokens]
-        try:
-            return pmf(offset, masses)
-        except NotNormalized as exc:
-            raise ParseError(line_no, f"masses do not sum to 1 (deficit {exc.deficit})") from None
-        except NegativeMass as exc:
-            raise ParseError(line_no, str(exc)) from None
-    raise ParseError(0, "empty pmf file")
+    """The one non-empty, non-comment line as a Pmf; errors carry line numbers."""
+    lines = list(_data_lines(text))
+    if not lines:
+        raise ParseError(0, "empty pmf file")
+    if len(lines) > 1:
+        raise ParseError(lines[1][0], "a pmf file holds one measure on one line")
+    line_no, line = lines[0]
+    if ";" not in line:
+        raise ParseError(line_no, "expected 'offset; m0 m1 ...'")
+    head, _, tail = line.partition(";")
+    try:
+        offset = int(head.strip())
+    except ValueError:
+        raise ParseError(line_no, f"bad offset {head.strip()!r}") from None
+    tokens = tail.split()
+    if not tokens:
+        raise ParseError(line_no, "no masses")
+    masses = [parse_rational(t, line_no) for t in tokens]
+    try:
+        return pmf(offset, masses)
+    except NotNormalized as exc:
+        raise ParseError(line_no, f"masses do not sum to 1 (deficit {exc.deficit})") from None
+    except NegativeMass as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def parse_cubefn_text(text: str, n: int) -> CubeFn:
@@ -171,6 +175,8 @@ def parse_cost_table_text(text: str) -> Cost:
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(line_no, "bad integer coordinate") from None
+        if (x, y) in table:
+            raise ParseError(line_no, f"repeated pair ({x},{y})")
         table[(x, y)] = parse_rational(parts[2], line_no)
 
     def evaluate(x: int, y: int) -> Fraction:

@@ -7,8 +7,9 @@ rational equality.  Logarithmic quantities (entropies, log-Laplace
 transforms) are IEEE doubles in natural log.  They are formed from the
 weights without building Fractions (`_log_ratio`), and equal the Fraction
 formulas bit for bit; a Fraction is built only where a value is returned or
-reported.  Every float comparison in the package uses one of the tolerances
-named below.
+reported.  Float verdicts use the tolerances named below, except the pl grid
+sweep, the 4FT hypothesis sweeps on floats and the multiplicative 4FT
+conclusion on floats, which compare with no slack (ROADMAP items 13 and 16).
 """
 
 from __future__ import annotations

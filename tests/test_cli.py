@@ -56,6 +56,14 @@ def test_parse_pmf_missing_separator():
         parse_pmf_text("1/2 1/2")
 
 
+def test_parse_pmf_rejects_a_second_data_line():
+    # a pmf file is one line: a second measure was once dropped without a word
+    with pytest.raises(ParseError, match="line 3: a pmf file holds one measure on one line") as err:
+        parse_pmf_text("0; 1/2 1/2\n# a comment and a blank line are not data\n7; 1\n\n")
+    assert err.value.line == 3
+    assert parse_pmf_text("# header\n\n0; 1/2 1/2\n# trailer\n") == uniform_on([0, 1])
+
+
 def test_pmf_round_trip():
     nu = pmf(-3, [F(1, 6), F(0), F(1, 3), F(1, 2)])
     assert parse_pmf_text(str(nu)) == nu
@@ -84,6 +92,14 @@ def test_cost_table_parse():
     assert cost(0, 1) == F(1, 2)
     with pytest.raises(ConfigError):
         cost(2, 2)
+
+
+def test_cost_table_rejects_a_repeated_pair():
+    # the last of two entries for (0, 0) used to win, pricing it at 5
+    with pytest.raises(ParseError, match=r"line 3: repeated pair \(0,0\)") as err:
+        parse_cost_table_text("0 0 1\n0 1 2\n0 0 5\n")
+    assert err.value.line == 3
+    assert parse_cost_table_text("0 0 1\n0 1 2\n1 0 5\n")(1, 0) == 5
 
 
 def test_emit_coupling_sorted():
@@ -171,6 +187,17 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, "bad.txt", "0; 1/2 1/3\n")
     nu1 = _write(tmp_path, "nu1.txt", "1; 1\n")
     assert main(["check-displacement", "--nu0", bad, "--nu1", nu1]) == 2
+
+
+def test_cli_extra_pmf_line_and_repeated_cost_pair_exit_two(tmp_path, capsys):
+    two_lines = _write(tmp_path, "two-lines.txt", "0; 1/2 1/2\n7; 1\n")
+    nu1 = _write(tmp_path, "nu1.txt", "1; 1\n")
+    assert main(["check-displacement", "--nu0", two_lines, "--nu1", nu1]) == 2
+    assert "line 2: a pmf file holds one measure on one line" in capsys.readouterr().err
+    repeated = _write(tmp_path, "repeated.txt", "0 0 1\n0 0 5\n")
+    point = _write(tmp_path, "point.txt", "0; 1\n")
+    assert main(["transport-cost", "--cost-table", repeated, "--nu0", point, "--nu1", point]) == 2
+    assert "line 2: repeated pair (0,0)" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_code(tmp_path):

@@ -26,6 +26,8 @@ from discretepl.displacement import (
 from discretepl.errors import NotMonotone, PreconditionViolated
 from discretepl.limits import PointMass, UniformInterval
 from discretepl.measures import (
+    INEQ_SLACK,
+    SUM_SLACK,
     ZERO,
     _repeats,
     counting_entropy,
@@ -157,6 +159,22 @@ def test_report_holds_needs_all_three_bounds():
     assert not replace(report, gap=-1e-9).holds
     assert not replace(report, ratio_sum=F(3, 2)).holds
     assert not replace(report, jensen_certificate=report.log_ratio_sum + 1e-9).holds
+
+
+def test_report_holds_at_each_bound_and_fails_one_float_past_it():
+    # a report exactly at a bound holds; one float (or one rational hair) beyond it fails, so neither
+    # non-strict comparison in `holds` can turn strict unnoticed
+    report = displacement_gap(uniform_on([0, 2]), delta(1))
+    jensen_bound = report.log_ratio_sum + SUM_SLACK
+    at_bound = {"gap": -INEQ_SLACK, "jensen_certificate": jensen_bound, "ratio_sum": F(1)}
+    past_bound = {
+        "gap": math.nextafter(-INEQ_SLACK, -math.inf),
+        "jensen_certificate": math.nextafter(jensen_bound, math.inf),
+        "ratio_sum": F(10**30 + 1, 10**30),
+    }
+    for field, value in at_bound.items():
+        assert replace(report, **{field: value}).holds, field
+        assert not replace(report, **{field: past_bound[field]}).holds, field
 
 
 def test_gap_zero_on_diagonal():

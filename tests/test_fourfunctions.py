@@ -84,7 +84,7 @@ def test_quadruples_with_long_units_are_swept_in_fractions(monkeypatch, rng):
     swept = []
     sweep = fourfunctions._first_violation
     monkeypatch.setattr(fourfunctions, "_first_violation", lambda *args: swept.append(args[1]) or sweep(*args))
-    # 32 distinct 17-bit prime denominators per function give units of over 500 bits
+    # 32 distinct 17-bit prime denominators per function give a joint unit of over 2,000 bits
     primes = [p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))]
     for denominators, in_ints in (([rng.randint(1, 12) for _ in range(128)], True), (rng.sample(primes, 128), False)):
         f, g, h, k = ([F(rng.randint(0, 2 * q), q) for q in denominators[i::4]] for i in range(4))
@@ -94,8 +94,8 @@ def test_quadruples_with_long_units_are_swept_in_fractions(monkeypatch, rng):
             expected = oracles.four_functions_witness(*quad)
             assert check_4ft_hypothesis(*fns) == HypothesisCheck(expected is None, expected)
             assert (expected is None) == (quad[0] is f)
-            units = [math.lcm(*[v.denominator for v in vs]).bit_length() for vs in quad]
-            assert (max(units) <= MAX_UNIT_BITS) == in_ints
+            unit = math.lcm(*[v.denominator for vs in quad for v in vs])
+            assert (unit.bit_length() <= MAX_UNIT_BITS) == in_ints
             values = swept.pop()
             if in_ints:
                 assert all(type(v) is int for vs in values for v in vs)
@@ -103,9 +103,40 @@ def test_quadruples_with_long_units_are_swept_in_fractions(monkeypatch, rng):
                 assert values == [fn.values for fn in fns]
 
 
+def test_one_unit_keeps_swept_ints_inside_the_screens_image_range(monkeypatch, rng):
+    # ten distinct 21-bit prime denominators per function: each function's own unit is about 210 bits,
+    # within MAX_UNIT_BITS, but f's ints cross-multiplied by the units of h and k ran past 2^600, where no
+    # image proves a pair and every pair went to the exact recheck
+    swept = []
+    sweep = fourfunctions._first_violation
+    monkeypatch.setattr(fourfunctions, "_first_violation", lambda *args: swept.append(args[1]) or sweep(*args))
+    primes = [p for p in range(2**20, 2**20 + 1000) if all(p % d for d in range(2, 1449))]
+    for n in (4, 6):
+        for shared in (False, True):  # own primes per function (joint unit over 800 bits), or the same ten for all
+            quad = []
+            for j in range(4):
+                ps = primes[:10] if shared else primes[10 * j : 10 * j + 10]
+                lift = 10**6 if j >= 2 else 0  # h and k above every f g product: the hypothesis holds
+                quad.append([lift + F(rng.randint(1, q), q) for q in (ps[i % 10] for i in range(2**n))])
+            units = [math.lcm(*[v.denominator for v in vs]) for vs in quad]
+            assert all(200 <= unit.bit_length() <= MAX_UNIT_BITS for unit in units)
+            assert max(quad[0]) * units[0] * units[2] * units[3] > 2**511  # f's largest cross-scaled int
+            at = rng.randrange(2**n // 2, 2**n)
+            for planted in (quad, [quad[0][:at] + [F(10**13)] + quad[0][at + 1 :], *quad[1:]]):
+                expected = oracles.four_functions_witness(*planted)
+                result = check_4ft_hypothesis(*(CubeFn(n, tuple(vs)) for vs in planted))
+                assert result == HypothesisCheck(expected is None, expected)
+                assert (expected is None) == (planted is quad)
+                values = swept.pop()
+                if shared:
+                    assert all(type(v) is int and 0 <= v < 2**511 for vs in values for v in vs)
+                else:
+                    assert values == [tuple(vs) for vs in planted]
+
+
 def test_a_negative_value_is_rejected_on_every_sweep_path(rng):
-    # rationals in short units are tested on their scaled ints, floats and rationals in units over
-    # MAX_UNIT_BITS bits value by value; -0.0 and 0 are not negative
+    # rationals in a short joint unit are tested on their scaled ints, floats and rationals in a unit
+    # over MAX_UNIT_BITS bits value by value; -0.0 and 0 are not negative
     primes = [p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))]
     draws = {
         "rational": lambda i: F(rng.randint(0, 6), rng.randint(1, 6)),
@@ -114,8 +145,8 @@ def test_a_negative_value_is_rejected_on_every_sweep_path(rng):
     }
     for path, draw in draws.items():
         quad = [[draw(i) for i in range(j, 128, 4)] for j in range(4)]
-        units = [math.lcm(*[F(v).denominator for v in vs]).bit_length() for vs in quad]
-        assert (max(units) > MAX_UNIT_BITS) == (path == "long unit")
+        unit = math.lcm(*[F(v).denominator for vs in quad for v in vs])
+        assert (unit.bit_length() > MAX_UNIT_BITS) == (path == "long unit")
         check_4ft_hypothesis(*(CubeFn(5, tuple(vs)) for vs in quad))
         for which in range(4):
             values = list(quad[which])
