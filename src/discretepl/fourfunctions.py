@@ -4,7 +4,8 @@ The multiplicative four-functions hypothesis f(x)g(y) <= h(x^y)k(xvy) and
 its conclusion (sum f)(sum g) <= (sum h)(sum k) are checked exactly when the
 values are rational; the hypothesis sweep then runs on ints, the whole
 quadruple scaled to one common integer unit (`measures.to_common_unit`),
-unless that unit is longer than MAX_UNIT_BITS.
+unless that unit is longer than MAX_UNIT_BITS or a screened sweep's ints
+would leave the screen's float64 range.
 The additive form works on exponents: its hypothesis runs the same pair
 sweep on sums, exact when every value is rational, and its conclusion
 compares log-sum-exps, so no value is ever exponentiated out of range.
@@ -230,6 +231,11 @@ def _screened_violation(size: int, swept, combine) -> tuple[int, int] | None:
 MAX_UNIT_BITS = 256
 
 
+def _one_unit(values) -> tuple[list[int], int] | None:
+    """(ints, unit) of the four value vectors in one common unit, or None for floats and units past MAX_UNIT_BITS."""
+    return None if _holds_floats(values) else to_common_unit([*chain(*values)], MAX_UNIT_BITS)
+
+
 def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> HypothesisCheck:
     """Exhaustive check of f(x)g(y) <= h(x^y)k(xvy) over all 4^n pairs.
 
@@ -237,14 +243,18 @@ def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> Hypothes
     common unit U, and the hypothesis holds exactly when it holds for the
     ints, as U^2 cancels.  A unit longer than MAX_UNIT_BITS (many distinct
     large denominators) could push the ints out of the screen's float64
-    range, so such a quadruple is swept on its own values; so is one holding
-    a float, as floats compare (exact scaling could flip a float near-tie).
+    range, so such a quadruple is swept on its own values; so is one whose
+    largest int reaches 2^511 above LOOP_MAX_DIM (large values in a short
+    unit), and one holding a float, as floats compare (exact scaling could
+    flip a float near-tie).
     Witness products are in the given values.  Values must be non-negative
     (NegativeMass; U > 0 keeps each sign) and finite (PreconditionViolated).
     """
     n = _same_dimension(f, g, h, k)
     values = [fn.values for fn in (f, g, h, k)]
-    scaled = None if _holds_floats(values) else to_common_unit([*chain(*values)], MAX_UNIT_BITS)
+    scaled = _one_unit(values)
+    if scaled is not None and n > LOOP_MAX_DIM and max(scaled[0]) >= 2**511:  # past the screen's image range
+        scaled = None
     swept = values if scaled is None else [scaled[0][i : i + 2**n] for i in range(0, 4 * 2**n, 2**n)]
     if min(chain(*swept)) < 0:
         raise NegativeMass("multiplicative form needs non-negative values")
@@ -255,15 +265,26 @@ def check_4ft_hypothesis(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn) -> Hypothes
 def check_4ft_conclusion(f: CubeFn, g: CubeFn, h: CubeFn, k: CubeFn):
     """(lhs, rhs, holds) for (sum f)(sum g) <= (sum h)(sum k), exact sums.
 
+    Rational values are summed as ints in the quadruple's one unit U, and
+    each side is built once from its int product over U^2: an int when the
+    side's two functions hold only ints, else a Fraction.  Floats, and a
+    unit past MAX_UNIT_BITS, are summed in their own values by `left_sum`.
     Values must be finite (PreconditionViolated); a sum that overflows to
     inf from finite floats is reported as it is.
     """
-    _same_dimension(f, g, h, k)
-    lhs = left_sum(f.values) * left_sum(g.values)
-    rhs = left_sum(h.values) * left_sum(k.values)
-    # a sum or product with an inf or NaN term is never finite, so only a side that is not finite needs a look
-    if isinstance(lhs, float) and not math.isfinite(lhs) or isinstance(rhs, float) and not math.isfinite(rhs):
-        _holds_floats([fn.values for fn in (f, g, h, k)])
+    n = _same_dimension(f, g, h, k)
+    values = [fn.values for fn in (f, g, h, k)]
+    scaled = _one_unit(values)
+    if scaled is None:
+        sf, sg, sh, sk = map(left_sum, values)
+        lhs, rhs = sf * sg, sh * sk
+    else:
+        ints, unit = scaled
+        sf, sg, sh, sk = (sum(ints[i : i + 2**n]) for i in range(0, 4 * 2**n, 2**n))
+        lhs, rhs = (
+            a * b // unit**2 if all([issubclass(t, int) for t in set(map(type, chain(*vs)))]) else Fraction(a * b, unit**2)
+            for a, b, vs in ((sf, sg, values[:2]), (sh, sk, values[2:]))
+        )
     return lhs, rhs, lhs <= rhs
 
 

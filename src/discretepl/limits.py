@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap
@@ -380,10 +381,33 @@ _BRACKET_BITS = 128
 _EXACT_BITS = 1536
 
 
+def _central_comb(n: int) -> int:
+    """comb(n, n // 2) exactly: the p^e of the sieved primes p <= n, multiplied in a balanced tree.
+
+    e = sum_i floor(n/p^i) - floor(k/p^i) - floor((n-k)/p^i) for k = n // 2 (Legendre), one term past sqrt(n).
+    """
+    k, m, root = n // 2, n - n // 2, math.isqrt(n)
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)  # 0 and 1 are not prime
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    powers = []
+    for p in compress(range(root + 1), sieve):
+        e, q = 0, p
+        while q <= n:
+            e, q = e + n // q - k // q - m // q, q * p
+        powers.append(p**e)
+    powers += [p for p in compress(range(root + 1, n + 1), sieve[root + 1 :]) if n // p - k // p - m // p]
+    while len(powers) > 1:
+        powers = [*map(operator.mul, powers[::2], powers[1::2]), *powers[len(powers) & ~1 :]]
+    return powers[0] if powers else 1
+
+
 def binomial_weights(n: int) -> list[float]:
     """comb(n, k) / 2^n for k = 0..n: ldexp of the top 55 bits of comb(n, k), accurate to an ulp.
 
-    The walk steps outward from the central coefficient, stops at the first
+    The walk steps outward from the central coefficient, exact from
+    `_central_comb` (prime powers, not `math.comb`), stops at the first
     weight that underflows (the tails are exactly 0.0), and fills the upper
     half by symmetry.  Past `_EXACT_BITS` bits it carries a bracket
     lo <= comb(n, k) / 2^e <= hi of `_BRACKET_BITS`-bit ints, which a step
@@ -394,7 +418,7 @@ def binomial_weights(n: int) -> list[float]:
     """
     weights = [0.0] * (n + 1)
     k = n // 2
-    lo = hi = math.comb(n, k)
+    lo = hi = _central_comb(n)
     e, exact = 0, True
     ldexp = math.ldexp
     while k >= 0:
@@ -424,6 +448,14 @@ def _weighted_exp(w: float, v: float) -> float:
         return w * math.exp(v)
     except OverflowError:
         return math.exp(v + math.log(w))
+
+
+def _expectation(weights: list[float], values: list[float]) -> float:
+    """The left-to-right sum of w e^v, by `_weighted_exp` only when some e^v overflows."""
+    try:
+        return left_sum(map(operator.mul, weights, map(math.exp, values)))
+    except OverflowError:
+        return left_sum(map(_weighted_exp, weights, values))
 
 
 def _check_cube_hypothesis(points: Sequence[float], fv: Sequence[float], gv: Sequence[float], hv: Sequence[float]):
@@ -469,8 +501,9 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
 
     The cube functions depend only on the coordinate sum S, so each
     expectation is a binomial average over the standardized points
-    t_k = (k - n/2)/(sqrt(n)/2), with exact big-integer binomial weights.
-    For each n the grid values must pass `_check_cube_hypothesis`, the four
+    t_k = (k - n/2)/(sqrt(n)/2) (formed by numpy in the same IEEE operations),
+    with exact big-integer binomial weights (`binomial_weights`: its central
+    coefficient from prime powers).  For each n the grid values must pass `_check_cube_hypothesis`, the four
     functions hypothesis of the pushed triple; every grid is checked before
     any quadrature runs, and a failed target quadrature raises
     QuadratureFailed naming f, g or h.  The row records the product
@@ -484,15 +517,18 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
     it.  `lam` rescales the arguments by sqrt(lam) (the flat-to-Gaussian
     reweighting step).
     """
+    import numpy as np  # not at module level: cli imports this module, and most commands never run an experiment
+
     if not 0 < lam < math.inf:  # inf * 0 would make NaN grid values
         raise ConfigError(f"lam must be > 0 and finite, not {lam}")
     root = math.sqrt(lam)
     fns = [fn if lam == 1.0 else (lambda x, fn=fn: fn(root * x)) for fn in (f, g, h)]
     grids = []
     for n in n_list:
-        half_sqrt = math.sqrt(n) / 2
-        points = [(k - n / 2) / half_sqrt for k in range(n + 1)]
-        values = [[fn(t) for t in points] for fn in fns]
+        if n < 1:  # numpy would divide by sqrt(0) without a word
+            raise ConfigError(f"need n >= 1, not {n}")
+        points = ((np.arange(n + 1) - n / 2) / (math.sqrt(n) / 2)).tolist()
+        values = [list(map(fn, points)) for fn in fns]
         _check_cube_hypothesis(points, *values)
         grids.append((n, values))
     targets = _targets("fgh", fns, gaussian_exp_integral)
@@ -502,7 +538,7 @@ def clt_experiment(f: FloatFn, g: FloatFn, h: FloatFn, n_list: Sequence[int], la
         # only the weights that did not underflow: the zeros are the two tails, of equal length
         tail = weights.count(0.0) // 2
         kept = slice(tail, n + 1 - tail)
-        ef, eg, eh = (left_sum(map(_weighted_exp, weights[kept], vs[kept])) for vs in values)
+        ef, eg, eh = (_expectation(weights[kept], vs[kept]) for vs in values)
         lhs, rhs = ef * eg, eh * eh
         rel_errs = (abs(e - t) / t for e, t in zip((ef, eg, eh), targets))
         rows.append(CltRow(n, ef, eg, eh, lhs, rhs, lhs <= rhs * (1 + INEQ_SLACK), *targets, *rel_errs))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -132,6 +133,58 @@ def test_one_unit_keeps_swept_ints_inside_the_screens_image_range(monkeypatch, r
                     assert all(type(v) is int and 0 <= v < 2**511 for vs in values for v in vs)
                 else:
                     assert values == [tuple(vs) for vs in planted]
+
+
+def test_scaled_ints_past_the_screens_image_range_sweep_the_quadruples_own_values(monkeypatch, rng):
+    # seven shared 21-bit prime denominators give a joint unit of about 141 bits, within MAX_UNIT_BITS, but h and
+    # k lifted by 2^410 scale to ints past 2^511, where no image proves a pair and every pair went to the exact
+    # recheck (1.1 s at n = 10); the loop up to LOOP_MAX_DIM sweeps such ints as it sweeps any others
+    swept = []
+    sweep = fourfunctions._first_violation
+    monkeypatch.setattr(fourfunctions, "_first_violation", lambda *args: swept.append(args[1]) or sweep(*args))
+    primes = [p for p in range(2**20, 2**20 + 1000) if all(p % d for d in range(2, 1449))][:7]
+    for n in (fourfunctions.LOOP_MAX_DIM, 5, 7):
+        quad = [[2**410 * (j > 1) + F(rng.randint(1, q), q) for q in (rng.choice(primes) for _ in range(2**n))] for j in range(4)]
+        unit = math.lcm(*[v.denominator for vs in quad for v in vs])
+        assert 100 < unit.bit_length() <= MAX_UNIT_BITS and max(quad[2]) * unit >= 2**511
+        at = rng.randrange(2**n // 2, 2**n)
+        for planted in (quad, [quad[0][:at] + [F(2**830)] + quad[0][at + 1 :], *quad[1:]]):
+            expected = oracles.four_functions_witness(*planted)
+            result = check_4ft_hypothesis(*(CubeFn(n, tuple(vs)) for vs in planted))
+            assert result == HypothesisCheck(expected is None, expected)
+            assert (expected is None) == (planted is quad)
+            values = swept.pop()
+            if n > fourfunctions.LOOP_MAX_DIM:
+                assert values == [tuple(vs) for vs in planted]
+            else:
+                assert all(type(v) is int for vs in values for v in vs) and max(map(max, values)) >= 2**511
+
+
+def test_conclusion_in_one_unit_gives_the_exact_sums_with_their_types(rng):
+    # each side is an int when its two functions hold only ints, else a Fraction, as left_sum gives them;
+    # 32 distinct 17-bit prime denominators in one function put the joint unit past MAX_UNIT_BITS
+    primes = itertools.cycle([p for p in range(10**5, 10**5 + 3000) if all(p % d for d in range(2, 317))])
+    draws = {
+        "int": lambda: rng.randint(0, 9),
+        "bool": lambda: rng.random() < 0.5,
+        "rational": lambda: F(rng.randint(0, 9), rng.randint(1, 9)),
+        "whole Fraction": lambda: F(rng.randint(0, 9)),
+        "long unit": lambda: F(rng.randint(0, 10**5), next(primes)),
+    }
+    for n in (1, 5):
+        for kinds in itertools.product(draws, repeat=4):
+            quad = [[draws[kind]() for _ in range(2**n)] for kind in kinds]
+            fns = [CubeFn(n, tuple(vs)) for vs in quad]
+            if n == 5:
+                assert (fourfunctions._one_unit([fn.values for fn in fns]) is None) == ("long unit" in kinds)
+            lhs, rhs, holds = check_4ft_conclusion(*fns)
+            expected = [sum(quad[0], F(0)) * sum(quad[1], F(0)), sum(quad[2], F(0)) * sum(quad[3], F(0))]
+            assert (lhs, rhs, holds) == (*expected, expected[0] <= expected[1])
+            for side, pair in ((lhs, kinds[:2]), (rhs, kinds[2:])):
+                assert type(side) is (int if set(pair) <= {"int", "bool"} else F)
+    # floats sum in their own values, left to right
+    floats = [(0.1, 0.2), (0.3, 0.6), (1, F(1, 3)), (0.5, 0.25)]
+    assert check_4ft_conclusion(*(CubeFn(1, vs) for vs in floats)) == ((0.1 + 0.2) * 0.8999999999999999, (1 + F(1, 3)) * 0.75, True)
 
 
 def test_a_negative_value_is_rejected_on_every_sweep_path(rng):

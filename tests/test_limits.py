@@ -27,7 +27,7 @@ from discretepl.limits import (
     pl_limit_experiment,
     rescaled_displacement_experiment,
 )
-from discretepl.measures import EQ_TOL, RealFn
+from discretepl.measures import EQ_TOL, RealFn, left_sum
 
 F = Fraction
 
@@ -293,8 +293,8 @@ def test_binomial_weights_from_the_bracket_match_pascal_rows(monkeypatch, bracke
     calls = _counting_comb(monkeypatch)
     for n, row in enumerate(oracles.pascal_rows(1200)):
         assert [w.hex() for w in limits.binomial_weights(n)] == [oracles.scaled_binomial(c, n).hex() for c in row]
-    # one call per walk at its centre; the rest are fallbacks, at the default width where comb(n, k) nears 55 bits
-    assert len(calls) - 1201 >= fallbacks
+    # every call is a fallback (the centre comes from prime powers), at the default width where comb(n, k) nears 55 bits
+    assert len(calls) >= fallbacks
 
 
 @pytest.mark.parametrize("n", [3000, 10000])
@@ -302,10 +302,23 @@ def test_binomial_weights_from_a_narrow_bracket_match_one_comb_per_weight(monkey
     monkeypatch.setattr(limits, "_BRACKET_BITS", 60)
     calls = _counting_comb(monkeypatch)
     weights = limits.binomial_weights(n)
-    fallbacks = [k for _, k in calls[1:]]
+    fallbacks = [k for _, k in calls]
     assert len(fallbacks) > 100
     ks = {*range(0, n + 1, n // 40), *fallbacks[:20], *(k - 1 for k in fallbacks[:20]), n // 2}
     assert all(weights[k].hex() == w.hex() for k, w in oracles.binomial_weights(n, sorted(ks)).items())
+
+
+def test_central_comb_is_math_comb(rng):
+    # every n up to 2000, and sampled n up to 20000 with the powers of two among them
+    for n in [*range(2001), *rng.sample(range(2001, 20001), 40), 4096, 8192, 16384, 16385, 20000]:
+        assert limits._central_comb(n) == math.comb(n, n // 2), n
+
+
+def test_binomial_weights_call_math_comb_only_to_fall_back(monkeypatch):
+    calls = _counting_comb(monkeypatch)
+    for n in (0, 1, 100, 3001, 10000):
+        limits.binomial_weights(n)
+    assert (10000, 5000) not in calls and all(k != n // 2 for n, k in calls)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1081, 1082, 1100, 1200])
@@ -509,13 +522,42 @@ def test_interval_integral_fails_on_a_pole_at_a_node():
 
 def test_clt_expectation_survives_grid_values_beyond_the_exp_range(monkeypatch):
     # f(t_0) = 1024 at n = 4096: e^1024 overflows, its binomial weight underflows to 0.0 and is skipped
-    weighted_exp, weights_seen = limits._weighted_exp, []
-    monkeypatch.setattr(limits, "_weighted_exp", lambda w, v: weights_seen.append(w) or weighted_exp(w, v))
+    expectation, weights_seen = limits._expectation, []
+    monkeypatch.setattr(limits, "_expectation", lambda ws, vs: weights_seen.extend(ws) or expectation(ws, vs))
     quarter = lambda x: x * x / 4
     rows = clt_experiment(quarter, quarter, quarter, [64, 4096])
     assert rows[-1].value_f == pytest.approx(math.sqrt(2), rel=1e-3)
+    assert len(weights_seen) == 3 * (65 + 4097 - limits.binomial_weights(4096).count(0.0))
     assert min(weights_seen) > 0.0
     assert limits._weighted_exp(2.0**-1070, 800.0) == pytest.approx(math.exp(800.0 - 1070 * math.log(2)))
+
+
+def test_clt_expectation_takes_the_weighted_exp_route_when_a_kept_exponent_overflows(monkeypatch):
+    # h(t_0) = 720 at n = 64: e^720 overflows, but its weight 2^-64 is kept, and w e^v is finite
+    _count_quadratures(monkeypatch)
+    weighted_exp, seen = limits._weighted_exp, []
+    monkeypatch.setattr(limits, "_weighted_exp", lambda w, v: seen.append((w, v)) or weighted_exp(w, v))
+    steep = lambda x: 11.25 * x * x
+    (row,) = clt_experiment(steep, steep, steep, [64])
+    weights, points = limits.binomial_weights(64), [(k - 32) / 4.0 for k in range(65)]
+    expected = left_sum(weighted_exp(w, steep(t)) for w, t in zip(weights, points))
+    assert seen[0] == (2.0**-64, 720.0) and len(seen) == 3 * 65
+    assert row.value_f == row.value_g == row.value_h == expected and 1e293 < expected < math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 3001, 10000, 16384])
+def test_clt_points_are_the_formulas_floats_bit_for_bit(monkeypatch, n):
+    _count_quadratures(monkeypatch)
+    seen, zero = [], lambda x: 0.0
+    clt_experiment(lambda x: seen.append(x) or 0.0, zero, zero, [n])
+    half_sqrt = math.sqrt(n) / 2
+    assert set(map(type, seen)) == {float}
+    assert [t.hex() for t in seen] == [((k - n / 2) / half_sqrt).hex() for k in range(n + 1)]
+
+
+def test_clt_rejects_an_n_below_one():
+    with pytest.raises(ConfigError, match="need n >= 1, not 0"):
+        clt_experiment(*CLT_DEMOS["linear"], [4, 0])
 
 
 def _count_quadratures(monkeypatch):
