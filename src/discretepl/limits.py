@@ -24,6 +24,10 @@ Continuous targets come from an adaptive-quadrature oracle at EQ_TOL
 accuracy (`interval_integral`: QUADPACK's 7-15 point Gauss-Kronrod pair,
 written with the standard library), independent of the experiment code
 paths.
+
+The module also holds the one midpoint pair sweep, `_midpoint_violation`,
+which `fourfunctions` runs on the cube: on {0,1} the floor and ceiling of
+(x+y)/2 are meet and join, so only the right side's index map differs.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Callable, Sequence
 
 from .displacement import displacement_gap
-from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, QuadratureFailed, SupportExceedsWindow
+from .errors import ConfigError, ConvexityWitnessFailed, HypothesisFailedOnGrid, PreconditionViolated, QuadratureFailed, SupportExceedsWindow
 from .measures import APPROX_TOL, EQ_TOL, INEQ_SLACK, SUM_SLACK, Pmf, RealFn, _canonical, delta, left_sum, to_common_unit
 
 
@@ -87,11 +91,15 @@ def discretize_quadruple(F: FloatFn, G: FloatFn, H: FloatFn, K: FloatFn, half_wi
     return tuple(fns)
 
 
-#: pairs compared per numpy call in `grid_hypothesis_witness`, and twice the block pairs bounded per
-#: call in `_unsafe_spans`.  The sweep of one gaussian pl grid took a median 7.7-8.8 ms at n = 4096
-#: and 59-69 ms at n = 16384 (10.8 and 164-181 ms compared in full), and its temporaries raised the
-#: peak RSS by 0.4 and 0.5 MB (0.4 and 1.4 MB in full).  Over the 21 pl grids of the cube-limits
-#: benchmark, 2^14 pairs per call were 6% slower, 2^15 and 2^17 within 2% (Python 3.11, numpy 2.4, 2 cores)
+#: a sweep's one unit: values below 2^(511 - 256) scale to ints below 2^511, in the screen's image range;
+#: int products, scaling included, beat Fraction products at every unit timed up to 721 bits (Python 3.11)
+MAX_UNIT_BITS = 256
+#: cube sweeps of at most this many pairs run in the interpreted loop: a check_4ft_hypothesis took 53 us in blocks
+#: against 51 looped at 4^4 pairs (79 against 54 on campaign quadruples) and 86 against 153 at 4^5 pairs
+LOOP_MAX_PAIRS = 4**4
+#: pairs compared per numpy call, and twice the block pairs bounded per call in `_unsafe_spans`.  One gaussian
+#: pl grid took a median 7.7-8.8 ms at n = 4096 and 59-69 ms at n = 16384, its temporaries 0.4 and 0.5 MB; over
+#: the 21 pl grids of the cube-limits benchmark 2^14 pairs were 6% slower, 2^15 and 2^17 within 2% (Python 3.11)
 _SWEEP_CELLS = 1 << 16
 #: points per block of `_unsafe_spans`.  Over the 21 pl grids of the cube-limits benchmark the sweeps
 #: took 28.7 ms with blocks of 32, against 63.3 ms compared in full, 29.1 with blocks of 16, 27.6 with
@@ -99,14 +107,76 @@ _SWEEP_CELLS = 1 << 16
 #: slices.  With 32, the pairs compared are 37%, 21% and 11% of the gaussian grid at n = 1024, 4096
 #: and 16384, and none of the zero demo's
 _BLOCK = 32
+#: the screen's slacks, on f's product images and on the largest sum image (error bounds in `_blocked_violation`)
+_PRODUCT_SLACK, _SUM_SLACK = 1 + 2.0**-48, 2.0**-47
 
 
-def _values_at(fn: RealFn, z, dtype):
-    """fn at each int of the array z, and 0 outside its window (as `RealFn.value_or`)."""
-    import numpy as np
+def _swept(vectors: list, blocked: bool) -> tuple[list, bool, int | None]:
+    """(the value vectors (f, g, h, k) a sweep compares, whether all are floats, their int unit or None).
 
-    padded = np.array((0, *fn.values, 0), dtype=dtype)
-    return padded[np.clip(z - fn.offset + 1, 0, len(padded) - 1)]
+    The one type check of the midpoint sweeps and the 4FT conclusion: a
+    side, (f, g) or (h, k), that mixes floats with an int or Fraction past
+    the float range, on which Python's mixed arithmetic overflows, raises
+    PreconditionViolated (a float compares exactly with a Fraction, so the
+    two sides may differ).  Rationals are scaled to ints in one unit U,
+    which keeps every comparison (U^2, or U for sums, cancels), unless U is
+    longer than MAX_UNIT_BITS or, in a `blocked` sweep, an int reaches
+    2^511, past the screen's image range.
+    """
+    kinds = set()
+    for side in (vectors[:2], vectors[2:]):
+        side_kinds = {issubclass(t, float) for t in set(map(type, chain(*side)))}
+        if len(side_kinds) == 2:
+            try:
+                [*map(float, chain(*side))]
+            except OverflowError:
+                raise PreconditionViolated("a value mixed with floats lies past the float range") from None
+        kinds |= side_kinds
+    scaled = None if True in kinds else to_common_unit([*chain(*vectors)], MAX_UNIT_BITS)
+    if scaled is None or (blocked and max(scaled[0]) >= 2**511):
+        return vectors, kinds == {True}, None
+    ints, unit = scaled
+    return [ints[end - len(vs) : end] for vs, end in zip(vectors, accumulate(map(len, vectors)))], False, unit
+
+
+def _midpoint_violation(swept: list, floats: bool, combine, sums=None) -> tuple[int, int] | None:
+    """The first (x, y) in row-major order with combine(f[x], g[y]) > the right side, or None.
+
+    (f, g, h, k) = swept and floats come from `_swept`, and combine is
+    operator.mul or operator.add.  Only the right side depends on the
+    geometry: on the cube it is combine(h[x & y], k[x | y]), meet and join;
+    on Z, sums = (meets, joins) index arrays over the sums x + y into h and
+    k padded with a 0 at each end.  A cube sweep of at most LOOP_MAX_PAIRS
+    pairs runs in an interpreted loop, and every other sweep in numpy
+    blocks (`_blocked_violation`), which find the loop's first pair.
+    """
+    f, g, h, k = swept
+    if sums is not None or len(f) * len(g) > LOOP_MAX_PAIRS:
+        return _blocked_violation(f, g, h, k, floats, combine, sums)
+    for x in range(len(f)):
+        for y in range(len(g)):
+            if combine(f[x], g[y]) > combine(h[x & y], k[x | y]):
+                return x, y
+    return None
+
+
+def _images(np, values: list, low: float, high: float, signed: bool):
+    """float64 images of the values: float(v) where low <= |float(v)| < high or v == 0, else NaN.
+
+    float(v) is correctly rounded for ints, Fractions and floats, so each
+    image is within a relative 2^-53 of its value.  A value whose image
+    would be subnormal, zero, out of range, past `high` or (when `signed`)
+    negative gets NaN, and so does a NaN or infinite float.
+    """
+    try:
+        images = np.array(values, dtype=float)
+    except OverflowError:  # an int or Fraction past the float range, whose image is NaN below
+        images = np.array([float(max(-(2**1023), min(v, 2**1023))) for v in values])
+    bounded = images if signed else np.abs(images)
+    for i in np.flatnonzero(~((low <= bounded) & (bounded < high))).tolist():
+        if values[i]:
+            images[i] = math.nan
+    return images
 
 
 def _block_extremes(values):
@@ -154,51 +224,125 @@ def _unsafe_spans(column, row, envelope) -> list[tuple[int, int, int]]:
     return spans
 
 
+def _blocked_violation(f, g, h, k, floats: bool, combine, sums) -> tuple[int, int] | None:
+    """`_midpoint_violation` in numpy row blocks of at most _SWEEP_CELLS pairs.
+
+    When every value is a float, each block forms the loop's own IEEE
+    products (or sums) in float64 with no slack, so its first True is the
+    loop's first failing pair; a NaN compares False and is never a witness.
+    Otherwise the float64 images (`_images`, within a relative u = 2^-53 of
+    their values, or NaN, which proves no pair) screen each block: a pair
+    the screen proves is skipped, and every other pair is compared exactly,
+    in one pass over object arrays of the swept values (the loop's own
+    Python operations), before the next block is screened.
+
+    Products: nonzero images lie in [2^-511, 2^511), so every product below
+    is 0 or a normal float, with one rounding of relative error <= u and no
+    overflow.  Let F = fl(f~ (1 + 2^-48)) for the image f~ of f(x),
+    L = fl(F g~) and R = fl(h~ k~).  The pair is proven when L <= R.  If
+    L = 0, then f(x) or g(y) is 0 and the pair holds.  Else
+    f(x)g(y) <= f~g~ / (1-u)^2 <= L / ((1 + 2^-48)(1-u)^4) and the right
+    side is >= R / (1+u)^3, and (1 + 2^-48)(1-u)^4 > (1+u)^3 needs
+    2^-48 = 32u > 7u + O(u^2): over 4x margin.  An exact tie such as the
+    comparable pairs of (au, bu, au, bu) is never proven.
+
+    Sums: nonzero images lie in [2^-1022, 2^1021), so no sum overflows.
+    Let S be the largest image magnitude, L = fl(h1~ + h2~),
+    R = fl(h3~ + h4~) and D = fl(R - L).  Each exact sum is within
+    u(2 + u)(|h_i| + |h_j|) <= 2.0001u * 2S / (1 - u) of its float sum, so
+    the exact right side minus the exact left side is at least
+    D / (1+u) - 8.001uS.  The pair is proven when D >= E =
+    max(2^-47 S, 2^-1022) >= 64uS: over 7x margin.
+
+    On Z the right side is one table over the sums (the IEEE products, or
+    R), read through `sliding_window_view`, and the block pairs that
+    `_unsafe_spans` proves on the same numbers (the floats, or F, g~ and R)
+    are skipped: rounding is monotone, so a pair's product is <= the
+    largest of its block's four corner products <= its own right side.
+    Each other block of rows is compared on one contiguous slice of columns.
+    numpy's warnings for NaN and overflowing products are silenced.
+    """
+    import numpy as np  # not at module level: cli imports this module, and small sweeps never build arrays
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    rows, cols = len(f), len(g)
+    product = combine is operator.mul
+    if floats:
+        fv, gv, hv, kv = (np.array(vs, dtype=float) for vs in (f, g, h, k))
+    else:
+        low, high = (2.0**-511, 2.0**511) if product else (sys.float_info.min, 2.0**1021)
+        images = _images(np, [*f, *g, *h, *k], low, high, product)
+        if product:
+            images[:rows] *= _PRODUCT_SLACK
+        else:
+            least_gap = max(_SUM_SLACK * np.fmax.reduce(np.abs(images)), sys.float_info.min)
+        fv, gv, hv, kv = images[:rows], images[rows : rows + cols], images[rows + cols : -len(k)], images[-len(k) :]
+    if sums is not None:  # the index maps over the sums read h and k padded with a 0 at each end
+        hv, kv = (np.concatenate(([0.0], vs, [0.0])) for vs in (hv, kv))
+    objects = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sums is None:
+            spans, block, index = [(0, 0, cols)], rows, np.arange(rows)
+
+            def right(start, end, lo, hi):
+                xs, ys = index[start:end, None], index[lo:hi]
+                return combine(hv[xs & ys], kv[xs | ys])
+
+        else:
+            envelope = combine(hv[sums[0]], kv[sums[1]])
+            windows = sliding_window_view(envelope, cols)
+            spans, block = _unsafe_spans(fv, gv, envelope), _BLOCK
+
+            def right(start, end, lo, hi):
+                return windows[start:end, lo:hi]
+
+        for top, lo, hi in spans:
+            width = hi - lo
+            stop, step = min(rows, top + block), max(1, _SWEEP_CELLS // width)
+            for start in range(top, stop, step):
+                end = min(stop, start + step)
+                lhs, rhs = combine(fv[start:end, None], gv[lo:hi]), right(start, end, lo, hi)
+                # failing pairs of floats, or pairs the screen leaves; lhs goes before the next block's is formed
+                over = lhs > rhs if floats else ~(lhs <= rhs if product else rhs - lhs >= least_gap)
+                del lhs, rhs
+                first = int(over.argmax())
+                if not over.flat[first]:
+                    continue
+                if floats:
+                    return start + first // width, lo + first % width
+                unproven = np.flatnonzero(over)
+                if objects is None:
+                    objects = [np.array(vs, dtype=object) for vs in (f, g, h, k)]
+                    if sums is not None:
+                        objects[2:] = (np.concatenate(([0], vs, [0])) for vs in objects[2:])
+                fo, go, ho, ko = objects
+                px, py = start + unproven // width, lo + unproven % width
+                a, b = (px & py, px | py) if sums is None else (sums[0][px + py], sums[1][px + py])
+                over = combine(fo[px], go[py]) > combine(ho[a], ko[b])
+                first = int(over.argmax())
+                if over[first]:
+                    return int(px[first]), int(py[first])
+    return None
+
+
 def grid_hypothesis_witness(f: RealFn, g: RealFn, h: RealFn, k: RealFn):
     """First (x, y) in lexicographic order with f(x)g(y) > h(floor)k(ceil) of the midpoint, or None.
 
     x runs over the window of f and y over the window of g; h and k are zero
-    outside their windows.  The right side depends on x + y only, so it is
-    tabulated once per sum.  Every pair is checked, in effect: the block
-    pairs that `_unsafe_spans` proves to hold are skipped (rounding is
-    monotone, so each of their products is <= the corner bound <= its own
-    right side, in the comparisons that a full sweep makes), and each other
-    block of rows (x values) is compared on one contiguous slice of
-    columns, each row against its sliding window of the table, at most
-    _SWEEP_CELLS pairs per numpy call.  So the first True in row-major order
-    is the first violating pair.  A NaN compares False and is never a
-    witness, and numpy's warnings for NaN and overflowing products are
-    silenced.  The arrays are float64 when every value is a float (the same
-    IEEE products as in Python), and Python objects otherwise, so Fraction
-    and int products stay exact; int64 would overflow silently.  A grid
-    that mixes floats with ints or Fractions is compared in full: there
-    1 * v is exact and 1.0 * v is rounded, so no corner product bounds both.
+    outside their windows.  The right side depends on x + y only, so the
+    midpoint sweep (`_midpoint_violation`) reads it from one table over the
+    sums.  Floats compare in IEEE products with no slack, and anything else
+    exactly.  A NaN compares False and is never a witness.
     """
     import numpy as np  # not at module level: cli imports this module, and most commands never sweep a grid
-    from numpy.lib.stride_tricks import sliding_window_view
 
-    rows, width = len(f.values), len(g.values)
     low = f.offset + g.offset
-    sums = np.arange(low, low + rows + width - 1)
-    types = set(map(type, chain(f.values, g.values, h.values, k.values)))
-    dtype = float if types <= {float} else object
-    column, row = np.array(f.values, dtype=dtype), np.array(g.values, dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        envelope = _values_at(h, sums // 2, dtype) * _values_at(k, -(-sums // 2), dtype)
-        windows = sliding_window_view(envelope, width)
-        if types <= {float} or types <= {int, Fraction}:
-            block, spans = _BLOCK, _unsafe_spans(column, row, envelope)
-        else:
-            block, spans = rows, [(0, 0, width)]
-        for top, lo, hi in spans:
-            stop, step = min(rows, top + block), max(1, _SWEEP_CELLS // (hi - lo))
-            for start in range(top, stop, step):
-                end = min(stop, start + step)
-                over = column[start:end, None] * row[lo:hi] > windows[start:end, lo:hi]
-                first = int(over.argmax())
-                if over.flat[first]:
-                    return f.offset + start + first // (hi - lo), g.offset + lo + first % (hi - lo)
-    return None
+    sums = np.arange(low, low + len(f.values) + len(g.values) - 1)
+    meets = np.clip(sums // 2 - h.offset + 1, 0, len(h.values) + 1)
+    joins = np.clip(-(-sums // 2) - k.offset + 1, 0, len(k.values) + 1)
+    swept, floats, _ = _swept([f.values, g.values, h.values, k.values], True)
+    pair = _midpoint_violation(swept, floats, operator.mul, (meets, joins))
+    return None if pair is None else (f.offset + pair[0], g.offset + pair[1])
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ rational equality.  Logarithmic quantities (entropies, log-Laplace
 transforms) are IEEE doubles in natural log.  They are formed from the
 weights without building Fractions (`_log_ratio`), and equal the Fraction
 formulas bit for bit; a Fraction is built only where a value is returned or
-reported.  Float verdicts use the tolerances named below, except the pl grid
-sweep, the 4FT hypothesis sweeps on floats and the multiplicative 4FT
-conclusion on floats, which compare with no slack (ROADMAP items 13 and 16).
+reported.  Float verdicts use the tolerances named below, except two
+comparisons with no slack (ROADMAP items 13 and 16): the one midpoint sweep
+of `limits` on floats, which serves the pl grid and the 4FT hypotheses, and
+the multiplicative 4FT conclusion on floats.
 """
 
 from __future__ import annotations

@@ -249,6 +249,32 @@ def test_cli_4ft_additive_exact_rational_tie_exits_zero(tmp_path, capsys):
     assert out["hypothesis_ok"] is True and out["witness"] is None
 
 
+@pytest.mark.parametrize("dim", [1, 5])
+def test_cli_4ft_floats_mixed_with_a_rational_past_the_float_range_exit_two(tmp_path, capsys, dim):
+    # Python's float x Fraction arithmetic raises OverflowError on 2^1100/3, once an internal error (exit 3)
+    f = _write(tmp_path, "f.txt", "1.5\n" + f"{2**1100}/3\n" * (2**dim - 1))
+    one = _write(tmp_path, "one.txt", "1\n" * 2**dim)
+    assert main(["check-4ft", "--dim", str(dim), "--f", f, "--g", one, "--h", one, "--k", one]) == 2
+    assert capsys.readouterr().err == "error: a value mixed with floats lies past the float range\n"
+
+
+def test_cli_4ft_sees_a_planted_fault_below_float_resolution(tmp_path, capsys, rng):
+    # every pair of f = g = h = k = v ties exactly at v^2 for v past 2^200; one h value lowered by 1 has
+    # the same float image, so only the exact recheck of the screened sweep finds the pairs it breaks
+    v = 2**200 + rng.getrandbits(100)
+    at = rng.randrange(1, 32)
+    h = [v] * 32
+    h[at] -= 1
+    assert float(h[at]) == float(v)
+    args = []
+    for name, values in zip("fghk", ([v] * 32, [v] * 32, h, [v] * 32)):
+        args += [f"--{name}", _write(tmp_path, f"{name}.txt", "".join(f"{x}\n" for x in values))]
+    assert main(["check-4ft", "--dim", "5", "--json", *args]) == 1
+    report = json.loads(capsys.readouterr().out)
+    expected = oracles.four_functions_witness([v] * 32, [v] * 32, h, [v] * 32)
+    assert report["hypothesis_ok"] is False and report["witness"] == [str(w) for w in expected]
+
+
 #: CPython 3.10.7 and later refuse int-str conversions longer than 4,300 digits by default
 digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-str digit limit")
 

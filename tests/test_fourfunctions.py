@@ -7,12 +7,11 @@ import pytest
 
 import oracles
 from conftest import allocated_block_growth, cpython_only
-from discretepl import fourfunctions
+from discretepl import fourfunctions, limits
 from discretepl.campaign import CampaignConfig, _fourfn_trial
 from discretepl.errors import DimensionMismatch, LengthMismatch, NegativeMass, PreconditionViolated, SupportNotBinary
 from discretepl.fourfunctions import (
     PHI_ENTROPY,
-    MAX_UNIT_BITS,
     CubeFn,
     HypothesisCheck,
     bits_of,
@@ -24,6 +23,7 @@ from discretepl.fourfunctions import (
     random_hypothesis_quadruple,
     restrict_to_binary_cube,
 )
+from discretepl.limits import MAX_UNIT_BITS, grid_hypothesis_witness
 from discretepl.measures import APPROX_TOL, RealFn, logsumexp
 
 F = Fraction
@@ -138,12 +138,12 @@ def test_one_unit_keeps_swept_ints_inside_the_screens_image_range(monkeypatch, r
 def test_scaled_ints_past_the_screens_image_range_sweep_the_quadruples_own_values(monkeypatch, rng):
     # seven shared 21-bit prime denominators give a joint unit of about 141 bits, within MAX_UNIT_BITS, but h and
     # k lifted by 2^410 scale to ints past 2^511, where no image proves a pair and every pair went to the exact
-    # recheck (1.1 s at n = 10); the loop up to LOOP_MAX_DIM sweeps such ints as it sweeps any others
+    # recheck (1.1 s at n = 10); the loop up to LOOP_MAX_PAIRS pairs sweeps such ints as it sweeps any others
     swept = []
     sweep = fourfunctions._first_violation
     monkeypatch.setattr(fourfunctions, "_first_violation", lambda *args: swept.append(args[1]) or sweep(*args))
     primes = [p for p in range(2**20, 2**20 + 1000) if all(p % d for d in range(2, 1449))][:7]
-    for n in (fourfunctions.LOOP_MAX_DIM, 5, 7):
+    for n in (4, 5, 7):
         quad = [[2**410 * (j > 1) + F(rng.randint(1, q), q) for q in (rng.choice(primes) for _ in range(2**n))] for j in range(4)]
         unit = math.lcm(*[v.denominator for vs in quad for v in vs])
         assert 100 < unit.bit_length() <= MAX_UNIT_BITS and max(quad[2]) * unit >= 2**511
@@ -154,7 +154,7 @@ def test_scaled_ints_past_the_screens_image_range_sweep_the_quadruples_own_value
             assert result == HypothesisCheck(expected is None, expected)
             assert (expected is None) == (planted is quad)
             values = swept.pop()
-            if n > fourfunctions.LOOP_MAX_DIM:
+            if 4**n > limits.LOOP_MAX_PAIRS:
                 assert values == [tuple(vs) for vs in planted]
             else:
                 assert all(type(v) is int for vs in values for v in vs) and max(map(max, values)) >= 2**511
@@ -176,7 +176,7 @@ def test_conclusion_in_one_unit_gives_the_exact_sums_with_their_types(rng):
             quad = [[draws[kind]() for _ in range(2**n)] for kind in kinds]
             fns = [CubeFn(n, tuple(vs)) for vs in quad]
             if n == 5:
-                assert (fourfunctions._one_unit([fn.values for fn in fns]) is None) == ("long unit" in kinds)
+                assert (limits._swept([fn.values for fn in fns], False)[2] is None) == ("long unit" in kinds)
             lhs, rhs, holds = check_4ft_conclusion(*fns)
             expected = [sum(quad[0], F(0)) * sum(quad[1], F(0)), sum(quad[2], F(0)) * sum(quad[3], F(0))]
             assert (lhs, rhs, holds) == (*expected, expected[0] <= expected[1])
@@ -222,7 +222,7 @@ def test_float_quadruples_are_swept_in_floats():
 
 def _oracle_sweep(n, quad):
     """check_4ft_hypothesis on a numpy-swept dimension, asserted equal to the oracle; its verdict."""
-    assert n > fourfunctions.LOOP_MAX_DIM
+    assert 4**n > limits.LOOP_MAX_PAIRS
     expected = oracles.four_functions_witness(*quad)
     result = check_4ft_hypothesis(*(CubeFn(n, tuple(vs)) for vs in quad))
     assert result == HypothesisCheck(expected is None, expected)
@@ -351,15 +351,25 @@ def test_screened_sweeps_of_mixed_floats_and_ints(rng):
     assert _oracle_sweep(n, ([F(1, 10)] * 2**n, [3] * 2**n, [F(3, 10)] * 2**n, ones))
 
 
-def test_screened_float_sweeps_are_the_loops_ieee_sweeps(rng):
+def _looped_and_blocked(monkeypatch, floats, combine):
+    """The midpoint sweep's pair for the four float vectors, asserted the same in the loop and in numpy blocks."""
+    pairs = []
+    for most in (len(floats[0]) ** 2, 0):
+        monkeypatch.setattr(limits, "LOOP_MAX_PAIRS", most)
+        pairs.append(limits._midpoint_violation(floats, True, combine))
+    monkeypatch.undo()
+    assert pairs[0] == pairs[1]
+    return pairs[0]
+
+
+def test_screened_float_sweeps_are_the_loops_ieee_sweeps(rng, monkeypatch):
     n = 6
     for scale in (1.0, 1e-160, 1e160):  # products of 1e-320 are subnormal and products of 1e320 overflow
         f, g = ([rng.random() * scale for _ in range(2**n)] for _ in range(2))
         h, k = [max(f)] * 2**n, [max(g)] * 2**n
         raised = f[:-1] + [2 * max(f)]
         for quad in ((f, g, h, k), (raised, g, h, k)):
-            screened = fourfunctions._screened_violation(2**n, quad, operator.mul)
-            assert screened == fourfunctions._looped_violation(2**n, quad, operator.mul)
+            screened = _looped_and_blocked(monkeypatch, quad, operator.mul)
             assert (screened is None) == (quad[0] is f or scale == 1e160)  # inf > inf is False
             if scale < 1e160:
                 assert _oracle_sweep(n, quad) is (screened is None)
@@ -381,7 +391,7 @@ def _additive_oracle(quad):
     return expected[0], expected[1], float(quad[0][x] + quad[1][y]), float(quad[2][low] + quad[3][high])
 
 
-def test_screened_additive_sweeps_match_the_oracle(rng):
+def test_screened_additive_sweeps_match_the_oracle(rng, monkeypatch):
     verdicts = []
     for n, offset in ((5, 0), (5, 2**60), (6, 0), (6, -(2**70))):
         # about 2^60 a float's resolution is 256, so the tenths of these exponents are below it
@@ -400,9 +410,29 @@ def test_screened_additive_sweeps_match_the_oracle(rng):
             verdicts.append(out.hypothesis_ok)
             # over floats the same sweep is the loop's own float sweep
             floats = [[float(v) for v in vs] for vs in quad]
-            screened = fourfunctions._screened_violation(size, floats, operator.add)
-            assert screened == fourfunctions._looped_violation(size, floats, operator.add)
+            _looped_and_blocked(monkeypatch, floats, operator.add)
     assert True in verdicts and False in verdicts
+
+
+def test_floats_mixed_with_a_rational_past_the_float_range_are_rejected():
+    # Python's float x Fraction and float x int arithmetic raise OverflowError on such a value, which once
+    # escaped the hypothesis sweep, the conclusion's sum and the grid sweep as an internal error
+    huge = F(2**1100, 3)
+    for n in (1, 5):
+        ones = CubeFn(n, (1,) * 2**n)
+        for big in (huge, 2**1100):
+            mixed = CubeFn(n, (1.5, *[big] * (2**n - 1)))
+            for check in (check_4ft_hypothesis, check_4ft_conclusion):
+                with pytest.raises(PreconditionViolated, match="a value mixed with floats lies past the float range"):
+                    check(mixed, ones, ones, ones)
+        assert not check_4ft_hypothesis(CubeFn(n, (F(3, 2), *[huge] * (2**n - 1))), ones, ones, ones).ok  # no float: exact
+        # floats on one side and the rational on the other: a float compares exactly with a Fraction
+        floats, bigs = CubeFn(n, (1.5,) * 2**n), CubeFn(n, (huge,) * 2**n)
+        assert check_4ft_hypothesis(floats, ones, bigs, ones).ok and check_4ft_conclusion(floats, ones, bigs, ones)[2]
+        assert not check_4ft_hypothesis(bigs, ones, floats, ones).ok and not check_4ft_conclusion(bigs, ones, floats, ones)[2]
+    with pytest.raises(PreconditionViolated, match="a value mixed with floats lies past the float range"):
+        grid_hypothesis_witness(RealFn(0, (1.5, huge)), RealFn(0, (1, 1)), RealFn(0, (1, 1)), RealFn(0, (1, 1)))
+    assert grid_hypothesis_witness(RealFn(0, (huge, 1)), RealFn(0, (1, 1)), RealFn(0, (1.5, 1.5)), RealFn(0, (1.0, 1.0))) == (0, 0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

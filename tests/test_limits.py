@@ -153,10 +153,11 @@ def _first_violation(f, g, h, k):
 
 
 def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng, monkeypatch):
-    # exact rationals run on object arrays, floats on float64 arrays: both must match Python's own products.
-    # Blocks of 1, 2, 3 and 7 points cut one input's windows into several blocks, the last one often
-    # partial, and sweeps of 1, 3 and 10 pairs split the rows of one block.  The last draw mixes ints with
-    # a float NaN, infinities and -0.0: it runs on object arrays, whose max and min can step over a NaN
+    # exact rationals are screened on float64 images and rechecked exactly, floats compared in float64:
+    # both must match Python's own products.  Blocks of 1, 2, 3 and 7 points cut one input's windows into
+    # several blocks, the last one often partial, and sweeps of 1, 3 and 10 pairs split the rows of one
+    # block.  The last draw mixes ints with a float NaN, infinities and -0.0: their images are NaN, so
+    # their pairs are rechecked exactly
     specials = (math.nan, math.inf, -math.inf, -0.0, -1.5, -0.3)
     draws = (
         lambda: F(rng.randint(0, 4), rng.randint(1, 3)),
@@ -179,15 +180,19 @@ def test_exhaustive_grid_witness_matches_a_brute_force_scan(rng, monkeypatch):
 
 def test_bounded_grid_witness_matches_a_brute_force_scan_where_most_block_pairs_hold(rng, monkeypatch):
     # f, g in [0, 1] and h, k in [1, 1.5] but at a few drawn points, so most block pairs are skipped and
-    # the first violation, if any, sits among them; h and k now and then hold a low value or a float NaN
+    # the first violation, if any, sits among them; h and k now and then hold a low value or a float NaN.
+    # Exact and mixed windows are bounded on their screened images, floats on their own values
     def window(offset, length, usual, odd, odds):
         return RealFn(offset, tuple(odd() if rng.random() < odds else usual() for _ in range(length)))
 
+    def value(a, b):  # in the current mode
+        m = rng.randint(a, b)
+        return F(m, 8) if mode == "exact" or (mode == "mixed" and rng.random() < 0.5) else m / 8
+
     for block in (1, 2, 3, 7, limits._BLOCK):
         monkeypatch.setattr(limits, "_BLOCK", block)
-        for exact in (False, True):
-            value = (lambda a, b: F(rng.randint(a, b), 8)) if exact else (lambda a, b: rng.randint(a, b) / 8)
-            low = (lambda: value(0, 8)) if exact else (lambda: rng.choice((math.nan, value(0, 8))))
+        for mode in ("float", "exact", "mixed"):
+            low = (lambda: value(0, 8)) if mode == "exact" else (lambda: rng.choice((math.nan, value(0, 8))))
             found = 0
             for _ in range(40):
                 f, g = (window(rng.randint(-5, 5), rng.randint(1, 80), lambda: value(0, 8), lambda: value(-16, 24), 0.02) for _ in "fg")
@@ -196,6 +201,34 @@ def test_bounded_grid_witness_matches_a_brute_force_scan_where_most_block_pairs_
                 assert grid_hypothesis_witness(f, g, h, k) == expected
                 found += expected is not None
             assert 0 < found < 40
+
+
+def _least_feasible_kl(rng, width):
+    """f, g, h random ints in [1, 64] on 0..width-1 and the least k with f(x)g(y) <= h(floor)k(ceil) of (x+y)/2:
+    k(b) = max(r(2b)/h(b), r(2b-1)/h(b-1)), r(s) the largest f(x)g(y) with x + y = s."""
+    f, g, h = ([rng.randint(1, 64) for _ in range(width)] for _ in range(3))
+    r = [0] * (2 * width - 1)
+    for x, fx in enumerate(f):
+        for y, gy in enumerate(g):
+            r[x + y] = max(r[x + y], fx * gy)
+    k = [max(F(r[2 * b], h[b]), F(r[2 * b - 1], h[b - 1]) if b else 0) for b in range(width)]
+    return f, g, h, k
+
+
+def test_grid_witness_of_least_feasible_rational_kl_quadruples_with_exact_ties(rng):
+    # every sum s has a pair with f(x)g(y) = h k exactly, so the float64 screen proves none of those pairs
+    # and the exact recheck decides them; the widths run from within one block of rows and columns
+    # (16 x 16 pairs is the largest cube sweep that loops, a grid sweeps in blocks at every size) to several
+    for width in (5, 16, 17, 40, 100, 150):
+        f, g, h, k = _least_feasible_kl(rng, width)
+        quadruple = [RealFn(0, tuple(vs)) for vs in (f, g, h, k)]
+        assert grid_hypothesis_witness(*quadruple) is None is _first_violation(*quadruple)
+        for _ in range(3):  # one k value lowered by its smallest step breaks the pairs that bound it
+            b = rng.randrange(width)
+            lowered = k[:b] + [k[b] - F(1, k[b].denominator)] + k[b + 1 :]
+            planted = [*quadruple[:3], RealFn(0, tuple(lowered))]
+            expected = _first_violation(*planted)
+            assert expected is not None and grid_hypothesis_witness(*planted) == expected
 
 
 def test_grid_witness_of_floats_mixed_with_fractions_is_compared_in_full():
